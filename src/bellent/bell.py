@@ -7,7 +7,12 @@ and its normalized value I = sum(mu * P) / bound flags nonlocality at I > 1.
 
 The sampling hot path avoids object construction: `pauli_tensor` converts a
 state once, `batch_i_max` turns batches of Bloch directions into normalized
-violation strengths with one einsum per chunk.
+violation strengths.  Behaviors come from one einsum per batch along a fixed
+pairwise contraction path (one constant per party count, so no call searches
+for it), whose intermediates hold 4^N doubles per sample; `batch_i_max`
+therefore evaluates a chunk in fixed sub-blocks of `_SUB_BLOCK` samples, which
+keeps them cache-sized and gives each sample the same bits however a chunk is
+cut.
 """
 
 from __future__ import annotations
@@ -23,6 +28,24 @@ import numpy as np
 
 from .errors import MissingDataError, ParameterError, ParseError
 from .qstate import DensityMatrix
+
+# Pairwise contraction path of batch_behaviors per party count: the path
+# np.einsum_path(..., optimize=True) picks, fixed here.  One path does not
+# serve both counts: the N=3 path is out of range at N=2, and (0,1),(0,1),(0,1)
+# at N=3 forms a party x party outer product.
+_BEHAVIOR_EINSUM = {
+    2: ("xy,bsrx,btuy->bstru", ["einsum_path", (0, 1), (0, 1)]),
+    3: ("xyz,bsrx,btuy,bvwz->bstvruw", ["einsum_path", (0, 1), (0, 2), (0, 1)]),
+}
+
+# Samples per batch_behaviors call inside batch_i_max, and the fixed row count
+# of its reduction.  At N=3 each contraction intermediate takes 512 bytes a
+# sample: 1 MiB for a sub-block, against 8 MiB for a whole nlfrac chunk.
+_SUB_BLOCK = 2048
+
+# Relabelings gathered at once in expand_relabelings: at N=3 a block's gather
+# index and candidate tables take 64 KiB each, for a 3072-row orbit map.
+_ORBIT_BLOCK = 128
 
 PAULI = np.array([
     [[1, 0], [0, 1]],
@@ -171,29 +194,36 @@ def svetlichny() -> BellInequality:
 
 # ------------------------------------------------------------- relabelings
 
-def _relabeled(mu: np.ndarray, perm, inswap, outflip) -> np.ndarray:
-    """Push mu through a relabeling of parties, inputs, and outputs.
+def _relabel_index(n: int, perms, inswaps, outflips) -> np.ndarray:
+    """Gather map src[g, e] of relabelings g = perms x inswaps x outflips.
 
+    Entry e of the relabeled flat table is entry src[g, e] of the original.
     New party i takes over old party perm[i]; inswap[i] xors its setting;
-    outflip[i][s] xors its outcome conditional on the new setting s.
+    outflip[i][s] xors its outcome conditional on the new setting s.  The
+    map is built from bit arithmetic on the flat index, whose bit 2N-1-i is
+    party i's setting and bit N-1-i its outcome.
     """
-    n = mu.ndim // 2
-    out = np.empty_like(mu)
-    for idx in np.ndindex(*mu.shape):
-        s_old, r_old = idx[:n], idx[n:]
-        s_new = [0] * n
-        r_new = [0] * n
-        for i in range(n):
-            s = s_old[perm[i]] ^ inswap[i]
-            s_new[i] = s
-            r_new[i] = r_old[perm[i]] ^ outflip[i][s]
-        out[tuple(s_new) + tuple(r_new)] = mu[idx]
-    return out
+    dt = np.min_scalar_type(4 ** n - 1)
+    # axes (perm, inswap, outflip, party, .) broadcast to src[perm, inswap, outflip, e]
+    perms = np.asarray(perms, dtype=dt).reshape(-1, 1, 1, n, 1)
+    inswaps = np.asarray(inswaps, dtype=dt).reshape(1, -1, 1, n, 1)
+    outflips = np.asarray(outflips, dtype=dt).reshape(1, 1, -1, n, 2)
+    e = np.arange(4 ** n, dtype=dt)
+    src = np.zeros((perms.shape[0], inswaps.shape[1], outflips.shape[2], e.size), dt)
+    for i in range(n):
+        s = (e >> (2 * n - 1 - i)) & 1
+        r = (e >> (n - 1 - i)) & 1
+        p = perms[..., i, :]
+        flip = np.where(s, outflips[..., i, 1:], outflips[..., i, :1])
+        src |= (s ^ inswaps[..., i, :]) << (2 * n - 1 - p)
+        src |= (r ^ flip) << (n - 1 - p)
+    return src.reshape(-1, e.size)
 
 
 def relabel_behavior(b: Behavior, perm, inswap, outflip) -> Behavior:
     """Apply the same index transformation to a behavior table."""
-    return Behavior(b.n_parties, _relabeled(b.table, perm, inswap, outflip))
+    src = _relabel_index(b.n_parties, perm, inswap, outflip)[0]
+    return Behavior(b.n_parties, b.table.ravel()[src].reshape(b.table.shape))
 
 
 @dataclass
@@ -236,16 +266,25 @@ def expand_relabelings(ineqs, tag: str = "") -> InequalitySet:
     n = ineqs[0].n_parties
     if any(q.n_parties != n for q in ineqs):
         raise ParameterError("mixed party counts in one set")
-    seen = {}
     flips = list(itertools.product((0, 1), repeat=2))
+    src = _relabel_index(n, list(itertools.permutations(range(n))),
+                         list(itertools.product((0, 1), repeat=n)),
+                         list(itertools.product(flips, repeat=n)))
+    shape = ineqs[0].coefficients.shape
+    seen = {}
     for base in ineqs:
-        nb = base.normalized()
-        for perm in itertools.permutations(range(n)):
-            for inswap in itertools.product((0, 1), repeat=n):
-                for outflip in itertools.product(flips, repeat=n):
-                    cand = BellInequality(
-                        n, _relabeled(nb.coefficients, perm, inswap, outflip), 1.0, base.name)
-                    seen.setdefault(cand.key(), cand)
+        mu = base.normalized().coefficients.ravel()
+        # key() of each candidate, i.e. of a bound-1 table, is its rounded
+        # entries; rounding commutes with the gather
+        rounded = np.round(mu, 9) + 0.0
+        width = src.shape[1] * rounded.itemsize
+        for lo in range(0, len(src), _ORBIT_BLOCK):
+            block = src[lo:lo + _ORBIT_BLOCK]
+            keys = rounded[block].tobytes()
+            for g in range(len(block)):
+                key = keys[g * width:(g + 1) * width]
+                if key not in seen:
+                    seen[key] = BellInequality(n, mu[block[g]].reshape(shape), 1.0, base.name)
     members = list(seen.values())
     if not tag:
         tag = "+".join(sorted({q.name or "ineq" for q in ineqs}))
@@ -288,22 +327,31 @@ def batch_behaviors(lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     [S_1..S_N, r_1..r_N] layout shared with Behavior.
     """
     n = lam.ndim
-    f = _party_factors(dirs)
-    if n == 2:
-        p = np.einsum("xy,bsrx,btuy->bstru", lam, f[0], f[1])
-    elif n == 3:
-        p = np.einsum("xyz,bsrx,btuy,bvwz->bstvruw", lam, f[0], f[1], f[2])
-    else:
+    if n not in _BEHAVIOR_EINSUM:
         raise ParameterError(f"unsupported party count {n}")
+    spec, path = _BEHAVIOR_EINSUM[n]
+    p = np.einsum(spec, lam, *_party_factors(dirs), optimize=path)
     p /= 2 ** n
     return p
 
 
 def batch_i_max(lam: np.ndarray, dirs: np.ndarray, w_matrix: np.ndarray) -> np.ndarray:
-    """Max normalized functional value per settings sample, shape (B,)."""
-    p = batch_behaviors(lam, dirs)
-    flat = p.reshape(p.shape[0], -1)
-    return (flat @ w_matrix.T).max(axis=1)
+    """Max normalized functional value per settings sample, shape (B,).
+
+    Works in sub-blocks of `_SUB_BLOCK` samples, each copied into one
+    `_SUB_BLOCK`-row buffer whose rows past a short last block are dropped:
+    BLAS picks its kernel, and with it the summation order, by the row count
+    of the product, so a fixed count makes every sample's value independent
+    of how its batch was cut.
+    """
+    out = np.empty(dirs.shape[0])
+    flat = np.zeros((_SUB_BLOCK, w_matrix.shape[1]))
+    for lo in range(0, dirs.shape[0], _SUB_BLOCK):
+        p = batch_behaviors(lam, dirs[lo:lo + _SUB_BLOCK])
+        k = p.shape[0]
+        flat[:k].reshape(p.shape)[...] = p
+        out[lo:lo + k] = (flat @ w_matrix.T)[:k].max(axis=1)
+    return out
 
 
 def behavior_from_state(rho: DensityMatrix, m: MeasurementSettings) -> Behavior:

@@ -67,6 +67,15 @@ def _chunk_ranges(m: int):
         yield start, min(CHUNK, m - start)
 
 
+def _check_request(rho: DensityMatrix, iset: InequalitySet, m: int, workers: int) -> None:
+    if m < 1:
+        raise ParameterError(f"sample count must be >= 1, got {m}")
+    if workers < 1:
+        raise ParameterError(f"worker count must be >= 1, got {workers}")
+    if iset.n_parties != rho.n_qubits:
+        raise ParameterError("inequality set and state disagree on party count")
+
+
 def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work):
     """Apply work(start, dirs) over disjoint sample ranges, 1 or more threads."""
     tag = f"bloch{n_parties}"
@@ -77,7 +86,7 @@ def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work):
         return work(start, dirs)
 
     spans = list(_chunk_ranges(m))
-    if workers <= 1:
+    if workers == 1:
         return [one(s) for s in spans]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, spans))
@@ -91,10 +100,7 @@ def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
     directions come from its own counter range and the reduction is a sum of
     integer counts.
     """
-    if m < 1:
-        raise ParameterError(f"sample count must be >= 1, got {m}")
-    if iset.n_parties != rho.n_qubits:
-        raise ParameterError("inequality set and state disagree on party count")
+    _check_request(rho, iset, m, workers)
     lam = pauli_tensor(rho)
     w = iset.w_matrix
 
@@ -109,10 +115,7 @@ def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
 def violation_distribution(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
                            workers: int = 1, state_tag: str = "rho") -> ViolationSamples:
     """All m values of I_max; the fraction above 1 recovers estimate_pv."""
-    if m < 1:
-        raise ParameterError(f"sample count must be >= 1, got {m}")
-    if iset.n_parties != rho.n_qubits:
-        raise ParameterError("inequality set and state disagree on party count")
+    _check_request(rho, iset, m, workers)
     lam = pauli_tensor(rho)
     w = iset.w_matrix
     values = np.empty(m)

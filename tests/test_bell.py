@@ -1,13 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from bellent._rng import bloch_directions
 from bellent.bell import (
+    PAULI,
     Behavior,
     BellInequality,
     InequalitySet,
     MeasurementSettings,
+    batch_behaviors,
+    batch_i_max,
     behavior_from_state,
     bundled_inequality,
     chsh,
@@ -29,7 +34,7 @@ from bellent.bell import (
     write_orbit_cache,
 )
 from bellent.errors import MissingDataError, ParameterError, ParseError
-from bellent.qstate import gghz, werner_like
+from bellent.qstate import DensityMatrix, gghz, werner_like
 
 SQRT2 = math.sqrt(2.0)
 
@@ -231,3 +236,104 @@ def test_inequality_validation():
         BellInequality(2, np.zeros((2, 2, 2, 2)), 2.0)
     with pytest.raises(ParameterError):
         BellInequality(2, chsh().coefficients, 0.0)
+
+
+# ------------------------------------------------- references for the kernels
+
+def _relabeled_reference(mu, perm, inswap, outflip):
+    """Per-entry loop: new party i takes over old party perm[i], inswap[i]
+    xors its setting, outflip[i][s] its outcome at new setting s."""
+    n = mu.ndim // 2
+    out = np.empty_like(mu)
+    for idx in np.ndindex(*mu.shape):
+        s_old, r_old = idx[:n], idx[n:]
+        s_new = [0] * n
+        r_new = [0] * n
+        for i in range(n):
+            s = s_old[perm[i]] ^ inswap[i]
+            s_new[i] = s
+            r_new[i] = r_old[perm[i]] ^ outflip[i][s]
+        out[tuple(s_new) + tuple(r_new)] = mu[idx]
+    return out
+
+
+def _orbit_reference(ineqs):
+    """Members of the relabeling orbit, first occurrence kept, in loop order."""
+    n = ineqs[0].n_parties
+    flips = list(itertools.product((0, 1), repeat=2))
+    seen = {}
+    for base in ineqs:
+        nb = base.normalized()
+        for perm in itertools.permutations(range(n)):
+            for inswap in itertools.product((0, 1), repeat=n):
+                for outflip in itertools.product(flips, repeat=n):
+                    cand = BellInequality(
+                        n, _relabeled_reference(nb.coefficients, perm, inswap, outflip),
+                        1.0, base.name)
+                    seen.setdefault(cand.key(), cand)
+    return list(seen.values())
+
+
+def _random_state(n, rng):
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    m = a @ a.conj().T
+    return DensityMatrix(n, m / np.trace(m).real)
+
+
+def _random_dirs(rng, shape):
+    d = rng.normal(size=shape + (3,))
+    return d / np.linalg.norm(d, axis=-1, keepdims=True)
+
+
+def test_orbit_matches_reference_loop():
+    for ineqs in ([chsh()], [mermin()], [svetlichny()], [mermin(), svetlichny()],
+                  [chsh(), chsh()]):
+        got = expand_relabelings(ineqs).inequalities
+        want = _orbit_reference(ineqs)
+        assert [q.name for q in got] == [q.name for q in want]
+        assert [q.lhv_bound for q in got] == [q.lhv_bound for q in want]
+        assert [q.coefficients.tobytes() for q in got] == \
+            [q.coefficients.tobytes() for q in want]
+
+
+def test_relabel_behavior_matches_reference_loop():
+    rng = np.random.default_rng(17)
+    for n in (2, 3):
+        b = behavior_from_state(_random_state(n, rng),
+                                MeasurementSettings(n, _random_dirs(rng, (n, 2))))
+        for _ in range(10):
+            perm = [int(x) for x in rng.permutation(n)]
+            inswap = [int(x) for x in rng.integers(0, 2, n)]
+            outflip = rng.integers(0, 2, (n, 2)).tolist()
+            got = relabel_behavior(b, perm, inswap, outflip).table
+            assert got.tobytes() == \
+                _relabeled_reference(b.table, perm, inswap, outflip).tobytes()
+
+
+def test_batch_behaviors_match_born_rule():
+    """P(r|S) = Tr[rho (x)_i (1 + (-1)^r_i u_i . sigma) / 2] at random settings."""
+    rng = np.random.default_rng(29)
+    for n in (2, 3):
+        rho = _random_state(n, rng)
+        dirs = _random_dirs(rng, (3, n, 2))
+        got = batch_behaviors(pauli_tensor(rho), dirs)
+        for b in range(dirs.shape[0]):
+            for idx in np.ndindex((2,) * (2 * n)):
+                op = np.eye(1)
+                for i in range(n):
+                    u_sigma = np.tensordot(dirs[b, i, idx[i]], PAULI[1:], axes=1)
+                    op = np.kron(op, (PAULI[0] + (-1) ** idx[n + i] * u_sigma) / 2)
+                want = np.trace(rho.entries @ op).real
+                assert abs(got[(b,) + idx] - want) < 1e-12
+
+
+def test_batch_i_max_independent_of_how_a_chunk_is_cut():
+    rng = np.random.default_rng(31)
+    cuts = [0, 1, 2047, 2049, 5000, 6000]
+    for n in (2, 3):
+        lam = pauli_tensor(_random_state(n, rng))
+        w = default_set(n).w_matrix
+        dirs = bloch_directions(3, f"bloch{n}", 0, cuts[-1], n)
+        whole = batch_i_max(lam, dirs, w)
+        pieces = [batch_i_max(lam, dirs[a:b], w) for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()

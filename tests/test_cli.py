@@ -89,6 +89,21 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_workers_below_one_rejected(tmp_path, capsys):
+    state = tmp_path / "w.json"
+    assert main(["state", "make", "--family", "werner", "--theta-deg", "45",
+                 "--v", "0.9", "--n", "2", "--out", str(state)]) == 0
+    capsys.readouterr()
+    for args in (["pv", str(state)],
+                 ["dist", str(state), "--out", str(tmp_path / "d.csv")],
+                 ["sweep", "--theta-deg", "45", "--n", "2", "--v-from", "0.9",
+                  "--v-to", "1.0", "--out", str(tmp_path / "s.csv")]):
+        assert main(args + ["--samples", "100", "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: worker count must be >= 1, got 0\n"
+    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "s.csv").exists()
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--family", "werner", "--theta-deg", "45", "--n",
