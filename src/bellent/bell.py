@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -524,38 +523,3 @@ def default_set(n_parties: int) -> InequalitySet:
         return expand_relabelings(
             bundled_inequality("svetlichny"), tag="svetlichny:lower-bound")
     raise ParameterError(f"no default set for {n_parties} parties")
-
-
-# ------------------------------------------------------------- orbit cache
-
-def write_orbit_cache(iset: InequalitySet, directory) -> None:
-    """One file per member plus a manifest carrying the dedup digest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, q in enumerate(iset.inequalities):
-        fname = f"orbit{i:04d}.bellineq"
-        (directory / fname).write_text(serialize_inequality(q), encoding="utf-8")
-        names.append(fname)
-    manifest = {
-        "n_parties": iset.n_parties,
-        "tag": iset.tag,
-        "count": len(iset),
-        "sha256": iset.digest(),
-        "files": names,
-    }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-
-
-def load_orbit_cache(directory) -> InequalitySet:
-    directory = Path(directory)
-    mpath = directory / "manifest.json"
-    if not mpath.is_file():
-        raise MissingDataError(f"no manifest.json in {directory}")
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    members = [load_inequality_file(directory / f) for f in manifest["files"]]
-    iset = InequalitySet(int(manifest["n_parties"]), members, str(manifest["tag"]))
-    if iset.digest() != manifest["sha256"]:
-        raise ParseError(f"orbit cache digest mismatch in {directory}")
-    return iset

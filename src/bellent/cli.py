@@ -29,10 +29,6 @@ from .errors import (DomainError, FitError, MissingDataError, ParameterError,
 INEQ_DIR_ENV = "BELLENT_INEQ_DIR"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _version() -> str:
     try:
         from importlib.metadata import version
@@ -203,7 +199,7 @@ def cmd_sweep(ns) -> None:
     for v in _v_grid(ns):
         rho = qstate.werner_like(theta, v, n)
         est = nlfrac.estimate_pv(rho, iset, ns.samples, ns.seed, ns.workers)
-        lines.append(",".join(_fmt(x) for x in
+        lines.append(",".join(qstate.format_float(x) for x in
                               (v, est.p_v, est.std_err, closed(theta, v))))
     Path(ns.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_manifest(ns.out, _manifest(ns, ())[1])
@@ -224,7 +220,8 @@ def cmd_rescale(ns) -> None:
     samples = nlfrac.load_violation_samples(ns.samples_file)
     lines = ["v,p_v"]
     for v in _v_grid(ns):
-        lines.append(f"{_fmt(v)},{_fmt(nlfrac.pv_from_distribution(samples, v))}")
+        p_v = nlfrac.pv_from_distribution(samples, v)
+        lines.append(f"{qstate.format_float(v)},{qstate.format_float(p_v)}")
     Path(ns.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_manifest(ns.out, _manifest(ns, [ns.samples_file])[1])
 

@@ -1,12 +1,15 @@
 """Coincidence-count datasets: ingestion, mixing, Bell tests, resampling.
 
-A record holds the 8 outcome counts measured for one triple of projection
-directions.  A Bell test needs a full behavior, so records are grouped into
-blocks of 8 settings (two directions per party, all combinations); grouping
-matches directions with a 1e-6 tolerance since real data carries rounded
-vectors.  Nonlocal fractions computed here share the estimator conventions
-of the sampling module; with exact synthetic counts the two pipelines see
-the same settings and produce the same violation flags.
+A dataset holds one record table: a numpy structured array (dtype
+`RECORD`) with one row per setting, whose columns are the setting id, the
+projection direction of each qubit, the 8 outcome counts (index
+r1*4 + r2*2 + r3) and the duration.  Every operation works on whole
+columns.  A Bell test needs a full behavior, so records are grouped into
+blocks of 8 settings (two directions per party, all combinations);
+grouping matches directions with a 1e-6 tolerance since real data carries
+rounded vectors.  Nonlocal fractions computed here share the estimator
+conventions of the sampling module; with exact synthetic counts the two
+pipelines see the same settings and produce the same violation flags.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,206 +26,225 @@ from . import _rng
 from .bell import InequalitySet, batch_behaviors, pauli_tensor
 from .errors import MissingDataError, ParameterError, ParseError
 from .nlfrac import PvEstimate
-from .qstate import DensityMatrix, basis_state
+from .qstate import (DensityMatrix, basis_state, format_float, json_field,
+                     read_json_object)
 
 CC_HEADER = ("setting_id,u1x,u1y,u1z,u2x,u2y,u2z,u3x,u3y,u3z,"
              "r1,r2,r3,counts,duration_s")
 DIR_TOL = 1e-6
 DEFAULT_MARGIN = 0.015
 
-
-@dataclass
-class ProjectorSetting:
-    """One projection direction per qubit, defining both outcome projectors."""
-
-    setting_id: int
-    directions: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
-        if d.shape != (3, 3):
-            raise ParameterError(f"directions shape {d.shape}, expected (3, 3)")
-        if np.max(np.abs(np.linalg.norm(d, axis=1) - 1.0)) > 1e-9:
-            raise ParameterError(
-                f"setting {self.setting_id}: directions must be unit vectors")
-        d.setflags(write=False)
-        self.directions = d
+RECORD = np.dtype([("setting_id", np.int64), ("directions", float, (3, 3)),
+                   ("counts", float, (8,)), ("duration_s", float)])
 
 
-@dataclass
-class CCRecord:
-    """Counts for the 8 outcome combinations of one setting, index r1*4+r2*2+r3."""
+def cc_records(setting_id, directions, counts, duration_s=1.0) -> np.ndarray:
+    """A record table from its columns: ids (R,), directions (R, 3, 3), counts (R, 8)."""
+    shape = np.shape(setting_id)
+    if np.shape(directions) != shape + (3, 3):
+        raise ParameterError(
+            f"directions shape {np.shape(directions)}, expected {shape + (3, 3)}")
+    if np.shape(counts) != shape + (8,):
+        raise ParameterError(f"counts shape {np.shape(counts)}, expected {shape + (8,)}")
+    records = np.empty(shape, RECORD)
+    records["setting_id"] = setting_id
+    records["directions"] = directions
+    records["counts"] = counts
+    records["duration_s"] = duration_s
+    return records
 
-    setting: ProjectorSetting
-    counts: np.ndarray
-    duration_s: float = 1.0
 
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=float)
-        if c.shape != (8,):
-            raise ParameterError(f"counts shape {c.shape}, expected (8,)")
-        if np.min(c) < 0:
-            raise ParameterError(f"setting {self.setting.setting_id}: negative count")
-        if not self.duration_s > 0:
-            raise ParameterError(f"duration must be positive, got {self.duration_s!r}")
-        c.setflags(write=False)
-        self.counts = c
+def _with_counts(records: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    out = records.copy()
+    out["counts"] = counts
+    return out
 
 
 @dataclass
 class CCDataset:
-    records: list
+    """A record table (dtype `RECORD`, read-only) with its normalization and tag."""
+
+    records: np.ndarray
     normalization: float = 1.0
     tag: str = ""
 
     def __post_init__(self):
-        if not self.records:
+        recs = np.asarray(self.records)
+        if recs.dtype != RECORD or recs.ndim != 1:
+            raise ParameterError("records must be a 1-d table of dtype expdata.RECORD")
+        if not len(recs):
             raise ParameterError("dataset has no records")
-        ids = [r.setting.setting_id for r in self.records]
-        if len(set(ids)) != len(ids):
+        sid = recs["setting_id"]
+        norms = np.linalg.norm(recs["directions"], axis=2)
+        bad = ~(np.max(np.abs(norms - 1.0), axis=1) <= 1e-9)
+        if bad.any():
+            raise ParameterError(
+                f"setting {sid[bad.argmax()]}: directions must be unit vectors")
+        bad = np.min(recs["counts"], axis=1) < 0
+        if bad.any():
+            raise ParameterError(f"setting {sid[bad.argmax()]}: negative count")
+        bad = ~(recs["duration_s"] > 0)
+        if bad.any():
+            duration = float(recs["duration_s"][bad.argmax()])
+            raise ParameterError(f"duration must be positive, got {duration!r}")
+        if len(np.unique(sid)) != len(sid):
             raise ParameterError("duplicate setting_ids in dataset")
+        recs.setflags(write=False)
+        self.records = recs
 
     def total_counts(self) -> float:
-        return float(sum(r.counts.sum() for r in self.records))
+        # record sums added one by one in record order (cumsum), not pairwise
+        return float(np.cumsum(self.records["counts"].sum(axis=1))[-1])
 
 
 # ----------------------------------------------------------------- file IO
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_cc(dataset: CCDataset, path) -> None:
     """One CSV row per (setting, outcome); sidecar JSON at <path>.json."""
+    recs = dataset.records
     lines = [CC_HEADER]
-    for rec in dataset.records:
-        u = rec.setting.directions
-        dirs = ",".join(_fmt(x) for x in u.ravel())
-        for r in range(8):
-            bits = f"{r >> 2 & 1},{r >> 1 & 1},{r & 1}"
-            lines.append(f"{rec.setting.setting_id},{dirs},{bits},"
-                         f"{_fmt(rec.counts[r])},{_fmt(rec.duration_s)}")
+    for sid, u, counts, duration in zip(
+            recs["setting_id"].tolist(), recs["directions"].reshape(-1, 9).tolist(),
+            recs["counts"].tolist(), recs["duration_s"].tolist()):
+        head = f"{sid},{','.join(map(format_float, u))},"
+        tail = f",{format_float(duration)}"
+        for r, count in enumerate(counts):
+            lines.append(f"{head}{r >> 2 & 1},{r >> 1 & 1},{r & 1},"
+                         f"{format_float(count)}{tail}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     sidecar = {"tag": dataset.tag, "normalization": dataset.normalization}
     Path(str(path) + ".json").write_text(
         json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
 
 
+def _numbers(rows) -> tuple:
+    """Setting ids (R,) and the other 14 numbers (R, 14) of 15-field CSV rows."""
+    # each row is split as it is parsed, so no list of all fields is held
+    numbers = chain.from_iterable(map(float, row.split(",")[1:]) for row in rows)
+    return (np.array([int(row[:row.index(",")]) for row in rows], dtype=np.int64),
+            np.fromiter(numbers, float).reshape(-1, 14))
+
+
 def load_cc(path) -> CCDataset:
+    """Read a coincidence-count CSV (and its optional sidecar).
+
+    All rows are parsed and checked at once; a malformed file raises
+    ParseError for its earliest offending line.
+    """
     path = Path(path)
     if not path.is_file():
         raise MissingDataError(f"no such coincidence-count file: {path}")
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CC_HEADER:
         raise ParseError(f"{path}: bad or missing header", line=1)
-    by_id = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 15:
-            raise ParseError(f"{path}: expected 15 fields, got {len(parts)}",
-                             line=lineno)
-        try:
-            sid = int(parts[0])
-            vals = [float(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}", line=lineno) from None
-        dirs = np.array(vals[0:9]).reshape(3, 3)
-        bits = vals[9:12]
-        if any(b not in (0.0, 1.0) for b in bits):
-            raise ParseError(f"{path}: outcome bits must be 0 or 1", line=lineno)
-        outcome = int(bits[0]) * 4 + int(bits[1]) * 2 + int(bits[2])
-        count, duration = vals[12], vals[13]
-        if count < 0:
-            raise ParseError(f"{path}: negative count", line=lineno)
-        if np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) > DIR_TOL:
-            raise ParseError(f"{path}: non-unit projection direction", line=lineno)
-        entry = by_id.setdefault(sid, {"dirs": dirs, "duration": duration,
-                                       "counts": np.zeros(8), "seen": set(),
-                                       "line": lineno})
-        if np.max(np.abs(entry["dirs"] - dirs)) > DIR_TOL:
-            raise ParseError(f"{path}: directions differ within setting {sid}",
-                             line=lineno)
-        if outcome in entry["seen"]:
-            raise ParseError(f"{path}: duplicate outcome for setting {sid}",
-                             line=lineno)
-        entry["seen"].add(outcome)
-        entry["counts"][outcome] = count
-    if not by_id:
+    lineno = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    rows = [lines[n - 1] for n in lineno]
+    # rows before `stop` have 15 numeric fields; row `stop` is the first that does not
+    stop = next((r for r, row in enumerate(rows) if row.count(",") != 14), len(rows))
+    stop_msg = (f"expected 15 fields, got {rows[stop].count(',') + 1}"
+                if stop < len(rows) else None)
+    try:
+        sid, vals = _numbers(rows[:stop])
+    except (ValueError, OverflowError):
+        for stop, row in enumerate(rows):  # the first row that does not parse
+            try:
+                _numbers([row])
+            except (ValueError, OverflowError) as exc:
+                stop_msg = str(exc)
+                break
+        sid, vals = _numbers(rows[:stop])
+    dirs, bits = vals[:, :9].reshape(-1, 3, 3), vals[:, 9:12]
+    count, duration = vals[:, 12], vals[:, 13]
+    outcome = (bits == 1) @ np.array([4, 2, 1])
+    ids, first, setting = np.unique(sid, return_index=True, return_inverse=True)
+    _, first_key, key = np.unique(setting * 8 + outcome, return_index=True,
+                                  return_inverse=True)
+    # each row's first failing check, in the order a line is checked; rows
+    # past the earliest bad one are never reported, so their inf/nan is silent
+    with np.errstate(all="ignore"):
+        checks = (
+            (~((bits == 0) | (bits == 1)).all(axis=1), "outcome bits must be 0 or 1"),
+            (count < 0, "negative count"),
+            (~(np.max(np.abs(np.linalg.norm(dirs, axis=2) - 1.0), axis=1) <= DIR_TOL),
+             "non-unit projection direction"),
+            (np.max(np.abs(dirs[first[setting]] - dirs), axis=(1, 2)) > DIR_TOL,
+             "directions differ within setting {}"),
+            (first_key[key] != np.arange(len(key)), "duplicate outcome for setting {}"),
+        )
+    for bad, message in checks:
+        if bad.any() and bad.argmax() < stop:
+            stop = int(bad.argmax())
+            stop_msg = message.format(sid[stop])
+    if stop_msg is not None:
+        raise ParseError(f"{path}: {stop_msg}", line=lineno[stop])
+    if not len(sid):
         raise ParseError(f"{path}: no data rows")
-    meta_path = Path(str(path) + ".json")
     tag, norm = path.stem, 1.0
+    meta_path = Path(str(path) + ".json")
     if meta_path.is_file():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        tag = str(meta.get("tag", tag))
-        norm = float(meta.get("normalization", 1.0))
-    records = [
-        CCRecord(ProjectorSetting(sid, e["dirs"]), e["counts"], e["duration"])
-        for sid, e in sorted(by_id.items())
-    ]
-    return CCDataset(records, norm, tag)
+        meta = read_json_object(meta_path)
+        tag = json_field(meta, "tag", str, meta_path, tag)
+        norm = json_field(meta, "normalization", float, meta_path, norm)
+    counts = np.zeros((len(ids), 8))
+    counts[setting, outcome] = count
+    return CCDataset(cc_records(ids, dirs[first], counts, duration[first]), norm, tag)
 
 
 # ----------------------------------------------------------------- blocks
-
-def _dir_key(u) -> tuple:
-    return tuple(int(round(x / DIR_TOL)) for x in u)
-
 
 def group_blocks(dataset: CCDataset):
     """Partition records into complete 2x2x2 setting blocks.
 
     Two records are partners when they share the direction of all but one
-    party (keys quantized at 1e-6).  Returns (blocks, n_excluded_records);
-    a block is a dict mapping (S1, S2, S3) to its CCRecord.
+    party (keys quantized at 1e-6).  Returns (blocks, n_excluded_records):
+    `blocks` is a (B, 8) array of record indices, column S1*4 + S2*2 + S3,
+    where S_i = 1 marks party i's larger direction key; blocks are ordered
+    by their first record.
     """
-    recs = dataset.records
-    keys = [tuple(_dir_key(r.setting.directions[i]) for i in range(3)) for r in recs]
-    patterns = {}
-    for idx, k in enumerate(keys):
-        for i in range(3):
-            pat = (i, k[:i] + k[i + 1:])
-            patterns.setdefault(pat, []).append(idx)
-    visited = [False] * len(recs)
-    blocks = []
-    excluded = 0
-    for start in range(len(recs)):
-        if visited[start]:
-            continue
-        comp = [start]
-        visited[start] = True
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for i in range(3):
-                pat = (i, keys[cur][:i] + keys[cur][i + 1:])
-                for other in patterns[pat]:
-                    if not visited[other]:
-                        visited[other] = True
-                        comp.append(other)
-                        queue.append(other)
-        party_keys = [sorted({keys[j][i] for j in comp}) for i in range(3)]
-        combos = {tuple(pk.index(keys[j][i]) for i, pk in enumerate(party_keys)): j
-                  for j in comp}
-        if len(comp) == 8 and all(len(pk) == 2 for pk in party_keys) \
-                and len(combos) == 8:
-            blocks.append({s: recs[j] for s, j in combos.items()})
-        else:
-            excluded += len(comp)
-    return blocks, excluded
+    keys = np.rint(dataset.records["directions"] / DIR_TOL).astype(np.int64)
+    n = len(keys)
+    # party[i]: id of party i's direction key, in the keys' lexicographic order
+    party = [np.unique(keys[:, i], axis=0, return_inverse=True)[1].ravel()
+             for i in range(3)]
+    classes = [np.unique(party[(i + 1) % 3] * n + party[(i + 2) % 3],
+                         return_inverse=True)[1].ravel() for i in range(3)]
+    # a record's label becomes the lowest record index of its component
+    label = np.arange(n)
+    while True:
+        new = label
+        for cls in classes:
+            low = np.full(n, n)
+            np.minimum.at(low, cls, new)
+            new = low[cls]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # within a component, party i must take exactly two keys: S_i marks the larger
+    complete = np.bincount(label, minlength=n) == 8
+    combo = np.zeros(n, dtype=int)
+    for i in range(3):
+        lo = np.full(n, n)
+        hi = np.full(n, -1)
+        np.minimum.at(lo, label, party[i])
+        np.maximum.at(hi, label, party[i])
+        complete[label[(party[i] != lo[label]) & (party[i] != hi[label])]] = False
+        combo += (party[i] == hi[label]) << (2 - i)
+    table = np.full((n, 8), -1)
+    table[label, combo] = np.arange(n)
+    complete &= (table >= 0).all(axis=1)
+    blocks = table[complete]
+    return blocks, n - blocks.size
 
 
-def block_behavior_table(block: dict) -> np.ndarray:
-    """Probability table [S1,S2,S3,r1,r2,r3] from one complete block."""
-    table = np.empty((2,) * 6)
-    for s, rec in block.items():
-        total = rec.counts.sum()
-        if total <= 0:
-            raise ParameterError(
-                f"setting {rec.setting.setting_id}: zero total count in block")
-        table[s] = (rec.counts / total).reshape(2, 2, 2)
-    return table
+def behavior_tables(records: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Probability tables (B, 8, 8) [block, S1*4+S2*2+S3, r1*4+r2*2+r3]."""
+    counts = records["counts"][blocks]
+    totals = counts.sum(axis=2, keepdims=True)
+    zero = totals <= 0
+    if zero.any():
+        sid = records["setting_id"][blocks][zero[..., 0]][0]
+        raise ParameterError(f"setting {sid}: zero total count in block")
+    return counts / totals
 
 
 @dataclass
@@ -244,6 +267,29 @@ class CCPvResult:
         return json.dumps(obj, indent=2) + "\n"
 
 
+def _blocks_for_pv(dataset: CCDataset, iset: InequalitySet, margin: float):
+    if iset.n_parties != 3:
+        raise ParameterError("coincidence-count analysis is three-party only")
+    if margin < 0:
+        raise ParameterError(f"margin must be >= 0, got {margin!r}")
+    blocks, excluded = group_blocks(dataset)
+    if not len(blocks):
+        raise ParameterError("no complete setting blocks in dataset")
+    return blocks, excluded
+
+
+def _pv_of_blocks(records, blocks, excluded, iset, margin) -> CCPvResult:
+    n = len(blocks)
+    flat = behavior_tables(records, blocks).reshape(n, 64)
+    i_max = (flat @ iset.w_matrix.T).max(axis=1)
+    violations = int(np.count_nonzero(i_max > 1.0))
+    p = violations / n
+    est = PvEstimate(p, math.sqrt(p * (1.0 - p) / n), n, violations, iset.tag)
+    low = int(np.count_nonzero(i_max > 1.0 + margin)) / n
+    high = int(np.count_nonzero(i_max > 1.0 - margin)) / n
+    return CCPvResult(est, low, high, n, excluded)
+
+
 def pv_cc(dataset: CCDataset, iset: InequalitySet,
           margin: float = DEFAULT_MARGIN) -> CCPvResult:
     """Fraction of complete blocks whose behavior violates the set.
@@ -252,22 +298,8 @@ def pv_cc(dataset: CCDataset, iset: InequalitySet,
     bracketing the effect of finite Bell-value precision.  Incomplete blocks
     are excluded; their record count is reported.
     """
-    if iset.n_parties != 3:
-        raise ParameterError("coincidence-count analysis is three-party only")
-    if margin < 0:
-        raise ParameterError(f"margin must be >= 0, got {margin!r}")
-    blocks, excluded = group_blocks(dataset)
-    if not blocks:
-        raise ParameterError("no complete setting blocks in dataset")
-    flat = np.stack([block_behavior_table(b).ravel() for b in blocks])
-    i_max = (flat @ iset.w_matrix.T).max(axis=1)
-    n = len(blocks)
-    violations = int(np.count_nonzero(i_max > 1.0))
-    p = violations / n
-    est = PvEstimate(p, math.sqrt(p * (1.0 - p) / n), n, violations, iset.tag)
-    low = int(np.count_nonzero(i_max > 1.0 + margin)) / n
-    high = int(np.count_nonzero(i_max > 1.0 - margin)) / n
-    return CCPvResult(est, low, high, n, excluded)
+    blocks, excluded = _blocks_for_pv(dataset, iset, margin)
+    return _pv_of_blocks(dataset.records, blocks, excluded, iset, margin)
 
 
 # ----------------------------------------------------------------- mixing
@@ -277,20 +309,8 @@ def normalize_cc(dataset: CCDataset) -> CCDataset:
     total = dataset.total_counts()
     if total <= 0:
         raise ParameterError("cannot normalize a zero-count dataset")
-    records = [CCRecord(r.setting, r.counts / total, r.duration_s)
-               for r in dataset.records]
-    return CCDataset(records, total, dataset.tag)
-
-
-def _aligned(a: CCDataset, b: CCDataset) -> bool:
-    if len(a.records) != len(b.records):
-        return False
-    for ra, rb in zip(a.records, b.records):
-        if ra.setting.setting_id != rb.setting.setting_id:
-            return False
-        if np.max(np.abs(ra.setting.directions - rb.setting.directions)) > DIR_TOL:
-            return False
-    return True
+    recs = dataset.records
+    return CCDataset(_with_counts(recs, recs["counts"] / total), total, dataset.tag)
 
 
 def mix_counts(state_cc: CCDataset, basis_cc, v_c: float) -> CCDataset:
@@ -305,15 +325,16 @@ def mix_counts(state_cc: CCDataset, basis_cc, v_c: float) -> CCDataset:
     basis_cc = list(basis_cc)
     if len(basis_cc) != 8:
         raise ParameterError(f"need 8 basis datasets, got {len(basis_cc)}")
+    recs = state_cc.records
     for k, ds in enumerate(basis_cc):
-        if not _aligned(state_cc, ds):
+        other = ds.records
+        # unequal lengths fail the id comparison before directions are subtracted
+        if not np.array_equal(other["setting_id"], recs["setting_id"]) \
+                or (np.abs(other["directions"] - recs["directions"]) > DIR_TOL).any():
             raise ParameterError(f"basis dataset {k} settings misaligned with state")
-    records = []
-    for i, rec in enumerate(state_cc.records):
-        counts = v_c * rec.counts + sum(
-            (1.0 - v_c) / 8.0 * ds.records[i].counts for ds in basis_cc)
-        records.append(CCRecord(rec.setting, counts, rec.duration_s))
-    return CCDataset(records, 1.0, f"{state_cc.tag}:vc={v_c:g}")
+    counts = v_c * recs["counts"] + sum(
+        (1.0 - v_c) / 8.0 * ds.records["counts"] for ds in basis_cc)
+    return CCDataset(_with_counts(recs, counts), 1.0, f"{state_cc.tag}:vc={v_c:g}")
 
 
 # ----------------------------------------------------------- resampling
@@ -355,7 +376,13 @@ def poisson_resample(dataset: CCDataset, statistic, trials: int, seed: int,
     Each trial redraws every count as Poisson(count) and recomputes the
     statistic; `statistic` is "pv_cc", "total_counts", or a callable taking
     a CCDataset.  Counts must be raw integers (resampling after mixing
-    normalized data is not meaningful).
+    normalized data is not meaningful).  Redraws never change the settings,
+    so "pv_cc" groups the blocks once and reuses them in every trial.
+
+    The mean is taken over redraws of counts that already carry Poisson
+    noise, which doubles the count noise: blocks near the threshold cross
+    it more often than in the data, so the mean is biased against
+    `pv_cc(dataset)` and is not an estimate of p_V.
 
     For "pv_cc" the returned std is the total uncertainty of the block
     fraction, count noise plus the sampling noise of a finite set of Haar
@@ -368,35 +395,36 @@ def poisson_resample(dataset: CCDataset, statistic, trials: int, seed: int,
     """
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
-    blocked = False
+    blocked = statistic == "pv_cc"
     if callable(statistic):
         fn = statistic
-    elif statistic == "pv_cc":
+    elif blocked:
         if iset is None:
             raise ParameterError("statistic 'pv_cc' needs an inequality set")
-        fn = lambda ds: pv_cc(ds, iset, margin).estimate
-        blocked = True
     elif statistic == "total_counts":
-        fn = lambda ds: ds.total_counts()
+        fn = CCDataset.total_counts
     else:
         raise ParameterError(f"unknown statistic {statistic!r}; "
                              f"expected one of {STATISTICS} or a callable")
-    for rec in dataset.records:
-        if np.max(np.abs(rec.counts - np.round(rec.counts))) > 1e-9:
-            raise ParameterError(
-                "Poisson resampling needs raw integer counts "
-                f"(setting {rec.setting.setting_id} has fractional values)")
+    recs = dataset.records
+    counts = recs["counts"]
+    fractional = np.max(np.abs(counts - np.round(counts)), axis=1) > 1e-9
+    if fractional.any():
+        raise ParameterError(
+            "Poisson resampling needs raw integer counts "
+            f"(setting {recs['setting_id'][fractional.argmax()]} has fractional values)")
+    if blocked:
+        blocks, excluded = _blocks_for_pv(dataset, iset, margin)
     values = np.empty(trials)
     sampling_var = np.empty(trials)
     for t in range(trials):
         gen = _rng.generator(seed, "poisson", t)
-        records = [CCRecord(r.setting, gen.poisson(r.counts).astype(float),
-                            r.duration_s) for r in dataset.records]
-        out = fn(CCDataset(records, dataset.normalization, dataset.tag))
+        redrawn = _with_counts(recs, gen.poisson(counts).astype(float))
         if blocked:
-            values[t], sampling_var[t] = out.p_v, out.std_err ** 2
+            est = _pv_of_blocks(redrawn, blocks, excluded, iset, margin).estimate
+            values[t], sampling_var[t] = est.p_v, est.std_err ** 2
         else:
-            values[t] = out
+            values[t] = fn(CCDataset(redrawn, dataset.normalization, dataset.tag))
     std_sampling = math.sqrt(sampling_var.mean()) if blocked else None
     return Resampled(float(values.mean()), float(values.std(ddof=1)),
                      std_sampling)
@@ -409,27 +437,20 @@ def synth_cc_dataset(rho: DensityMatrix, n_blocks: int, seed: int,
     """Noiseless dataset: counts = scale * P(r|S) at Haar-sampled settings.
 
     Uses the same per-sample direction substream as the Monte Carlo
-    estimator, so block b sees the directions of sample b for this seed.
+    estimator, so block b sees the directions of sample b for this seed;
+    block b holds settings 8b .. 8b+7, setting S1*4 + S2*2 + S3.
     """
     if rho.n_qubits != 3:
         raise ParameterError("synthetic coincidence data is three-qubit only")
     if n_blocks < 1:
         raise ParameterError(f"need at least 1 block, got {n_blocks}")
-    lam = pauli_tensor(rho)
-    records = []
-    chunk = 1 << 11
-    for start in range(0, n_blocks, chunk):
-        count = min(chunk, n_blocks - start)
-        dirs = _rng.bloch_directions(seed, "bloch3", start, count, 3)
-        tables = batch_behaviors(lam, dirs)
-        for b in range(count):
-            block = start + b
-            for s in np.ndindex(2, 2, 2):
-                sid = 8 * block + s[0] * 4 + s[1] * 2 + s[2]
-                u = np.stack([dirs[b, i, s[i]] for i in range(3)])
-                counts = scale * tables[(b,) + s].ravel()
-                records.append(CCRecord(ProjectorSetting(sid, u), counts, 1.0))
-    return CCDataset(records, 1.0, tag)
+    dirs = _rng.bloch_directions(seed, "bloch3", 0, n_blocks, 3)
+    tables = batch_behaviors(pauli_tensor(rho), dirs)
+    s = np.arange(8)
+    # party i's direction at setting s is dirs[:, i, S_i], S_i = bit (2 - i) of s
+    u = np.stack([dirs[:, i, s >> (2 - i) & 1] for i in range(3)], axis=2)
+    return CCDataset(cc_records(np.arange(8 * n_blocks), u.reshape(-1, 3, 3),
+                                scale * tables.reshape(-1, 8)), 1.0, tag)
 
 
 def synth_basis_datasets(n_blocks: int, seed: int, scale: float = 1.0) -> list:
@@ -445,6 +466,6 @@ def synth_basis_datasets(n_blocks: int, seed: int, scale: float = 1.0) -> list:
 def add_poisson_noise(dataset: CCDataset, seed: int) -> CCDataset:
     """One Poisson draw over all counts (counts' ~ Poisson(counts))."""
     gen = _rng.generator(seed, "poisson-noise", 0)
-    records = [CCRecord(r.setting, gen.poisson(r.counts).astype(float), r.duration_s)
-               for r in dataset.records]
-    return CCDataset(records, dataset.normalization, dataset.tag + ":poisson")
+    recs = dataset.records
+    return CCDataset(_with_counts(recs, gen.poisson(recs["counts"]).astype(float)),
+                     dataset.normalization, dataset.tag + ":poisson")

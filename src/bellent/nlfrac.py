@@ -19,8 +19,8 @@ import numpy as np
 
 from . import _rng
 from .bell import InequalitySet, batch_i_max, pauli_tensor
-from .errors import ParameterError
-from .qstate import DensityMatrix
+from .errors import ParameterError, ParseError
+from .qstate import DensityMatrix, format_float, json_field, read_json_object
 
 CHUNK = 1 << 14
 
@@ -261,15 +261,11 @@ def sample_chsh_reduced(v: float, m: int, seed: int) -> PvEstimate:
 
 # ---------------------------------------------------------------- file IO
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_violation_samples(samples: ViolationSamples, path) -> None:
     """CSV with header `i_max` plus a JSON sidecar at <path>.json."""
     path = Path(path)
     lines = ["i_max"]
-    lines.extend(_fmt(x) for x in samples.values)
+    lines.extend(format_float(x) for x in samples.values)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     sidecar = {"state_tag": samples.state_tag, "seed": samples.settings_seed,
                "m": samples.m, "set_tag": samples.set_tag}
@@ -282,7 +278,16 @@ def load_violation_samples(path) -> ViolationSamples:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "i_max":
         raise ParameterError(f"{path}: expected header 'i_max'")
-    values = np.array([float(x) for x in lines[1:] if x.strip()])
-    meta = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-    return ViolationSamples(values, str(meta["state_tag"]), int(meta["seed"]),
-                            str(meta["set_tag"]))
+    values = []
+    for lineno, x in enumerate(lines[1:], start=2):
+        if x.strip():
+            try:
+                values.append(float(x))
+            except ValueError:
+                raise ParseError(f"{path}: bad number {x!r}", line=lineno) from None
+    meta_path = Path(str(path) + ".json")
+    meta = read_json_object(meta_path)
+    return ViolationSamples(np.array(values),
+                            json_field(meta, "state_tag", str, meta_path),
+                            json_field(meta, "seed", int, meta_path),
+                            json_field(meta, "set_tag", str, meta_path))

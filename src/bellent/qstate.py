@@ -8,6 +8,10 @@ degree conversion happens only at the CLI boundary.
 
 All container types are immutable values after construction (arrays are
 marked read-only), so they can be shared freely across workers.
+
+The file IO section also holds the helpers every writer and loader of the
+package shares (`format_float`, `read_json_object`, `json_field`), since
+every other module already imports this one.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import MissingDataError, ParameterError, ParseError
 
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -291,14 +296,52 @@ def haar_unitary(rng: np.random.Generator) -> LocalUnitary:
 
 # ------------------------------------------------------------------ file IO
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trips any double exactly
+def format_float(x: float) -> str:
+    """The package's one text form of a float in written files.
+
+    17 significant digits round-trips any double exactly.
+    """
     return format(float(x), ".17g")
+
+
+def read_json_object(path) -> dict:
+    """Top-level JSON object of a file; ParseError when it is not one."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingDataError(f"no such file: {path}")
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return obj
+
+
+def json_field(obj: dict, key: str, convert, path, default=None):
+    """convert(obj[key]), or `default` when the key is absent and one is given.
+
+    Raises ParseError for a missing key without default and for a value
+    `convert` rejects.
+    """
+    if key not in obj:
+        if default is None:
+            raise ParseError(f"{path}: missing {key!r}")
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: bad {key!r}: {exc}") from None
+
+
+def _complex_array(pairs) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in pairs])
 
 
 def save_density_matrix(rho: DensityMatrix, path) -> None:
     rows = ",\n    ".join(
-        "[%s, %s]" % (_fmt(z.real), _fmt(z.imag)) for z in rho.entries.ravel())
+        "[%s, %s]" % (format_float(z.real), format_float(z.imag))
+        for z in rho.entries.ravel())
     text = '{\n  "n_qubits": %d,\n  "entries": [\n    %s\n  ]\n}\n' % (rho.n_qubits, rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -306,7 +349,8 @@ def save_density_matrix(rho: DensityMatrix, path) -> None:
 
 def save_pure_state(psi: PureState, path) -> None:
     rows = ",\n    ".join(
-        "[%s, %s]" % (_fmt(z.real), _fmt(z.imag)) for z in psi.amplitudes)
+        "[%s, %s]" % (format_float(z.real), format_float(z.imag))
+        for z in psi.amplitudes)
     text = '{\n  "n_qubits": %d,\n  "amplitudes": [\n    %s\n  ]\n}\n' % (psi.n_qubits, rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -314,17 +358,16 @@ def save_pure_state(psi: PureState, path) -> None:
 
 def load_state(path):
     """Load either a DensityMatrix or a PureState JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    n = int(obj["n_qubits"])
+    obj = read_json_object(path)
+    n = json_field(obj, "n_qubits", int, path)
     if "entries" in obj:
-        flat = np.array([complex(re, im) for re, im in obj["entries"]])
+        flat = json_field(obj, "entries", _complex_array, path)
         d = 2 ** n
         if flat.size != d * d:
             raise ParameterError(f"entries length {flat.size}, expected {d * d}")
         return DensityMatrix(n, flat.reshape(d, d))
     if "amplitudes" in obj:
-        amp = np.array([complex(re, im) for re, im in obj["amplitudes"]])
+        amp = json_field(obj, "amplitudes", _complex_array, path)
         return PureState(n, amp)
     raise ParameterError("state file has neither 'entries' nor 'amplitudes'")
 

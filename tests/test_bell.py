@@ -23,7 +23,6 @@ from bellent.bell import (
     expand_relabelings,
     load_inequality_dir,
     load_inequality_file,
-    load_orbit_cache,
     max_violation,
     mermin,
     parse_inequality,
@@ -31,7 +30,6 @@ from bellent.bell import (
     relabel_behavior,
     serialize_inequality,
     svetlichny,
-    write_orbit_cache,
 )
 from bellent.errors import MissingDataError, ParameterError, ParseError
 from bellent.qstate import DensityMatrix, gghz, werner_like
@@ -201,19 +199,6 @@ def test_inequality_file_and_dir_loading(tmp_path):
     assert len(raw) == 1 and raw[0].n_parties == 2
     with pytest.raises(MissingDataError):
         load_inequality_dir(tmp_path / "empty_nowhere")
-
-
-def test_orbit_cache_round_trip(tmp_path):
-    iset = default_set(3)
-    write_orbit_cache(iset, tmp_path / "cache")
-    back = load_orbit_cache(tmp_path / "cache")
-    assert back.digest() == iset.digest()
-    assert back.tag == iset.tag
-    # corrupt one member file and the digest check must trip
-    victim = sorted((tmp_path / "cache").glob("*.bellineq"))[0]
-    victim.write_text(serialize_inequality(mermin()))
-    with pytest.raises(ParseError):
-        load_orbit_cache(tmp_path / "cache")
 
 
 def test_dedup_collapses_equivalent_members():

@@ -89,6 +89,49 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
+def _cc_with_sidecar(tmp_path, text):
+    cc = tmp_path / "cc.csv"
+    save_cc(synth_cc_dataset(werner_like(np.pi / 4, 0.9, 3), 2, seed=1), cc)
+    (tmp_path / "cc.csv.json").write_text(text)
+    return ["exp", "pv", "--in", str(cc)]
+
+
+def _samples(tmp_path, rows, sidecar=True):
+    samples = tmp_path / "dist.csv"
+    samples.write_text("i_max\n" + "".join(f"{r}\n" for r in rows))
+    if sidecar:
+        (tmp_path / "dist.csv.json").write_text(
+            '{"state_tag": "s", "seed": 1, "m": 2, "set_tag": "chsh"}\n')
+    return ["rescale", str(samples), "--v-from", "0.9", "--v-to", "1.0",
+            "--out", str(tmp_path / "curve.csv")]
+
+
+def _state(tmp_path, text):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    return ["conc", "--method", "wootters", str(state)]
+
+
+MALFORMED_INPUTS = {
+    "cc sidecar bad json": lambda d: _cc_with_sidecar(d, '{"tag": "cc", '),
+    "cc sidecar bad normalization": lambda d: _cc_with_sidecar(
+        d, '{"tag": "cc", "normalization": "high"}'),
+    "samples sidecar missing": lambda d: _samples(d, ["0.5", "1.2"], sidecar=False),
+    "samples row not a float": lambda d: _samples(d, ["0.5", "1.2.3"]),
+    "state bad json": lambda d: _state(d, '{"n_qubits": 2, "entries": [[1, 0],'),
+    "state without n_qubits": lambda d: _state(d, '{"entries": [[1, 0]]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
+    args = MALFORMED_INPUTS[case](tmp_path)
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "curve.csv").exists()
+
+
 def test_workers_below_one_rejected(tmp_path, capsys):
     state = tmp_path / "w.json"
     assert main(["state", "make", "--family", "werner", "--theta-deg", "45",

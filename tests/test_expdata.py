@@ -7,11 +7,11 @@ from bellent import _rng
 from bellent.bell import default_set, expand_relabelings, mermin
 from bellent.errors import ParameterError, ParseError
 from bellent.expdata import (
+    CC_HEADER,
     CCDataset,
-    CCRecord,
-    ProjectorSetting,
     add_poisson_noise,
-    block_behavior_table,
+    behavior_tables,
+    cc_records,
     group_blocks,
     load_cc,
     mix_counts,
@@ -41,10 +41,8 @@ def test_csv_round_trip(tmp_path):
     assert back.tag == ds.tag
     assert back.normalization == ds.normalization
     assert len(back.records) == len(ds.records)
-    for a, b in zip(ds.records, back.records):
-        assert a.setting.setting_id == b.setting.setting_id
-        np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_array_equal(a.setting.directions, b.setting.directions)
+    for name in ("setting_id", "counts", "directions", "duration_s"):
+        np.testing.assert_array_equal(back.records[name], ds.records[name])
 
 
 def test_loader_rejects_bad_rows(tmp_path):
@@ -75,10 +73,91 @@ def test_loader_rejects_bad_rows(tmp_path):
     assert exc.value.line == 1
 
 
+def _rejected_line(tmp_path, lines, edit):
+    """The ParseError of load_cc on `lines` after edit(lines)."""
+    bad = list(lines)
+    edit(bad)
+    q = tmp_path / "bad.csv"
+    q.write_text("\n".join(bad) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_cc(q)
+    return exc.value
+
+
+def _set_field(lines, row, col, value):
+    parts = lines[row].split(",")
+    parts[col] = value
+    lines[row] = ",".join(parts)
+
+
+def test_loader_reports_each_rejection_on_its_line(tmp_path):
+    ds = small_dataset(2)
+    p = tmp_path / "cc.csv"
+    save_cc(ds, p)
+    lines = p.read_text().splitlines()
+    assert lines[0] == CC_HEADER
+    # list index i is file line i + 1; rows 1..8 are setting 0
+    cases = [
+        (lambda L: L.__setitem__(5, L[5] + ",7"), 6, "expected 15 fields, got 16"),
+        (lambda L: _set_field(L, 7, 4, "0.3x"), 8, "could not convert string to float"),
+        (lambda L: _set_field(L, 9, 0, "z"), 10, "invalid literal for int()"),
+        (lambda L: _set_field(L, 4, 11, "2"), 5, "outcome bits must be 0 or 1"),
+        (lambda L: _set_field(L, 6, 13, "-1"), 7, "negative count"),
+        (lambda L: _set_field(L, 3, 1, "0.5"), 4, "non-unit projection direction"),
+        (lambda L: _set_field(L, 3, 1, "nan"), 4, "non-unit projection direction"),
+        (lambda L: [_set_field(L, 6, c, v) for c, v in ((1, "0"), (2, "0"), (3, "1"))],
+         7, "directions differ within setting 0"),
+        (lambda L: L.__setitem__(8, L[7]), 9, "duplicate outcome for setting 0"),
+    ]
+    for edit, line, message in cases:
+        err = _rejected_line(tmp_path, lines, edit)
+        assert err.line == line and message in str(err), (line, message, str(err))
+
+    # two faults in one file: the earlier line is reported, whatever its kind
+    def late_width_early_value(L):
+        L[12] += ",1"
+        _set_field(L, 10, 13, "-3")
+
+    def late_value_early_width(L):
+        _set_field(L, 12, 13, "-3")
+        L[10] += ",1"
+
+    def late_parse_early_dup(L):
+        _set_field(L, 14, 2, "?")
+        L[11] = L[10]
+
+    for edit, line, message in ((late_width_early_value, 11, "negative count"),
+                                (late_value_early_width, 11, "expected 15 fields"),
+                                (late_parse_early_dup, 12, "duplicate outcome")):
+        err = _rejected_line(tmp_path, lines, edit)
+        assert err.line == line and message in str(err), (line, message, str(err))
+
+    # a blank line does not shift the numbering
+    err = _rejected_line(tmp_path, lines, lambda L: (L.insert(2, ""),
+                                                    _set_field(L, 6, 13, "-1")))
+    assert err.line == 7
+
+
+def test_loader_rejects_malformed_sidecar(tmp_path):
+    ds = small_dataset(1)
+    p = tmp_path / "cc.csv"
+    save_cc(ds, p)
+    side = tmp_path / "cc.csv.json"
+    for text, match in (('{"tag": "x",\n "normalization": }', "line 2"),
+                        ('{"normalization": "lots"}', "normalization"),
+                        ('[1, 2]', "JSON object")):
+        side.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            load_cc(p)
+    side.write_text('{"normalization": 2.5}')
+    back = load_cc(p)
+    assert back.normalization == 2.5 and back.tag == "cc"
+
+
 def test_grouping_is_order_independent():
     ds = small_dataset(12)
     rng = np.random.default_rng(2)
-    shuffled = list(ds.records)
+    shuffled = ds.records.copy()
     rng.shuffle(shuffled)
     ds2 = CCDataset(shuffled, ds.normalization, ds.tag)
     blocks, excluded = group_blocks(ds2)
@@ -89,13 +168,101 @@ def test_grouping_is_order_independent():
     assert len(blocks) == 11 and excluded == 7
 
 
+def _bfs_blocks(records):
+    """Reference grouping: breadth-first search over partner records.
+
+    Returns (blocks as setting-id tuples indexed S1*4 + S2*2 + S3, excluded).
+    """
+    keys = [tuple(tuple(int(round(x / 1e-6)) for x in u) for u in d)
+            for d in records["directions"]]
+    patterns = {}
+    for idx, k in enumerate(keys):
+        for i in range(3):
+            patterns.setdefault((i, k[:i] + k[i + 1:]), []).append(idx)
+    visited = [False] * len(keys)
+    blocks, excluded = [], 0
+    for start in range(len(keys)):
+        if visited[start]:
+            continue
+        comp, queue = [start], [start]
+        visited[start] = True
+        while queue:
+            cur = queue.pop()
+            for i in range(3):
+                for other in patterns[(i, keys[cur][:i] + keys[cur][i + 1:])]:
+                    if not visited[other]:
+                        visited[other] = True
+                        comp.append(other)
+                        queue.append(other)
+        party_keys = [sorted({keys[j][i] for j in comp}) for i in range(3)]
+        combos = {tuple(pk.index(keys[j][i]) for i, pk in enumerate(party_keys)): j
+                  for j in comp}
+        if len(comp) == 8 and all(len(pk) == 2 for pk in party_keys) \
+                and len(combos) == 8:
+            blocks.append(tuple(int(records["setting_id"][combos[s]])
+                                for s in np.ndindex(2, 2, 2)))
+        else:
+            excluded += len(comp)
+    return blocks, excluded
+
+
+def _edited(ds, edit):
+    recs = ds.records.copy()
+    edit(recs)
+    return CCDataset(recs, ds.normalization, ds.tag)
+
+
+def _third_direction(recs):
+    # setting 3's first party turns to a new direction: its block has three there
+    recs["directions"][3, 0] = [0.0, 0.6, 0.8]
+
+
+def _chained(recs):
+    # block 1 takes block 0's S2=0 and S3=0 directions for parties 2 and 3,
+    # so its (., 0, 0) settings share both with block 0's
+    for s in range(8):
+        if not s & 2:
+            recs["directions"][8 + s, 1] = recs["directions"][0, 1]
+        if not s & 1:
+            recs["directions"][8 + s, 2] = recs["directions"][0, 2]
+
+
+def _repeated_setting(recs):
+    # setting 1 measures along setting 0's directions: its block has 7 combinations
+    recs["directions"][1] = recs["directions"][0]
+
+
+def test_group_blocks_matches_reference_bfs():
+    ds = small_dataset(12)
+    rng = np.random.default_rng(7)
+    ninth = cc_records([999], ds.records["directions"][:1], np.ones((1, 8)))
+    cases = {
+        "shuffled": _edited(ds, rng.shuffle),
+        "dropped": CCDataset(ds.records[np.arange(len(ds.records)) != 13]),
+        "third direction": _edited(ds, _third_direction),
+        "chained": _edited(ds, _chained),
+        "chained and shuffled": _edited(ds, lambda r: (_chained(r), rng.shuffle(r))),
+        "repeated setting": _edited(ds, _repeated_setting),
+        # a ninth record at block 0's first setting: all 8 combinations, 9 records
+        "extra record": CCDataset(np.concatenate([ds.records, ninth])),
+    }
+    expected_excluded = {"shuffled": 0, "dropped": 7, "third direction": 8,
+                         "chained": 16, "chained and shuffled": 16,
+                         "repeated setting": 8, "extra record": 9}
+    for name, case in cases.items():
+        blocks, excluded = group_blocks(case)
+        got = [tuple(int(x) for x in case.records["setting_id"][b]) for b in blocks]
+        assert (got, excluded) == _bfs_blocks(case.records), name
+        assert excluded == expected_excluded[name], name
+        assert len(blocks) == (len(case.records) - excluded) // 8, name
+
+
 def test_block_tables_are_normalized_probabilities():
     ds = small_dataset(8, scale=4000.0)
     blocks, _ = group_blocks(ds)
-    for b in blocks:
-        t = block_behavior_table(b)
+    for t in behavior_tables(ds.records, blocks):
         assert t.min() >= -1e-12
-        np.testing.assert_allclose(t.sum(axis=(3, 4, 5)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_pv_cc_matches_direct_estimator():
@@ -114,14 +281,12 @@ def test_mix_identity_and_independence():
     state = normalize_cc(small_dataset(6, scale=4000.0))
     basis = [normalize_cc(b) for b in synth_basis_datasets(6, 5, scale=4000.0)]
     same = mix_counts(state, basis, 1.0)
-    for a, b in zip(same.records, state.records):
-        np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_array_equal(same.records["counts"], state.records["counts"])
     other = normalize_cc(synth_cc_dataset(werner_like(0.4, 0.5, 3), 6, 5,
                                           scale=4000.0))
     n1 = mix_counts(state, basis, 0.0)
     n2 = mix_counts(other, basis, 0.0)
-    for a, b in zip(n1.records, n2.records):
-        np.testing.assert_allclose(a.counts, b.counts, atol=1e-15)
+    np.testing.assert_allclose(n1.records["counts"], n2.records["counts"], atol=1e-15)
 
 
 def test_mix_affine_in_visibility():
@@ -130,8 +295,9 @@ def test_mix_affine_in_visibility():
     basis = [normalize_cc(b) for b in synth_basis_datasets(5, 5, scale=4000.0)]
 
     def imax(vc):
-        blocks, _ = group_blocks(mix_counts(state, basis, vc))
-        flat = np.stack([block_behavior_table(b).ravel() for b in blocks])
+        mixed = mix_counts(state, basis, vc)
+        blocks, _ = group_blocks(mixed)
+        flat = behavior_tables(mixed.records, blocks).reshape(len(blocks), 64)
         return (flat @ ISET.w_matrix.T).max(axis=1)
 
     i0, ih, i1 = imax(0.0), imax(0.5), imax(1.0)
@@ -152,12 +318,12 @@ def test_mix_rejects_misaligned_bases():
 
 def test_poisson_resample_total_counts():
     """Poisson spread of a single 100-count record: std 10 within 0.5."""
-    u = np.eye(3)
-    rec = CCRecord(ProjectorSetting(0, u), np.full(8, 12.5))
+    u = np.eye(3)[None]
+    rec = cc_records([0], u, np.full((1, 8), 12.5))
     with pytest.raises(ParameterError):
-        poisson_resample(CCDataset([rec]), "total_counts", 100, 1)
-    rec = CCRecord(ProjectorSetting(0, u), [13, 12, 13, 12, 13, 12, 13, 12])
-    mean, std = poisson_resample(CCDataset([rec]), "total_counts", 10_000, 1)
+        poisson_resample(CCDataset(rec), "total_counts", 100, 1)
+    rec = cc_records([0], u, [[13, 12, 13, 12, 13, 12, 13, 12]])
+    mean, std = poisson_resample(CCDataset(rec), "total_counts", 10_000, 1)
     assert abs(mean - 100.0) < 0.5
     assert abs(std - 10.0) < 0.5
 
@@ -191,8 +357,9 @@ def _poisson_only_reference(ds, fn, trials, seed):
     values = []
     for t in range(trials):
         gen = _rng.generator(seed, "poisson", t)
-        recs = [CCRecord(r.setting, gen.poisson(r.counts).astype(float), r.duration_s)
-                for r in ds.records]
+        recs = ds.records.copy()
+        for counts in recs["counts"]:  # one draw per record, in record order
+            counts[...] = gen.poisson(counts)
         values.append(fn(CCDataset(recs, ds.normalization, ds.tag)))
     values = np.array(values)
     return float(values.mean()), float(values.std(ddof=1))
@@ -200,7 +367,7 @@ def _poisson_only_reference(ds, fn, trials, seed):
 
 def test_poisson_resample_without_blocks_is_poisson_only():
     ds = add_poisson_noise(small_dataset(4, scale=1000.0), seed=9)
-    first = lambda d: d.records[0].counts[0]
+    first = lambda d: d.records["counts"][0, 0]
     for statistic, fn in (("total_counts", CCDataset.total_counts), (first, first)):
         res = poisson_resample(ds, statistic, 50, 4)
         assert res.std_sampling is None and res.std == res.std_poisson
@@ -209,8 +376,8 @@ def test_poisson_resample_without_blocks_is_poisson_only():
 
 def test_poisson_resample_custom_statistic():
     ds = add_poisson_noise(small_dataset(4, scale=1000.0), seed=9)
-    mean, std = poisson_resample(ds, lambda d: d.records[0].counts[0], 2_000, 2)
-    lam = ds.records[0].counts[0]
+    mean, std = poisson_resample(ds, lambda d: d.records["counts"][0, 0], 2_000, 2)
+    lam = ds.records["counts"][0, 0]
     assert abs(mean - lam) < 4 * math.sqrt(lam / 2_000) + 1e-9
     assert abs(std - math.sqrt(lam)) < 0.15 * math.sqrt(lam) + 0.2
     with pytest.raises(ParameterError):
@@ -227,29 +394,37 @@ def test_add_poisson_noise_preserves_structure():
     total = ds.total_counts()
     assert abs(noisy.total_counts() - total) < 6 * math.sqrt(total)
     again = add_poisson_noise(ds, seed=21)
-    for a, b in zip(noisy.records, again.records):
-        np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_array_equal(noisy.records["counts"], again.records["counts"])
 
 
 def test_synth_basis_datasets_are_deterministic_projections():
     basis = synth_basis_datasets(3, seed=5)
     assert len(basis) == 8
     for ds in basis:
-        for rec in ds.records:
-            np.testing.assert_allclose(rec.counts.sum(), 1.0, atol=1e-12)
-            assert rec.counts.min() >= -1e-15
+        counts = ds.records["counts"]
+        np.testing.assert_allclose(counts.sum(axis=1), 1.0, atol=1e-12)
+        assert counts.min() >= -1e-15
 
 
 def test_dataset_validation():
-    u = np.eye(3)
+    u = np.eye(3)[None]
     with pytest.raises(ParameterError):
-        CCDataset([])
-    rec = CCRecord(ProjectorSetting(0, u), np.ones(8))
+        CCDataset(cc_records([], np.empty((0, 3, 3)), np.empty((0, 8))))
+    rec = cc_records([0], u, np.ones((1, 8)))
     with pytest.raises(ParameterError):
-        CCDataset([rec, CCRecord(ProjectorSetting(0, u), np.ones(8))])
+        CCDataset(np.concatenate([rec, cc_records([0], u, np.ones((1, 8)))]))
     with pytest.raises(ParameterError):
-        CCRecord(ProjectorSetting(1, u), np.ones(7))
+        cc_records([1], u, np.ones((1, 7)))
     with pytest.raises(ParameterError):
-        ProjectorSetting(2, np.eye(3) * 2)
+        CCDataset(cc_records([2], u * 2, np.ones((1, 8))))
     with pytest.raises(ParameterError):
-        pv_cc(CCDataset([rec]), default_set(2))
+        pv_cc(CCDataset(rec), default_set(2))
+    with pytest.raises(ParameterError, match="negative count"):
+        CCDataset(cc_records([3], u, -np.ones((1, 8))))
+    with pytest.raises(ParameterError, match="duration"):
+        CCDataset(cc_records([4], u, np.ones((1, 8)), 0.0))
+    with pytest.raises(ParameterError):
+        CCDataset([rec])  # a list is not a record table
+    table = CCDataset(rec).records
+    with pytest.raises(ValueError):
+        table["counts"][0, 0] = 2.0  # read-only
