@@ -51,13 +51,16 @@ def raw_words(seed: int, tag: str, start: int, count: int, words: int) -> np.nda
 
 def uniforms(seed: int, tag: str, start: int, count: int, words: int) -> np.ndarray:
     """Uniform doubles strictly inside (0, 1), one per word."""
-    raw = raw_words(seed, tag, start, count, words)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    u = (raw_words(seed, tag, start, count, words) >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= _INV_2_53
+    return u
 
 
 def normals(seed: int, tag: str, start: int, count: int, words: int) -> np.ndarray:
     """Standard normals by inverse-CDF, exactly one word consumed per normal."""
-    return ndtri(uniforms(seed, tag, start, count, words))
+    u = uniforms(seed, tag, start, count, words)
+    return ndtri(u, out=u)
 
 
 def bloch_directions(seed: int, tag: str, start: int, count: int,
@@ -69,8 +72,10 @@ def bloch_directions(seed: int, tag: str, start: int, count: int,
     """
     words = n_parties * 2 * 3
     z = normals(seed, tag, start, count, words).reshape(count, n_parties, 2, 3)
-    # ndtri never returns exactly 0 on (0,1) grid points, so the norm is positive
-    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    x, y, w = z[..., 0], z[..., 1], z[..., 2]
+    # the same sum, in the same order, as np.linalg.norm over the last axis;
+    # ndtri never returns exactly 0 on (0,1) grid points, so it is positive
+    z /= np.sqrt(x * x + y * y + w * w)[..., None]
     return z
 
 

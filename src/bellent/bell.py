@@ -7,16 +7,20 @@ and its normalized value I = sum(mu * P) / bound flags nonlocality at I > 1.
 
 The sampling hot path avoids object construction: `pauli_tensor` converts a
 state once, `batch_i_max` turns batches of Bloch directions into normalized
-violation strengths.  Behaviors come from one einsum per batch along a fixed
-pairwise contraction path (one constant per party count, so no call searches
-for it), whose intermediates hold 4^N doubles per sample; `batch_i_max`
-therefore evaluates a chunk in fixed sub-blocks of `_SUB_BLOCK` samples, which
-keeps them cache-sized and gives each sample the same bits however a chunk is
-cut.
+violation strengths.  A quantum behavior is no-signalling, so its 4^N table
+entries are fixed by 3^N full and marginal correlators; `correlators`
+computes those, one party at a time with the sample axis innermost, and the
+fixed matrix `feature_map(N)` turns them into tables.  `batch_behaviors` is
+that product, and each `InequalitySet` carries its functionals in the same
+correlator basis (`c_matrix`), so `batch_i_max` never builds a table.  Every
+Bell value, in either basis, comes from one reduction, `i_max`, which runs in
+fixed `_SUB_BLOCK`-column products: a sample's or a block's value has the
+same bits however its batch was cut.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -28,18 +32,11 @@ import numpy as np
 from .errors import MissingDataError, ParameterError, ParseError
 from .qstate import DensityMatrix
 
-# Pairwise contraction path of batch_behaviors per party count: the path
-# np.einsum_path(..., optimize=True) picks, fixed here.  One path does not
-# serve both counts: the N=3 path is out of range at N=2, and (0,1),(0,1),(0,1)
-# at N=3 forms a party x party outer product.
-_BEHAVIOR_EINSUM = {
-    2: ("xy,bsrx,btuy->bstru", ["einsum_path", (0, 1), (0, 1)]),
-    3: ("xyz,bsrx,btuy,bvwz->bstvruw", ["einsum_path", (0, 1), (0, 2), (0, 1)]),
-}
-
-# Samples per batch_behaviors call inside batch_i_max, and the fixed row count
-# of its reduction.  At N=3 each contraction intermediate takes 512 bytes a
-# sample: 1 MiB for a sub-block, against 8 MiB for a whole nlfrac chunk.
+# Columns of every Bell-value product in i_max.  BLAS picks its kernel, and
+# with it the summation order, by the shape of a product, so a fixed column
+# count makes each column's value independent of the others.  batch_i_max
+# also builds correlators in sub-blocks of this many samples, which keeps
+# their intermediates (at N=3, about 1 KiB a sample) cache-sized.
 _SUB_BLOCK = 2048
 
 # Relabelings gathered at once in expand_relabelings: at N=3 a block's gather
@@ -229,21 +226,26 @@ def relabel_behavior(b: Behavior, perm, inswap, outflip) -> Behavior:
 class InequalitySet:
     """Deduplicated relabeling orbit, every member normalized to bound 1.
 
-    Immutable after construction; `w_matrix` is the (n_ineqs, 4^N) stack of
-    flattened coefficient tables used by the batch evaluator.
+    Immutable after construction.  `w_matrix` is the (n_ineqs, 4^N) stack of
+    flattened coefficient tables, for behaviors given as tables;
+    `c_matrix` = w_matrix @ feature_map(N).T is the (n_ineqs, 3^N) same set on
+    the correlator features of `correlators`, for quantum behaviors.
     """
 
     n_parties: int
     inequalities: list
     tag: str
     w_matrix: np.ndarray = field(init=False)
+    c_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.inequalities:
             raise ParameterError("inequality set is empty")
         w = np.stack([q.coefficients.ravel() for q in self.inequalities])
+        c = w @ feature_map(self.n_parties).T
         w.setflags(write=False)
-        self.w_matrix = w
+        c.setflags(write=False)
+        self.w_matrix, self.c_matrix = w, c
 
     def __len__(self) -> int:
         return len(self.inequalities)
@@ -306,17 +308,55 @@ def pauli_tensor(rho: DensityMatrix) -> np.ndarray:
     return np.ascontiguousarray(lam.real)
 
 
-def _party_factors(dirs: np.ndarray) -> list:
-    """Per-party arrays V[b, S, r, k] with V[...,0] = 1, V[b,S,r,1:] = (-1)^r u."""
-    n = dirs.shape[1]
-    out = []
+@functools.cache
+def feature_map(n: int) -> np.ndarray:
+    """Read-only (3^N, 4^N) map from correlator features to behavior tables.
+
+    Feature c has base-3 digit c_i per party (party 0 most significant): 0
+    for the identity, 1 + s for the Bloch part at setting s.  Table entry e
+    has bit 2N-1-i for party i's setting S_i and bit N-1-i for its outcome
+    r_i.  P(r|S) = 2^-N sum_c F_c prod_i m_i with m_i = 1 for c_i = 0,
+    (-1)^r_i for c_i = 1 + S_i, and 0 otherwise.
+    """
+    c = np.arange(3 ** n)[:, None]
+    e = np.arange(4 ** n)
+    m = np.full((3 ** n, 4 ** n), 2.0 ** -n)
     for i in range(n):
-        v = np.empty(dirs.shape[:1] + (2, 2, 4))
-        v[..., 0] = 1.0
-        v[:, :, 0, 1:] = dirs[:, i]
-        v[:, :, 1, 1:] = -dirs[:, i]
-        out.append(v)
-    return out
+        digit = c // 3 ** (n - 1 - i) % 3
+        s = e >> (2 * n - 1 - i) & 1
+        r = e >> (n - 1 - i) & 1
+        m *= np.where(digit == 0, 1.0, np.where(digit == 1 + s, 1.0 - 2.0 * r, 0.0))
+    m.setflags(write=False)
+    return m
+
+
+def correlators(lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Full and marginal correlators of a batch of settings, shape (B, 3^N).
+
+    Feature c (digits as in `feature_map`) of sample b is lam contracted
+    with, per party i, (1, 0, 0, 0) for c_i = 0 and (0, dirs[b, i, c_i - 1])
+    otherwise.  Parties are contracted one at a time, each as three
+    multiply-adds over its Bloch axis, with samples on the innermost axis:
+    no BLAS call, so a sample's bits do not depend on the batch size.  The
+    result is the transpose of a C-contiguous (3^N, B) array.
+    """
+    n = lam.ndim
+    b = dirs.shape[0]
+    # u[i, s, k] is the (B,) row of component k of party i's direction s
+    u = np.ascontiguousarray(np.moveaxis(dirs, 0, -1))
+    # t[c, k, b]: features c of the parties done, lam indices k of the rest
+    t = lam.reshape(1, -1, 1)
+    for i in range(n):
+        rest = 4 ** (n - 1 - i)
+        t = t.reshape(-1, 4, rest, t.shape[-1])
+        out = np.empty((t.shape[0], 3, rest, b))
+        out[:, 0] = t[:, 0]
+        bloch = out[:, 1:]
+        np.multiply(u[i, :, 0, None], t[:, None, 1], out=bloch)
+        bloch += u[i, :, 1, None] * t[:, None, 2]
+        bloch += u[i, :, 2, None] * t[:, None, 3]
+        t = out
+    return t.reshape(3 ** n, b).T
 
 
 def batch_behaviors(lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -326,30 +366,38 @@ def batch_behaviors(lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     [S_1..S_N, r_1..r_N] layout shared with Behavior.
     """
     n = lam.ndim
-    if n not in _BEHAVIOR_EINSUM:
-        raise ParameterError(f"unsupported party count {n}")
-    spec, path = _BEHAVIOR_EINSUM[n]
-    p = np.einsum(spec, lam, *_party_factors(dirs), optimize=path)
-    p /= 2 ** n
-    return p
+    return (correlators(lam, dirs) @ feature_map(n)).reshape((-1,) + (2,) * (2 * n))
 
 
-def batch_i_max(lam: np.ndarray, dirs: np.ndarray, w_matrix: np.ndarray) -> np.ndarray:
+def i_max(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Max over the rows of coeffs of coeffs @ x[b], for each row b of x: shape (B,).
+
+    x holds behaviors as rows, in the basis of coeffs: tables with
+    `w_matrix`, correlator features with `c_matrix`.  Each run of
+    `_SUB_BLOCK` rows is copied into the columns of one fixed-size buffer
+    (columns past a short last run are left over and dropped), so every
+    product has the same shape and a row's value has the same bits whatever
+    rows share its batch.
+    """
+    out = np.empty(x.shape[0])
+    buf = np.zeros((coeffs.shape[1], _SUB_BLOCK))
+    for lo in range(0, x.shape[0], _SUB_BLOCK):
+        k = min(_SUB_BLOCK, x.shape[0] - lo)
+        buf[:, :k] = x[lo:lo + k].T
+        out[lo:lo + k] = (coeffs @ buf).max(axis=0)[:k]
+    return out
+
+
+def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray) -> np.ndarray:
     """Max normalized functional value per settings sample, shape (B,).
 
-    Works in sub-blocks of `_SUB_BLOCK` samples, each copied into one
-    `_SUB_BLOCK`-row buffer whose rows past a short last block are dropped:
-    BLAS picks its kernel, and with it the summation order, by the row count
-    of the product, so a fixed count makes every sample's value independent
-    of how its batch was cut.
+    c_matrix is an `InequalitySet.c_matrix`; correlators are built and
+    reduced in sub-blocks of `_SUB_BLOCK` samples.
     """
     out = np.empty(dirs.shape[0])
-    flat = np.zeros((_SUB_BLOCK, w_matrix.shape[1]))
     for lo in range(0, dirs.shape[0], _SUB_BLOCK):
-        p = batch_behaviors(lam, dirs[lo:lo + _SUB_BLOCK])
-        k = p.shape[0]
-        flat[:k].reshape(p.shape)[...] = p
-        out[lo:lo + k] = (flat @ w_matrix.T)[:k].max(axis=1)
+        d = dirs[lo:lo + _SUB_BLOCK]
+        out[lo:lo + d.shape[0]] = i_max(correlators(lam, d), c_matrix)
     return out
 
 
@@ -366,7 +414,7 @@ def max_violation(b: Behavior, iset: InequalitySet) -> float:
     """Maximum normalized value over the expanded set."""
     if iset.n_parties != b.n_parties:
         raise ParameterError("party counts differ")
-    return float((iset.w_matrix @ b.table.ravel()).max())
+    return float(i_max(b.table.reshape(1, -1), iset.w_matrix)[0])
 
 
 # ------------------------------------------------------------- CHSH algebra

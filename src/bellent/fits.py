@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import entanglement
 from .errors import FitError, ParameterError
@@ -319,6 +318,8 @@ def estimate_theta_v0(curve):
         v0 = min(max(z[1], 0.5), 1.5)
         return sq_resid(theta, v0)
 
+    # imported here, not at module level: it costs every CLI start about 0.2 s
+    from scipy.optimize import minimize
     res = minimize(objective, [best[1], best[2]], method="Nelder-Mead",
                    options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 2000})
     theta = float(min(max(res.x[0], 1e-3), math.pi / 4))

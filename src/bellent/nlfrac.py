@@ -102,10 +102,10 @@ def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
     """
     _check_request(rho, iset, m, workers)
     lam = pauli_tensor(rho)
-    w = iset.w_matrix
+    c = iset.c_matrix
 
     def work(start, dirs):
-        return int(np.count_nonzero(batch_i_max(lam, dirs, w) > 1.0))
+        return int(np.count_nonzero(batch_i_max(lam, dirs, c) > 1.0))
 
     violations = sum(_run_chunks(rho.n_qubits, seed, m, workers, work))
     p = violations / m
@@ -117,11 +117,11 @@ def violation_distribution(rho: DensityMatrix, iset: InequalitySet, m: int, seed
     """All m values of I_max; the fraction above 1 recovers estimate_pv."""
     _check_request(rho, iset, m, workers)
     lam = pauli_tensor(rho)
-    w = iset.w_matrix
+    c = iset.c_matrix
     values = np.empty(m)
 
     def work(start, dirs):
-        values[start:start + dirs.shape[0]] = batch_i_max(lam, dirs, w)
+        values[start:start + dirs.shape[0]] = batch_i_max(lam, dirs, c)
         return None
 
     _run_chunks(rho.n_qubits, seed, m, workers, work)
@@ -277,7 +277,7 @@ def load_violation_samples(path) -> ViolationSamples:
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "i_max":
-        raise ParameterError(f"{path}: expected header 'i_max'")
+        raise ParseError(f"{path}: expected header 'i_max'", line=1)
     values = []
     for lineno, x in enumerate(lines[1:], start=2):
         if x.strip():

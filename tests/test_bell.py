@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from bellent._rng import bloch_directions
+from bellent._rng import bloch_directions, raw_words
 from bellent.bell import (
     PAULI,
     Behavior,
@@ -18,9 +19,12 @@ from bellent.bell import (
     chsh,
     chsh_horodecki,
     correlation_matrix,
+    correlators,
     default_set,
     evaluate,
     expand_relabelings,
+    feature_map,
+    i_max,
     load_inequality_dir,
     load_inequality_file,
     max_violation,
@@ -317,8 +321,90 @@ def test_batch_i_max_independent_of_how_a_chunk_is_cut():
     cuts = [0, 1, 2047, 2049, 5000, 6000]
     for n in (2, 3):
         lam = pauli_tensor(_random_state(n, rng))
-        w = default_set(n).w_matrix
+        c = default_set(n).c_matrix
         dirs = bloch_directions(3, f"bloch{n}", 0, cuts[-1], n)
-        whole = batch_i_max(lam, dirs, w)
-        pieces = [batch_i_max(lam, dirs[a:b], w) for a, b in zip(cuts, cuts[1:])]
+        whole = batch_i_max(lam, dirs, c)
+        pieces = [batch_i_max(lam, dirs[a:b], c) for a, b in zip(cuts, cuts[1:])]
         assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+# The behavior kernel before the correlator basis: one einsum per batch over
+# per-party factors V[b, S, r, k] = (1, (-1)^r u_S).
+_EINSUM_REFERENCE = {
+    2: ("xy,bsrx,btuy->bstru", ["einsum_path", (0, 1), (0, 1)]),
+    3: ("xyz,bsrx,btuy,bvwz->bstvruw", ["einsum_path", (0, 1), (0, 2), (0, 1)]),
+}
+
+
+def _einsum_behaviors(lam, dirs):
+    n = lam.ndim
+    factors = []
+    for i in range(n):
+        v = np.empty(dirs.shape[:1] + (2, 2, 4))
+        v[..., 0] = 1.0
+        v[:, :, 0, 1:] = dirs[:, i]
+        v[:, :, 1, 1:] = -dirs[:, i]
+        factors.append(v)
+    spec, path = _EINSUM_REFERENCE[n]
+    return np.einsum(spec, lam, *factors, optimize=path) / 2 ** n
+
+
+def test_correlator_kernel_matches_einsum_reference():
+    """Non-physical lam, so every marginal feature carries weight."""
+    rng = np.random.default_rng(37)
+    for n in (2, 3):
+        lam = rng.normal(size=(4,) * n)
+        dirs = _random_dirs(rng, (301, n, 2))
+        want = _einsum_behaviors(lam, dirs)
+        features = correlators(lam, dirs)
+        assert features.shape == (301, 3 ** n)
+        got = (features @ feature_map(n)).reshape(want.shape)
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.max(np.abs(batch_behaviors(lam, dirs) - want)) < 1e-13
+        assert set(np.unique(np.abs(feature_map(n)))) == {0.0, 2.0 ** -n}
+        assert not feature_map(n).flags.writeable
+
+
+def test_feature_basis_i_max_matches_table_basis():
+    rng = np.random.default_rng(41)
+    marginal = BellInequality(3, rng.normal(size=(2,) * 6), 1.0, "marginal")
+    sets = [expand_relabelings([chsh()]), expand_relabelings([mermin()]),
+            expand_relabelings([svetlichny()]),
+            expand_relabelings([mermin(), svetlichny()]),
+            expand_relabelings([marginal])]
+    for iset in sets:
+        n = iset.n_parties
+        lam = pauli_tensor(_random_state(n, rng))
+        dirs = _random_dirs(rng, (2500, n, 2))
+        tables = _einsum_behaviors(lam, dirs).reshape(2500, -1)
+        want = (tables @ iset.w_matrix.T).max(axis=1)
+        got = batch_i_max(lam, dirs, iset.c_matrix)
+        assert np.max(np.abs(got - want)) < 1e-13, iset.tag
+        assert not iset.c_matrix.flags.writeable
+
+
+def test_max_violation_has_the_bits_of_a_batch():
+    rng = np.random.default_rng(43)
+    iset = default_set(3)
+    lam = pauli_tensor(_random_state(3, rng))
+    dirs = _random_dirs(rng, (40, 3, 2))
+    tables = batch_behaviors(lam, dirs)
+    batch = i_max(tables.reshape(40, -1), iset.w_matrix)
+    for b in range(40):
+        assert max_violation(Behavior(3, tables[b]), iset) == batch[b]
+
+
+def _reference_bloch_directions(seed, tag, start, count, n):
+    raw = raw_words(seed, tag, start, count, 6 * n)
+    z = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+    z = z.reshape(count, n, 2, 3)
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    return z
+
+
+def test_bloch_directions_bit_identical_to_reference():
+    for n in (2, 3):
+        for start, count in ((0, 1), (1, 7), (7, 333), (12345, 1001), (3, 4097)):
+            want = _reference_bloch_directions(9, f"bloch{n}", start, count, n)
+            got = bloch_directions(9, f"bloch{n}", start, count, n)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

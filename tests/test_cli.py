@@ -96,9 +96,9 @@ def _cc_with_sidecar(tmp_path, text):
     return ["exp", "pv", "--in", str(cc)]
 
 
-def _samples(tmp_path, rows, sidecar=True):
+def _samples(tmp_path, rows, sidecar=True, header="i_max"):
     samples = tmp_path / "dist.csv"
-    samples.write_text("i_max\n" + "".join(f"{r}\n" for r in rows))
+    samples.write_text(f"{header}\n" + "".join(f"{r}\n" for r in rows))
     if sidecar:
         (tmp_path / "dist.csv.json").write_text(
             '{"state_tag": "s", "seed": 1, "m": 2, "set_tag": "chsh"}\n')
@@ -118,6 +118,7 @@ MALFORMED_INPUTS = {
         d, '{"tag": "cc", "normalization": "high"}'),
     "samples sidecar missing": lambda d: _samples(d, ["0.5", "1.2"], sidecar=False),
     "samples row not a float": lambda d: _samples(d, ["0.5", "1.2.3"]),
+    "samples bad header": lambda d: _samples(d, ["0.5", "1.2"], header="imax"),
     "state bad json": lambda d: _state(d, '{"n_qubits": 2, "entries": [[1, 0],'),
     "state without n_qubits": lambda d: _state(d, '{"entries": [[1, 0]]}'),
 }
@@ -130,6 +131,11 @@ def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "curve.csv").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    code = "import sys, bellent.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_workers_below_one_rejected(tmp_path, capsys):

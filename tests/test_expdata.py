@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellent import _rng
-from bellent.bell import default_set, expand_relabelings, mermin
+from bellent.bell import default_set, expand_relabelings, i_max, mermin
 from bellent.errors import ParameterError, ParseError
 from bellent.expdata import (
     CC_HEADER,
@@ -103,6 +103,9 @@ def test_loader_reports_each_rejection_on_its_line(tmp_path):
         (lambda L: _set_field(L, 9, 0, "z"), 10, "invalid literal for int()"),
         (lambda L: _set_field(L, 4, 11, "2"), 5, "outcome bits must be 0 or 1"),
         (lambda L: _set_field(L, 6, 13, "-1"), 7, "negative count"),
+        (lambda L: _set_field(L, 6, 13, "nan"), 7, "non-finite count"),
+        (lambda L: _set_field(L, 5, 13, "inf"), 6, "non-finite count"),
+        (lambda L: _set_field(L, 4, 13, "-inf"), 5, "non-finite count"),
         (lambda L: _set_field(L, 3, 1, "0.5"), 4, "non-unit projection direction"),
         (lambda L: _set_field(L, 3, 1, "nan"), 4, "non-unit projection direction"),
         (lambda L: [_set_field(L, 6, c, v) for c, v in ((1, "0"), (2, "0"), (3, "1"))],
@@ -289,6 +292,27 @@ def test_mix_identity_and_independence():
     np.testing.assert_allclose(n1.records["counts"], n2.records["counts"], atol=1e-15)
 
 
+def test_block_i_max_independent_of_dataset_length():
+    """A block's Bell value has the same bits in every prefix of its dataset."""
+    ds = synth_cc_dataset(werner_like(np.pi / 4, 0.9, 3), 300, 1)
+
+    def block_values(n_blocks):
+        prefix = CCDataset(ds.records[:8 * n_blocks])
+        blocks, excluded = group_blocks(prefix)
+        assert len(blocks) == n_blocks and excluded == 0
+        flat = behavior_tables(prefix.records, blocks).reshape(n_blocks, 64)
+        return prefix, i_max(flat, ISET.w_matrix)
+
+    _, whole = block_values(300)
+    for n_blocks in (17, 64, 100):
+        prefix, values = block_values(n_blocks)
+        assert values.tobytes() == whole[:n_blocks].tobytes(), n_blocks
+        result = pv_cc(prefix, ISET, margin=1e-3)
+        assert result.estimate.violations == np.count_nonzero(values > 1.0)
+        assert result.interval_low == np.count_nonzero(values > 1.0 + 1e-3) / n_blocks
+        assert result.interval_high == np.count_nonzero(values > 1.0 - 1e-3) / n_blocks
+
+
 def test_mix_affine_in_visibility():
     """Correlators and Bell values respond affinely to the mixing weight."""
     state = normalize_cc(small_dataset(5, scale=4000.0))
@@ -421,6 +445,11 @@ def test_dataset_validation():
         pv_cc(CCDataset(rec), default_set(2))
     with pytest.raises(ParameterError, match="negative count"):
         CCDataset(cc_records([3], u, -np.ones((1, 8))))
+    for bad in (np.nan, np.inf, -np.inf):
+        counts = np.ones((1, 8))
+        counts[0, 5] = bad
+        with pytest.raises(ParameterError, match="setting 3: non-finite count"):
+            CCDataset(cc_records([3], u, counts))
     with pytest.raises(ParameterError, match="duration"):
         CCDataset(cc_records([4], u, np.ones((1, 8)), 0.0))
     with pytest.raises(ParameterError):
