@@ -19,7 +19,8 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 _WORDS_PER_BLOCK = 4
-_INV_2_53 = 2.0 ** -53
+# half the 2^-53 spacing of the doubles that Generator.random draws
+_HALF_STEP = 2.0 ** -54
 
 
 def substream_key(seed: int, tag: str) -> int:
@@ -35,47 +36,83 @@ def blocks_per_sample(words: int) -> int:
     return -(-words // _WORDS_PER_BLOCK)
 
 
+def draw_width(words: int) -> int:
+    """Words drawn per sample, surplus included: whole counter blocks."""
+    return blocks_per_sample(words) * _WORDS_PER_BLOCK
+
+
+def _philox(seed: int, tag: str, start: int, words: int) -> Philox:
+    """The substream for (seed, tag), positioned at sample `start`."""
+    ph = Philox(key=substream_key(seed, tag))
+    if start:
+        ph.advance(start * blocks_per_sample(words))
+    return ph
+
+
 def raw_words(seed: int, tag: str, start: int, count: int, words: int) -> np.ndarray:
     """uint64 array (count, words): the words assigned to samples start..start+count.
 
     Each sample owns ceil(words/4) counter blocks; surplus words in the last
     block are discarded so consumption per sample is fixed.
     """
-    bps = blocks_per_sample(words)
-    ph = Philox(key=substream_key(seed, tag))
-    if start:
-        ph.advance(start * bps)
-    raw = ph.random_raw(count * bps * _WORDS_PER_BLOCK)
-    return raw.reshape(count, bps * _WORDS_PER_BLOCK)[:, :words]
+    width = draw_width(words)
+    raw = _philox(seed, tag, start, words).random_raw(count * width)
+    return raw.reshape(count, width)[:, :words]
 
 
-def uniforms(seed: int, tag: str, start: int, count: int, words: int) -> np.ndarray:
-    """Uniform doubles strictly inside (0, 1), one per word."""
-    u = (raw_words(seed, tag, start, count, words) >> np.uint64(11)).astype(np.float64)
-    u += 0.5
-    u *= _INV_2_53
-    return u
+def uniforms(seed: int, tag: str, start: int, count: int, words: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform doubles strictly inside (0, 1), one per word: (k + 1/2) 2^-53
+    for the top 53 bits k of the word, shape (count, words).
+
+    Drawn straight into `out`, a C-contiguous float64 array of shape
+    (count, draw_width(words)) that the result is a view of; a new one when
+    not given.
+    """
+    if out is None:
+        out = np.empty((count, draw_width(words)))
+    # Generator.random gives k 2^-53 from the same words as raw_words, one
+    # word per double, so adding 2^-54 rounds exactly as (k + 1/2) 2^-53
+    np.random.Generator(_philox(seed, tag, start, words)).random(out=out)
+    out += _HALF_STEP
+    return out[:, :words]
 
 
-def normals(seed: int, tag: str, start: int, count: int, words: int) -> np.ndarray:
-    """Standard normals by inverse-CDF, exactly one word consumed per normal."""
-    u = uniforms(seed, tag, start, count, words)
-    return ndtri(u, out=u)
+def normals(seed: int, tag: str, start: int, count: int, words: int,
+            out: np.ndarray | None = None, draws: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals by inverse-CDF, exactly one word consumed per normal.
+
+    Shape (count, words), in `out` when given; `draws` is the uniforms'
+    buffer, as `out` of `uniforms`.
+    """
+    return ndtri(uniforms(seed, tag, start, count, words, draws), out=out)
 
 
-def bloch_directions(seed: int, tag: str, start: int, count: int,
-                     n_parties: int) -> np.ndarray:
+def bloch_directions(seed: int, tag: str, start: int, count: int, n_parties: int,
+                     out: np.ndarray | None = None,
+                     draws: np.ndarray | None = None) -> np.ndarray:
     """Uniform unit vectors on the sphere, shape (count, n_parties, 2, 3).
 
     Two measurement directions per party, 3 normals per direction, so each
     sample consumes 6*n_parties words (rounded up to whole counter blocks).
+    `out` is an optional C-contiguous result array and `draws` an optional
+    buffer for the uniforms, as `out` of `uniforms`; a loop that passes both
+    allocates nothing per call.
     """
     words = n_parties * 2 * 3
-    z = normals(seed, tag, start, count, words).reshape(count, n_parties, 2, 3)
-    x, y, w = z[..., 0], z[..., 1], z[..., 2]
+    if out is not None:
+        out = out.reshape(count, words)
+    z = normals(seed, tag, start, count, words, out, draws).reshape(count, n_parties, 2, 3)
+    # ndtri has consumed the draws, so their buffer holds the squared norms
+    if draws is None:
+        draws = np.empty(2 * count * n_parties * 2)
+    norm, term = draws.reshape(2, -1)[:, :count * n_parties * 2].reshape(2, count, n_parties, 2)
     # the same sum, in the same order, as np.linalg.norm over the last axis;
     # ndtri never returns exactly 0 on (0,1) grid points, so it is positive
-    z /= np.sqrt(x * x + y * y + w * w)[..., None]
+    np.multiply(z[..., 0], z[..., 0], out=norm)
+    norm += np.multiply(z[..., 1], z[..., 1], out=term)
+    norm += np.multiply(z[..., 2], z[..., 2], out=term)
+    z /= np.sqrt(norm, out=norm)[..., None]
     return z
 
 

@@ -39,6 +39,31 @@ from .qstate import DensityMatrix
 # their intermediates (at N=3, about 1 KiB a sample) cache-sized.
 _SUB_BLOCK = 2048
 
+
+class Workspace:
+    """Named float64 arrays that the sampling kernel reuses from call to call.
+
+    A run that passes one workspace to every `batch_i_max` call allocates its
+    intermediates once, instead of once per sub-block, so its hot loop takes
+    no page faults and its time does not depend on how the allocator hands
+    memory back and forth with the kernel.  An array is a view into a flat
+    buffer that only grows, so a shorter block, or the other party count,
+    reuses the buffer of a longer one.  Results built in a workspace are
+    views into it, valid until its next use; a workspace serves one thread
+    at a time.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def array(self, name: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.zeros(size)
+        return flat[:size].reshape(shape)
+
+
 # Relabelings gathered at once in expand_relabelings: at N=3 a block's gather
 # index and candidate tables take 64 KiB each, for a 3072-row orbit map.
 _ORBIT_BLOCK = 128
@@ -330,7 +355,7 @@ def feature_map(n: int) -> np.ndarray:
     return m
 
 
-def correlators(lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Full and marginal correlators of a batch of settings, shape (B, 3^N).
 
     Feature c (digits as in `feature_map`) of sample b is lam contracted
@@ -338,23 +363,29 @@ def correlators(lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     otherwise.  Parties are contracted one at a time, each as three
     multiply-adds over its Bloch axis, with samples on the innermost axis:
     no BLAS call, so a sample's bits do not depend on the batch size.  The
-    result is the transpose of a C-contiguous (3^N, B) array.
+    result is the transpose of a C-contiguous (3^N, B) array, in `ws` when
+    one is given.
     """
     n = lam.ndim
     b = dirs.shape[0]
+    if ws is None:
+        ws = Workspace()
     # u[i, s, k] is the (B,) row of component k of party i's direction s
-    u = np.ascontiguousarray(np.moveaxis(dirs, 0, -1))
-    # t[c, k, b]: features c of the parties done, lam indices k of the rest
+    u = ws.array("u", (n, 2, 3, b))
+    np.copyto(u, np.moveaxis(dirs, 0, -1))
+    # t[c, k, b]: features c of the parties done, lam indices k of the rest;
+    # parties alternate between two output buffers and share one product
     t = lam.reshape(1, -1, 1)
     for i in range(n):
         rest = 4 ** (n - 1 - i)
         t = t.reshape(-1, 4, rest, t.shape[-1])
-        out = np.empty((t.shape[0], 3, rest, b))
+        out = ws.array(f"party{i % 2}", (t.shape[0], 3, rest, b))
+        term = ws.array("term", (t.shape[0], 2, rest, b))
         out[:, 0] = t[:, 0]
         bloch = out[:, 1:]
         np.multiply(u[i, :, 0, None], t[:, None, 1], out=bloch)
-        bloch += u[i, :, 1, None] * t[:, None, 2]
-        bloch += u[i, :, 2, None] * t[:, None, 3]
+        bloch += np.multiply(u[i, :, 1, None], t[:, None, 2], out=term)
+        bloch += np.multiply(u[i, :, 2, None], t[:, None, 3], out=term)
         t = out
     return t.reshape(3 ** n, b).T
 
@@ -369,7 +400,7 @@ def batch_behaviors(lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return (correlators(lam, dirs) @ feature_map(n)).reshape((-1,) + (2,) * (2 * n))
 
 
-def i_max(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def i_max(x: np.ndarray, coeffs: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Max over the rows of coeffs of coeffs @ x[b], for each row b of x: shape (B,).
 
     x holds behaviors as rows, in the basis of coeffs: tables with
@@ -377,27 +408,34 @@ def i_max(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     `_SUB_BLOCK` rows is copied into the columns of one fixed-size buffer
     (columns past a short last run are left over and dropped), so every
     product has the same shape and a row's value has the same bits whatever
-    rows share its batch.
+    rows share its batch.  The buffer and the product live in `ws`.
     """
+    if ws is None:
+        ws = Workspace()
     out = np.empty(x.shape[0])
-    buf = np.zeros((coeffs.shape[1], _SUB_BLOCK))
+    buf = ws.array("columns", (coeffs.shape[1], _SUB_BLOCK))
+    prod = ws.array("product", (coeffs.shape[0], _SUB_BLOCK))
     for lo in range(0, x.shape[0], _SUB_BLOCK):
         k = min(_SUB_BLOCK, x.shape[0] - lo)
         buf[:, :k] = x[lo:lo + k].T
-        out[lo:lo + k] = (coeffs @ buf).max(axis=0)[:k]
+        np.matmul(coeffs, buf, out=prod)
+        np.max(prod[:, :k], axis=0, out=out[lo:lo + k])
     return out
 
 
-def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray) -> np.ndarray:
+def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray,
+                ws: Workspace | None = None) -> np.ndarray:
     """Max normalized functional value per settings sample, shape (B,).
 
     c_matrix is an `InequalitySet.c_matrix`; correlators are built and
-    reduced in sub-blocks of `_SUB_BLOCK` samples.
+    reduced in sub-blocks of `_SUB_BLOCK` samples, in `ws` when one is given.
     """
+    if ws is None:
+        ws = Workspace()
     out = np.empty(dirs.shape[0])
     for lo in range(0, dirs.shape[0], _SUB_BLOCK):
         d = dirs[lo:lo + _SUB_BLOCK]
-        out[lo:lo + d.shape[0]] = i_max(correlators(lam, d), c_matrix)
+        out[lo:lo + d.shape[0]] = i_max(correlators(lam, d, ws), c_matrix, ws)
     return out
 
 

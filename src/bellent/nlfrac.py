@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,11 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng
-from .bell import InequalitySet, batch_i_max, pauli_tensor
+from .bell import InequalitySet, Workspace, batch_i_max, pauli_tensor
 from .errors import ParameterError, ParseError
 from .qstate import DensityMatrix, format_float, json_field, read_json_object
 
 CHUNK = 1 << 14
+
+# Workspaces not in use, for the next estimate: a process allocates its
+# sampling buffers once per concurrent thread, not once per estimate or per
+# worker thread.  Module-wide because pool threads last one call; results
+# never depend on what a workspace held before.
+_IDLE_WORKSPACES: list[Workspace] = []
 
 
 @dataclass
@@ -77,19 +84,42 @@ def _check_request(rho: DensityMatrix, iset: InequalitySet, m: int, workers: int
 
 
 def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work):
-    """Apply work(start, dirs) over disjoint sample ranges, 1 or more threads."""
+    """work(start, dirs, ws) over disjoint sample ranges, 1 or more threads.
+
+    Each thread borrows a workspace from `_IDLE_WORKSPACES` when it starts,
+    draws every chunk's directions and runs its kernel in it; the call
+    hands the workspaces back, so no chunk allocates its arrays anew.
+    """
     tag = f"bloch{n_parties}"
+    width = _rng.draw_width(6 * n_parties)
+    local = threading.local()
+    borrowed = []
+
+    def borrow():
+        # list.pop is atomic, so two threads never get the same workspace
+        try:
+            local.ws = _IDLE_WORKSPACES.pop()
+        except IndexError:
+            local.ws = Workspace()
+        borrowed.append(local.ws)
 
     def one(span):
         start, count = span
-        dirs = _rng.bloch_directions(seed, tag, start, count, n_parties)
-        return work(start, dirs)
+        ws = local.ws
+        dirs = _rng.bloch_directions(seed, tag, start, count, n_parties,
+                                     out=ws.array("dirs", (count, n_parties, 2, 3)),
+                                     draws=ws.array("draws", (count, width)))
+        return work(start, dirs, ws)
 
     spans = list(_chunk_ranges(m))
-    if workers == 1:
-        return [one(s) for s in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, spans))
+    try:
+        if workers == 1:
+            borrow()
+            return [one(s) for s in spans]
+        with ThreadPoolExecutor(max_workers=workers, initializer=borrow) as pool:
+            return list(pool.map(one, spans))
+    finally:
+        _IDLE_WORKSPACES.extend(borrowed)
 
 
 def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
@@ -104,8 +134,8 @@ def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
     lam = pauli_tensor(rho)
     c = iset.c_matrix
 
-    def work(start, dirs):
-        return int(np.count_nonzero(batch_i_max(lam, dirs, c) > 1.0))
+    def work(start, dirs, ws):
+        return int(np.count_nonzero(batch_i_max(lam, dirs, c, ws) > 1.0))
 
     violations = sum(_run_chunks(rho.n_qubits, seed, m, workers, work))
     p = violations / m
@@ -120,9 +150,8 @@ def violation_distribution(rho: DensityMatrix, iset: InequalitySet, m: int, seed
     c = iset.c_matrix
     values = np.empty(m)
 
-    def work(start, dirs):
-        values[start:start + dirs.shape[0]] = batch_i_max(lam, dirs, c)
-        return None
+    def work(start, dirs, ws):
+        values[start:start + dirs.shape[0]] = batch_i_max(lam, dirs, c, ws)
 
     _run_chunks(rho.n_qubits, seed, m, workers, work)
     return ViolationSamples(values, state_tag, seed, iset.tag)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from bellent._rng import bloch_directions, raw_words
+from bellent._rng import bloch_directions, draw_width, raw_words
 from bellent.bell import (
     PAULI,
     Behavior,
     BellInequality,
     InequalitySet,
     MeasurementSettings,
+    Workspace,
     batch_behaviors,
     batch_i_max,
     behavior_from_state,
@@ -328,6 +329,19 @@ def test_batch_i_max_independent_of_how_a_chunk_is_cut():
         assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
+def test_batch_i_max_in_a_reused_workspace_has_the_bits_of_a_fresh_one():
+    # one workspace across party counts and batch sizes, short ones after
+    # long ones, as the sampler's idle workspaces are used
+    rng = np.random.default_rng(33)
+    ws = Workspace()
+    for n, count in ((3, 5000), (2, 3000), (3, 17), (2, 2048), (3, 2049)):
+        lam = pauli_tensor(_random_state(n, rng))
+        c = default_set(n).c_matrix
+        dirs = bloch_directions(5, f"bloch{n}", 100, count, n)
+        want = batch_i_max(lam, dirs, c)
+        assert batch_i_max(lam, dirs, c, ws).tobytes() == want.tobytes()
+
+
 # The behavior kernel before the correlator basis: one einsum per batch over
 # per-party factors V[b, S, r, k] = (1, (-1)^r u_S).
 _EINSUM_REFERENCE = {
@@ -400,6 +414,18 @@ def _reference_bloch_directions(seed, tag, start, count, n):
     z = z.reshape(count, n, 2, 3)
     z /= np.linalg.norm(z, axis=-1, keepdims=True)
     return z
+
+
+def test_bloch_directions_into_buffers_bit_identical():
+    for n in (2, 3):
+        for start, count in ((0, 1), (7, 333), (12345, 2048)):
+            want = bloch_directions(9, f"bloch{n}", start, count, n)
+            out = np.full((count, n, 2, 3), np.nan)
+            draws = np.full((count, draw_width(6 * n)), np.nan)
+            got = bloch_directions(9, f"bloch{n}", start, count, n, out=out, draws=draws)
+            assert np.shares_memory(got, out) and got.tobytes() == want.tobytes()
+            only_draws = bloch_directions(9, f"bloch{n}", start, count, n, draws=draws)
+            assert only_draws.tobytes() == want.tobytes()
 
 
 def test_bloch_directions_bit_identical_to_reference():

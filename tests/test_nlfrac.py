@@ -1,11 +1,15 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from bellent.bell import default_set, expand_relabelings, mermin, svetlichny
+from bellent import nlfrac
 from bellent.errors import ParameterError
 from bellent.nlfrac import (
+    CHUNK,
     adaptive_simpson,
     estimate_pv,
     load_violation_samples,
@@ -99,6 +103,45 @@ def test_worker_determinism():
         est = estimate_pv(rho, iset, 30_000, seed=11, workers=workers)
         assert est.p_v == base.p_v
         assert est.violations == base.violations
+
+
+def test_violation_distribution_bits_independent_of_workers():
+    # each worker thread draws and evaluates in its own workspace
+    rho = werner_like(np.pi / 5, 0.95, 3)
+    iset = default_set(3)
+    base = violation_distribution(rho, iset, 40_000, seed=12, workers=1)
+    for workers in (2, 3):
+        got = violation_distribution(rho, iset, 40_000, seed=12, workers=workers)
+        assert got.values.tobytes() == base.values.tobytes()
+
+
+def test_concurrent_estimates_never_share_a_workspace():
+    # more threads than cores borrow and return workspaces at once; a
+    # workspace used by two threads at a time would corrupt their values
+    rho = werner_like(np.pi / 4, 0.9, 2)
+    iset = default_set(2)
+    m = 6 * CHUNK + 5
+    want = violation_distribution(rho, iset, m, seed=4, workers=1).values.tobytes()
+    got = []
+
+    def run():
+        for _ in range(2):
+            got.append(violation_distribution(rho, iset, m, seed=4, workers=3).values.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 6
+    idle = nlfrac._IDLE_WORKSPACES
+    assert len({id(ws) for ws in idle}) == len(idle)
 
 
 def test_monotonic_in_visibility():
