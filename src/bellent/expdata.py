@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +90,8 @@ class CCDataset:
         if bad.any():
             duration = float(recs["duration_s"][bad.argmax()])
             raise ParameterError(f"duration must be positive, got {duration!r}")
+        if np.isinf(recs["duration_s"]).any():  # only +inf is left
+            raise ParameterError("duration must be finite, got inf")
         if len(np.unique(sid)) != len(sid):
             raise ParameterError("duplicate setting_ids in dataset")
         recs.setflags(write=False)
@@ -120,19 +122,53 @@ def save_cc(dataset: CCDataset, path) -> None:
         json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
 
 
-def _numbers(rows) -> tuple:
-    """Setting ids (R,) and the other 14 numbers (R, 14) of 15-field CSV rows."""
-    # each row is split as it is parsed, so no list of all fields is held
-    numbers = chain.from_iterable(map(float, row.split(",")[1:]) for row in rows)
-    return (np.array([int(row[:row.index(",")]) for row in rows], dtype=np.int64),
-            np.fromiter(numbers, float).reshape(-1, 14))
+def _parse(rows) -> tuple:
+    """The numbers of 15-field CSV rows, each distinct setting head converted once.
+
+    A row is a head (setting id and 9 direction fields, as text) and a tail
+    (r1, r2, r3, counts, duration_s).  A setting's rows repeat its head, so
+    heads are looked up in a dict and only a new one is converted.  Returns
+    (ids (H,), directions (H, 3, 3), row_head (R,), tails (R, 5), message):
+    row r has head row_head[r].  Parsing stops at the first row that is not
+    15 numbers; R rows parsed, and `message` says what is wrong with the
+    next (None when every row parsed).
+    """
+    head_of, ids, dirs, row_head, tails = {}, [], array("d"), array("q"), array("d")
+    message = None
+    for row in rows:
+        fields = row.rsplit(",", 5)
+        head = fields[0]
+        k = head_of.get(head)
+        try:
+            if k is None:
+                # a row is 15 fields when its head holds 9 commas; a known head does
+                if head.count(",") != 9:
+                    message = f"expected 15 fields, got {row.count(',') + 1}"
+                    break
+                # fields in row order, so the message names a row's first bad one
+                sid, *u = head.split(",")
+                sid = np.int64(int(sid))  # numpy's range check and message
+                dirs.extend(map(float, u))
+                ids.append(sid)
+                k = head_of[head] = len(head_of)
+            _, r1, r2, r3, count, duration = fields
+            tails.fromlist([float(r1), float(r2), float(r3), float(count), float(duration)])
+        except (ValueError, OverflowError) as exc:
+            message = str(exc)
+            break
+        row_head.append(k)
+    h, r = len(ids), len(row_head)
+    return (np.array(ids, dtype=np.int64), np.array(dirs[:9 * h]).reshape(h, 3, 3),
+            np.array(row_head), np.array(tails[:5 * r]).reshape(r, 5), message)
 
 
 def load_cc(path) -> CCDataset:
     """Read a coincidence-count CSV (and its optional sidecar).
 
     All rows are parsed and checked at once; a malformed file raises
-    ParseError for its earliest offending line.
+    ParseError for its earliest offending line.  A setting has one set of
+    directions and one duration: its rows must agree on both (directions
+    within DIR_TOL), and the duration must be finite and positive.
     """
     path = Path(path)
     if not path.is_file():
@@ -140,24 +176,11 @@ def load_cc(path) -> CCDataset:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CC_HEADER:
         raise ParseError(f"{path}: bad or missing header", line=1)
-    lineno = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-    rows = [lines[n - 1] for n in lineno]
-    # rows before `stop` have 15 numeric fields; row `stop` is the first that does not
-    stop = next((r for r, row in enumerate(rows) if row.count(",") != 14), len(rows))
-    stop_msg = (f"expected 15 fields, got {rows[stop].count(',') + 1}"
-                if stop < len(rows) else None)
-    try:
-        sid, vals = _numbers(rows[:stop])
-    except (ValueError, OverflowError):
-        for stop, row in enumerate(rows):  # the first row that does not parse
-            try:
-                _numbers([row])
-            except (ValueError, OverflowError) as exc:
-                stop_msg = str(exc)
-                break
-        sid, vals = _numbers(rows[:stop])
-    dirs, bits = vals[:, :9].reshape(-1, 3, 3), vals[:, 9:12]
-    count, duration = vals[:, 12], vals[:, 13]
+    # rows (non-blank lines) before `stop` parse; row `stop` is the first that does not
+    head_ids, head_dirs, row_head, tails, stop_msg = _parse(filter(str.strip, lines[1:]))
+    stop = len(row_head)
+    sid, dirs = head_ids[row_head], head_dirs[row_head]
+    bits, count, duration = tails[:, :3], tails[:, 3], tails[:, 4]
     outcome = (bits == 1) @ np.array([4, 2, 1])
     ids, first, setting = np.unique(sid, return_index=True, return_inverse=True)
     _, first_key, key = np.unique(setting * 8 + outcome, return_index=True,
@@ -169,10 +192,13 @@ def load_cc(path) -> CCDataset:
             (~((bits == 0) | (bits == 1)).all(axis=1), "outcome bits must be 0 or 1"),
             (~np.isfinite(count), "non-finite count"),
             (count < 0, "negative count"),
-            (~(np.max(np.abs(np.linalg.norm(dirs, axis=2) - 1.0), axis=1) <= DIR_TOL),
-             "non-unit projection direction"),
+            (~np.isfinite(duration), "non-finite duration"),
+            (duration <= 0, "non-positive duration"),
+            (~(np.max(np.abs(np.linalg.norm(head_dirs, axis=2) - 1.0), axis=1)
+               <= DIR_TOL)[row_head], "non-unit projection direction"),
             (np.max(np.abs(dirs[first[setting]] - dirs), axis=(1, 2)) > DIR_TOL,
              "directions differ within setting {}"),
+            (duration[first[setting]] != duration, "durations differ within setting {}"),
             (first_key[key] != np.arange(len(key)), "duplicate outcome for setting {}"),
         )
     for bad, message in checks:
@@ -180,6 +206,7 @@ def load_cc(path) -> CCDataset:
             stop = int(bad.argmax())
             stop_msg = message.format(sid[stop])
     if stop_msg is not None:
+        lineno = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
         raise ParseError(f"{path}: {stop_msg}", line=lineno[stop])
     if not len(sid):
         raise ParseError(f"{path}: no data rows")

@@ -96,6 +96,17 @@ def _cc_with_sidecar(tmp_path, text):
     return ["exp", "pv", "--in", str(cc)]
 
 
+def _cc_with_durations(tmp_path, durations):
+    """A count file whose rows {row: duration text} are edited."""
+    args = _cc_with_sidecar(tmp_path, '{"tag": "cc"}')
+    cc = tmp_path / "cc.csv"
+    lines = cc.read_text().splitlines()
+    for row, text in durations.items():
+        lines[row] = f"{lines[row].rsplit(',', 1)[0]},{text}"
+    cc.write_text("\n".join(lines) + "\n")
+    return args
+
+
 def _samples(tmp_path, rows, sidecar=True, header="i_max"):
     samples = tmp_path / "dist.csv"
     samples.write_text(f"{header}\n" + "".join(f"{r}\n" for r in rows))
@@ -116,6 +127,10 @@ MALFORMED_INPUTS = {
     "cc sidecar bad json": lambda d: _cc_with_sidecar(d, '{"tag": "cc", '),
     "cc sidecar bad normalization": lambda d: _cc_with_sidecar(
         d, '{"tag": "cc", "normalization": "high"}'),
+    "cc duration zero": lambda d: _cc_with_durations(d, {3: "0"}),
+    "cc duration nan": lambda d: _cc_with_durations(d, {3: "nan"}),
+    "cc duration inf": lambda d: _cc_with_durations(d, dict.fromkeys(range(1, 129), "inf")),
+    "cc durations differ": lambda d: _cc_with_durations(d, {3: "2"}),
     "samples sidecar missing": lambda d: _samples(d, ["0.5", "1.2"], sidecar=False),
     "samples row not a float": lambda d: _samples(d, ["0.5", "1.2.3"]),
     "samples bad header": lambda d: _samples(d, ["0.5", "1.2"], header="imax"),

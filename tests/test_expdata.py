@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from bellent.expdata import (
     synth_cc_dataset,
 )
 from bellent.nlfrac import estimate_pv
-from bellent.qstate import werner_like
+from bellent.qstate import format_float, werner_like
 
 RHO = werner_like(np.pi / 4, 0.986, 3)
 ISET = default_set(3)
@@ -111,6 +112,12 @@ def test_loader_reports_each_rejection_on_its_line(tmp_path):
         (lambda L: [_set_field(L, 6, c, v) for c, v in ((1, "0"), (2, "0"), (3, "1"))],
          7, "directions differ within setting 0"),
         (lambda L: L.__setitem__(8, L[7]), 9, "duplicate outcome for setting 0"),
+        (lambda L: _set_field(L, 6, 14, "0"), 7, "non-positive duration"),
+        (lambda L: _set_field(L, 6, 14, "-2"), 7, "non-positive duration"),
+        (lambda L: _set_field(L, 5, 14, "nan"), 6, "non-finite duration"),
+        (lambda L: _set_field(L, 5, 14, "inf"), 6, "non-finite duration"),
+        (lambda L: _set_field(L, 4, 14, "2"), 5, "durations differ within setting 0"),
+        (lambda L: _set_field(L, 1, 14, "2"), 3, "durations differ within setting 0"),
     ]
     for edit, line, message in cases:
         err = _rejected_line(tmp_path, lines, edit)
@@ -155,6 +162,84 @@ def test_loader_rejects_malformed_sidecar(tmp_path):
     side.write_text('{"normalization": 2.5}')
     back = load_cc(p)
     assert back.normalization == 2.5 and back.tag == "cc"
+
+
+def _saved_lines(tmp_path, ds):
+    p = tmp_path / "cc.csv"
+    save_cc(ds, p)
+    return p.read_text().splitlines()
+
+
+def _load_lines(tmp_path, lines):
+    q = tmp_path / "edited.csv"
+    q.write_text("\n".join(lines) + "\n")
+    return load_cc(q)
+
+
+def test_loader_reads_every_spelling_of_a_setting_head(tmp_path):
+    u = np.array([[0.5, 0.5, math.sqrt(0.5)], [0.0, -0.6, 0.8], [1.0, 0.0, 0.0]])
+    ds = CCDataset(cc_records([3], u[None], np.arange(1.0, 9.0)[None]))
+    lines = _saved_lines(tmp_path, ds)
+    spellings = [("3", "0.5"), (" 3", "0.50"), ("03", "5e-1"), ("3 ", " 0.5 "),
+                 ("+3", ".5"), ("3", "5E-1"), ("3", "0.500000000000000000"), ("3", "+0.5")]
+    for r, (sid, half) in enumerate(spellings, start=1):
+        parts = lines[r].split(",")
+        parts[0], parts[1], parts[2] = sid, half, half
+        if r % 2:
+            parts[3] = repr(math.sqrt(0.5))  # 16 digits where save_cc writes 17
+        lines[r] = ",".join(parts)
+    assert len({row.rsplit(",", 5)[0] for row in lines[1:]}) == 8
+    assert _load_lines(tmp_path, lines).records.tobytes() == ds.records.tobytes()
+    assert load_cc(tmp_path / "cc.csv").records.tobytes() == ds.records.tobytes()
+
+
+def test_loader_keys_a_head_by_its_setting_id(tmp_path):
+    # two settings with the same direction text stay two records
+    u = small_dataset(1).records["directions"][:1]
+    counts = np.arange(16.0).reshape(2, 8)
+    ds = CCDataset(cc_records([0, 1], np.concatenate([u, u]), counts))
+    lines = _saved_lines(tmp_path, ds)
+    assert lines[1].rsplit(",", 5)[0].split(",", 1)[1] == lines[9].rsplit(",", 5)[0].split(",", 1)[1]
+    back = load_cc(tmp_path / "cc.csv")
+    assert len(back.records) == 2 and back.records.tobytes() == ds.records.tobytes()
+
+
+def test_loader_ignores_row_order(tmp_path):
+    ds = small_dataset(40)
+    lines = _saved_lines(tmp_path, ds)
+    rows = lines[1:]
+    random.Random(3).shuffle(rows)
+    assert _load_lines(tmp_path, lines[:1] + rows).records.tobytes() == ds.records.tobytes()
+
+
+def test_loader_keeps_the_first_rows_directions(tmp_path):
+    ds = small_dataset(1)
+    u = ds.records["directions"][0]
+    near = u * (1 + 1e-10)  # within DIR_TOL of u, and a different text
+    assert not np.array_equal(near, u)
+    lines = _saved_lines(tmp_path, ds)
+    parts = lines[4].split(",")
+    parts[1:10] = map(format_float, near.ravel())
+    lines[4] = ",".join(parts)
+    back = _load_lines(tmp_path, lines)
+    np.testing.assert_array_equal(back.records["directions"][0], u)
+    np.testing.assert_array_equal(back.records["counts"], ds.records["counts"])
+    lines[1], lines[4] = lines[4], lines[1]
+    back = _load_lines(tmp_path, lines)
+    np.testing.assert_array_equal(back.records["directions"][0], near)
+    np.testing.assert_array_equal(back.records["counts"], ds.records["counts"])
+
+
+def test_loader_round_trip_is_bit_identical_at_scale(tmp_path):
+    recs = synth_cc_dataset(RHO, 2000, 11).records
+    rng = np.random.default_rng(11)
+    ds = CCDataset(cc_records(recs["setting_id"], recs["directions"],
+                              rng.random((len(recs), 8)) * 1000.0,
+                              rng.random(len(recs)) + 0.5), 2.5, "big")
+    _saved_lines(tmp_path, ds)
+    back = load_cc(tmp_path / "cc.csv")
+    assert back.records.tobytes() == ds.records.tobytes()
+    assert back.normalization == 2.5 and back.tag == "big"
 
 
 def test_grouping_is_order_independent():
@@ -452,6 +537,11 @@ def test_dataset_validation():
             CCDataset(cc_records([3], u, counts))
     with pytest.raises(ParameterError, match="duration"):
         CCDataset(cc_records([4], u, np.ones((1, 8)), 0.0))
+    for bad in (-1.0, np.nan, -np.inf):
+        with pytest.raises(ParameterError, match="duration must be positive"):
+            CCDataset(cc_records([4], u, np.ones((1, 8)), bad))
+    with pytest.raises(ParameterError, match="duration must be finite, got inf"):
+        CCDataset(cc_records([4], u, np.ones((1, 8)), np.inf))
     with pytest.raises(ParameterError):
         CCDataset([rec])  # a list is not a record table
     table = CCDataset(rec).records
