@@ -307,16 +307,16 @@ def load_violation_samples(path) -> ViolationSamples:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "i_max":
         raise ParseError(f"{path}: expected header 'i_max'", line=1)
-    try:
-        values = np.fromiter(map(float, filter(str.strip, lines[1:])), float)
-    except ValueError:
-        for lineno, x in enumerate(lines[1:], start=2):  # name the first bad line
+
+    def numbers():
+        for lineno, x in enumerate(lines[1:], start=2):
             if x.strip():
                 try:
-                    float(x)
+                    yield float(x)
                 except ValueError:
                     raise ParseError(f"{path}: bad number {x!r}", line=lineno) from None
-        raise
+
+    values = np.fromiter(numbers(), float)
     meta_path = Path(str(path) + ".json")
     meta = read_json_object(meta_path)
     return ViolationSamples(values,
