@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from bellent.bell import default_set
-from bellent.nlfrac import (estimate_pv, pv_from_distribution,
+from bellent.nlfrac import (estimate_pvs, pv_from_distribution,
                             violation_distribution)
 from bellent.qstate import gghz, werner_like
 
@@ -31,10 +31,11 @@ t0 = time.perf_counter()
 replayed = [pv_from_distribution(samples, v) for v in vs]
 t_replay = time.perf_counter() - t0
 
-# spot-check two points against the direct route
-for v in (0.8, 1.0):
-    direct = estimate_pv(werner_like(np.pi / 4, v, 3), iset, m, seed)
-    assert pv_from_distribution(samples, v) == direct.p_v
+# spot-check two points against the direct route, on the same settings
+checks = (0.8, 1.0)
+direct = estimate_pvs([werner_like(np.pi / 4, v, 3) for v in checks], iset, m, seed)
+for v, est in zip(checks, direct):
+    assert pv_from_distribution(samples, v) == est.p_v
 
 print(f"sampled {m} settings once in {t_sample:.2f} s, "
       f"replayed {len(vs)} visibilities in {t_replay * 1000:.1f} ms")

@@ -12,7 +12,7 @@ settings, so the three routes can be eyeballed against each other.
 import math
 
 from bellent.bell import default_set
-from bellent.nlfrac import (estimate_pv, pv_werner2_closed,
+from bellent.nlfrac import (estimate_pvs, pv_werner2_closed,
                             pv_werner2_quadrature)
 from bellent.qstate import werner_like
 
@@ -22,10 +22,12 @@ SEED = 7
 iset = default_set(2)
 print(f"inequality set: {iset.tag} ({len(iset.inequalities)} relabelings)")
 print(f"{'v':>6} {'closed':>10} {'quadrature':>10} {'monte carlo':>12}")
-for v in (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00):
+vs = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00)
+# every visibility on the same M settings, drawn once
+ests = estimate_pvs([werner_like(math.pi / 4, v, 2) for v in vs], iset, M, seed=SEED)
+for v, est in zip(vs, ests):
     closed = pv_werner2_closed(v)
     quad = pv_werner2_quadrature(v)
-    est = estimate_pv(werner_like(math.pi / 4, v, 2), iset, M, seed=SEED)
     print(f"{v:6.2f} {closed:10.5f} {quad:10.5f} "
           f"{est.p_v:8.5f} +- {est.std_err:.5f}")
 

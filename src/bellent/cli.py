@@ -195,10 +195,12 @@ def cmd_sweep(ns) -> None:
     }[form]
     if (form == "w2") != (n == 2):
         raise ParameterError(f"closed form {form!r} does not fit n = {n}")
+    grid = _v_grid(ns)
+    # one pass over the settings for the whole grid
+    ests = nlfrac.estimate_pvs([qstate.werner_like(theta, v, n) for v in grid],
+                               iset, ns.samples, ns.seed, ns.workers)
     lines = ["v,p_v,std_err,concurrence"]
-    for v in _v_grid(ns):
-        rho = qstate.werner_like(theta, v, n)
-        est = nlfrac.estimate_pv(rho, iset, ns.samples, ns.seed, ns.workers)
+    for v, est in zip(grid, ests):
         lines.append(",".join(qstate.format_float(x) for x in
                               (v, est.p_v, est.std_err, closed(theta, v))))
     Path(ns.out).write_text("\n".join(lines) + "\n", encoding="utf-8")

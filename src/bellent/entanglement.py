@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAnXStateError, ParameterError
-from .qstate import DensityMatrix, PureState, partial_trace
+from .qstate import DensityMatrix, PureState, check_visibility, partial_trace
 
 X_TOL = 1e-9
 
@@ -118,8 +118,7 @@ def gme_concurrence_xstate(dec: XStateDecomposition) -> float:
 def _check_theta_v(theta: float, v: float) -> None:
     if not 0.0 < theta <= math.pi / 4 + 1e-12:
         raise ParameterError(f"theta must be in (0, pi/4], got {theta!r}")
-    if not 0.0 < v <= 1.0:
-        raise ParameterError(f"visibility must be in (0, 1], got {v!r}")
+    check_visibility(v)
 
 
 def conc_closed_w2(theta: float, v: float) -> float:

@@ -36,6 +36,8 @@ DEFAULT_MARGIN = 0.015
 
 RECORD = np.dtype([("setting_id", np.int64), ("directions", float, (3, 3)),
                    ("counts", float, (8,)), ("duration_s", float)])
+# the setting ids that fit the record table's int64 column
+_SETTING_IDS = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
 
 def cc_records(setting_id, directions, counts, duration_s=1.0) -> np.ndarray:
@@ -147,13 +149,16 @@ def _parse(rows) -> tuple:
                     break
                 # fields in row order, so the message names a row's first bad one
                 sid, *u = head.split(",")
-                sid = np.int64(int(sid))  # numpy's range check and message
+                sid = int(sid)
+                if sid not in _SETTING_IDS:
+                    message = f"setting_id {sid} is outside the int64 range"
+                    break
                 dirs.extend(map(float, u))
                 ids.append(sid)
                 k = head_of[head] = len(head_of)
             _, r1, r2, r3, count, duration = fields
             tails.fromlist([float(r1), float(r2), float(r3), float(count), float(duration)])
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             message = str(exc)
             break
         row_head.append(k)

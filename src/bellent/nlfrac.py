@@ -21,7 +21,8 @@ import numpy as np
 from . import _rng
 from .bell import InequalitySet, Workspace, batch_i_max, pauli_tensor
 from .errors import ParameterError, ParseError
-from .qstate import DensityMatrix, format_float, json_field, read_json_object
+from .qstate import (DensityMatrix, check_visibility, json_field, read_json_object,
+                     write_float_lines)
 
 CHUNK = 1 << 14
 
@@ -122,24 +123,45 @@ def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work):
         _IDLE_WORKSPACES.extend(borrowed)
 
 
+def estimate_pvs(rhos, iset: InequalitySet, m: int, seed: int,
+                 workers: int = 1) -> list[PvEstimate]:
+    """For each state, the fraction of m Haar-sampled settings whose behavior
+    violates the set, all states on the same settings.
+
+    Each chunk draws its directions once and evaluates every state on them,
+    so a state's count does not depend on the other states, and the draws
+    are paid once for all of them.  Deterministic for fixed (seed, m)
+    regardless of workers: every sample's directions come from its own
+    counter range and each state's total is a sum of integer counts.
+    """
+    rhos = list(rhos)
+    if not rhos:
+        raise ParameterError("no states to estimate")
+    for rho in rhos:
+        _check_request(rho, iset, m, workers)
+    lams = [pauli_tensor(rho) for rho in rhos]
+    c = iset.c_matrix
+
+    def work(start, dirs, ws):
+        return [int(np.count_nonzero(batch_i_max(lam, dirs, c, ws) > 1.0)) for lam in lams]
+
+    chunks = _run_chunks(iset.n_parties, seed, m, workers, work)
+    estimates = []
+    for violations in map(sum, zip(*chunks)):
+        p = violations / m
+        estimates.append(PvEstimate(p, math.sqrt(p * (1.0 - p) / m), m, violations,
+                                    iset.tag))
+    return estimates
+
+
 def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
                 workers: int = 1) -> PvEstimate:
     """Fraction of m Haar-sampled settings whose behavior violates the set.
 
-    Deterministic for fixed (seed, m) regardless of workers: every sample's
-    directions come from its own counter range and the reduction is a sum of
-    integer counts.
+    The one-state case of `estimate_pvs`: deterministic for fixed (seed, m)
+    regardless of workers.
     """
-    _check_request(rho, iset, m, workers)
-    lam = pauli_tensor(rho)
-    c = iset.c_matrix
-
-    def work(start, dirs, ws):
-        return int(np.count_nonzero(batch_i_max(lam, dirs, c, ws) > 1.0))
-
-    violations = sum(_run_chunks(rho.n_qubits, seed, m, workers, work))
-    p = violations / m
-    return PvEstimate(p, math.sqrt(p * (1.0 - p) / m), m, violations, iset.tag)
+    return estimate_pvs([rho], iset, m, seed, workers)[0]
 
 
 def violation_distribution(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
@@ -164,14 +186,14 @@ def pv_from_distribution(samples: ViolationSamples, v: float) -> float:
     inequality set has full-correlation form, so I scales linearly with v and
     thresholding at 1/v replays the whole family from one sample set.
     """
-    if not 0.0 < v <= 1.0:
-        raise ParameterError(f"visibility must be in (0, 1], got {v!r}")
+    check_visibility(v)
     return int(np.count_nonzero(samples.values > 1.0 / v)) / samples.m
 
 
 def pv_threshold_sensitivity(samples: ViolationSamples, v: float,
                              epsilon: float) -> tuple:
     """Fractions above thresholds 1/v +- epsilon; brackets pv_from_distribution."""
+    check_visibility(v)
     if epsilon < 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon!r}")
     thr = 1.0 / v
@@ -182,11 +204,6 @@ def pv_threshold_sensitivity(samples: ViolationSamples, v: float,
 
 # ---------------------------------------------------------------- analytic
 
-def _check_v(v: float) -> None:
-    if not 0.0 < v <= 1.0:
-        raise ParameterError(f"visibility must be in (0, 1], got {v!r}")
-
-
 def pv_werner2_closed(v: float) -> float:
     """Analytic nonlocal fraction of the 2-qubit Werner state under CHSH.
 
@@ -194,7 +211,7 @@ def pv_werner2_closed(v: float) -> float:
     arctan branch in [0, pi/2] so the v = 1 limit is pi/2 and the value there
     is 2(pi - 3).  Zero at and below v = 1/sqrt(2).
     """
-    _check_v(v)
+    check_visibility(v)
     if 2.0 * v * v - 1.0 <= 0.0:
         return 0.0
     s = math.sqrt(2.0 * v * v - 1.0)
@@ -208,7 +225,7 @@ def pv_werner2_closed_as_printed(v: float) -> float:
     Yields -6 at v = 1, contradicting the known 2(pi - 3); kept so the
     discrepancy with `pv_werner2_closed` can be demonstrated, not for use.
     """
-    _check_v(v)
+    check_visibility(v)
     if 2.0 * v * v - 1.0 <= 0.0:
         return 0.0
     s = math.sqrt(2.0 * v * v - 1.0)
@@ -244,7 +261,7 @@ def pv_werner2_quadrature(v: float) -> float:
     substituting x = sin t removes it, leaving a smooth integrand on
     [0, arcsin(s / v^2)] integrated to absolute tolerance 1e-10.
     """
-    _check_v(v)
+    check_visibility(v)
     s2 = 2.0 * v * v - 1.0
     if s2 <= 0.0:
         return 0.0
@@ -267,7 +284,7 @@ def sample_chsh_reduced(v: float, m: int, seed: int) -> PvEstimate:
     relabelings (at most one CHSH variant can be violated at a time).  The
     standard error accounts for that factor.
     """
-    _check_v(v)
+    check_visibility(v)
     if m < 1:
         raise ParameterError(f"sample count must be >= 1, got {m}")
     if 2.0 * v * v - 1.0 <= 0.0:
@@ -293,9 +310,9 @@ def sample_chsh_reduced(v: float, m: int, seed: int) -> PvEstimate:
 def save_violation_samples(samples: ViolationSamples, path) -> None:
     """CSV with header `i_max` plus a JSON sidecar at <path>.json."""
     path = Path(path)
-    lines = ["i_max"]
-    lines.extend(format_float(x) for x in samples.values)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("i_max\n")
+        write_float_lines(fh, samples.values)
     sidecar = {"state_tag": samples.state_tag, "seed": samples.settings_seed,
                "m": samples.m, "set_tag": samples.set_tag}
     Path(str(path) + ".json").write_text(

@@ -10,8 +10,8 @@ All container types are immutable values after construction (arrays are
 marked read-only), so they can be shared freely across workers.
 
 The file IO section also holds the helpers every writer and loader of the
-package shares (`format_float`, `read_json_object`, `json_field`), since
-every other module already imports this one.
+package shares (`format_float`, `write_float_lines`, `read_json_object`,
+`json_field`), since every other module already imports this one.
 """
 
 from __future__ import annotations
@@ -147,10 +147,15 @@ def gghz(theta: float, n_qubits: int) -> PureState:
     return PureState(n_qubits, amp)
 
 
-def werner_like(theta: float, v: float, n_qubits: int) -> DensityMatrix:
-    """White-noise mixture v |theta><theta| + (1-v)/2^n * identity."""
+def check_visibility(v: float) -> None:
+    """ParameterError unless v is a visibility in (0, 1]."""
     if not 0.0 < v <= 1.0:
         raise ParameterError(f"visibility must be in (0, 1], got {v!r}")
+
+
+def werner_like(theta: float, v: float, n_qubits: int) -> DensityMatrix:
+    """White-noise mixture v |theta><theta| + (1-v)/2^n * identity."""
+    check_visibility(v)
     psi = gghz(theta, n_qubits).amplitudes
     d = 2 ** n_qubits
     rho = v * np.outer(psi, psi.conj()) + (1.0 - v) / d * np.eye(d)
@@ -296,12 +301,28 @@ def haar_unitary(rng: np.random.Generator) -> LocalUnitary:
 
 # ------------------------------------------------------------------ file IO
 
-def format_float(x: float) -> str:
-    """The package's one text form of a float in written files.
+# 17 significant digits round-trips any double exactly
+_FLOAT_SPEC = ".17g"
+# values per %-formatting pass in write_float_lines: its tuple and text stay
+# small, whatever the length of the array
+_LINES_PER_PASS = 4096
 
-    17 significant digits round-trips any double exactly.
+
+def format_float(x: float) -> str:
+    """The package's one text form of a float in written files."""
+    return format(float(x), _FLOAT_SPEC)
+
+
+def write_float_lines(fh, values: np.ndarray) -> None:
+    """Write each value in the text of `format_float`, one per line, to fh.
+
+    Formats fixed slices of values in one `%` pass each, which is faster
+    than a call per value and holds one slice's text at a time.
     """
-    return format(float(x), ".17g")
+    line = "%" + _FLOAT_SPEC + "\n"
+    for lo in range(0, len(values), _LINES_PER_PASS):
+        chunk = values[lo:lo + _LINES_PER_PASS].tolist()
+        fh.write(line * len(chunk) % tuple(chunk))
 
 
 def read_json_object(path) -> dict:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -8,10 +9,12 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from bellent.bell import serialize_inequality, svetlichny
+from bellent import nlfrac
+from bellent.bell import default_set, serialize_inequality, svetlichny
 from bellent.cli import main
+from bellent.entanglement import conc_closed_w2, gme_closed_w3_xstate
 from bellent.expdata import add_poisson_noise, save_cc, synth_basis_datasets, synth_cc_dataset
-from bellent.qstate import DensityMatrix, save_density_matrix, werner_like
+from bellent.qstate import DensityMatrix, format_float, save_density_matrix, werner_like
 
 
 def run_cli(args):
@@ -87,6 +90,7 @@ def test_exit_codes(tmp_path):
                           "--n", "2", "--v-from", "0.9", "--v-to", "0.8",
                           "--out", str(tmp_path / "s.csv")])
     assert code == 2
+    assert not list(tmp_path.glob("s.csv*"))
 
 
 def _cc_with_sidecar(tmp_path, text):
@@ -96,13 +100,15 @@ def _cc_with_sidecar(tmp_path, text):
     return ["exp", "pv", "--in", str(cc)]
 
 
-def _cc_with_durations(tmp_path, durations):
-    """A count file whose rows {row: duration text} are edited."""
+def _cc_with_fields(tmp_path, column, texts):
+    """A count file whose field `column` of rows {row: text} is edited."""
     args = _cc_with_sidecar(tmp_path, '{"tag": "cc"}')
     cc = tmp_path / "cc.csv"
     lines = cc.read_text().splitlines()
-    for row, text in durations.items():
-        lines[row] = f"{lines[row].rsplit(',', 1)[0]},{text}"
+    for row, text in texts.items():
+        fields = lines[row].split(",")
+        fields[column] = text
+        lines[row] = ",".join(fields)
     cc.write_text("\n".join(lines) + "\n")
     return args
 
@@ -127,10 +133,12 @@ MALFORMED_INPUTS = {
     "cc sidecar bad json": lambda d: _cc_with_sidecar(d, '{"tag": "cc", '),
     "cc sidecar bad normalization": lambda d: _cc_with_sidecar(
         d, '{"tag": "cc", "normalization": "high"}'),
-    "cc duration zero": lambda d: _cc_with_durations(d, {3: "0"}),
-    "cc duration nan": lambda d: _cc_with_durations(d, {3: "nan"}),
-    "cc duration inf": lambda d: _cc_with_durations(d, dict.fromkeys(range(1, 129), "inf")),
-    "cc durations differ": lambda d: _cc_with_durations(d, {3: "2"}),
+    "cc duration zero": lambda d: _cc_with_fields(d, 14, {3: "0"}),
+    "cc duration nan": lambda d: _cc_with_fields(d, 14, {3: "nan"}),
+    "cc duration inf": lambda d: _cc_with_fields(d, 14, dict.fromkeys(range(1, 129), "inf")),
+    "cc durations differ": lambda d: _cc_with_fields(d, 14, {3: "2"}),
+    "cc setting id outside int64": lambda d: _cc_with_fields(
+        d, 0, dict.fromkeys(range(1, 9), "9223372036854775808")),
     "samples sidecar missing": lambda d: _samples(d, ["0.5", "1.2"], sidecar=False),
     "samples row not a float": lambda d: _samples(d, ["0.5", "1.2.3"]),
     "samples bad header": lambda d: _samples(d, ["0.5", "1.2"], header="imax"),
@@ -165,7 +173,7 @@ def test_workers_below_one_rejected(tmp_path, capsys):
         assert main(args + ["--samples", "100", "--workers", "0"]) == 2
         err = capsys.readouterr().err
         assert err == "error: worker count must be >= 1, got 0\n"
-    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "s.csv").exists()
+    assert not list(tmp_path.glob("d.csv*")) and not list(tmp_path.glob("s.csv*"))
 
 
 def test_sweep_csv(tmp_path):
@@ -180,6 +188,25 @@ def test_sweep_csv(tmp_path):
     assert pv == sorted(pv)  # coarse monotonicity at these gaps
     conc = [float(r[3]) for r in rows[1:]]
     assert abs(conc[-1] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, workers", [(2, 1), (3, 2)])
+def test_sweep_csv_is_a_row_per_one_state_estimate(tmp_path, n, workers):
+    out = tmp_path / "sweep.csv"
+    m = nlfrac.CHUNK + 100
+    assert main(["sweep", "--theta-deg", "30", "--n", str(n), "--v-from", "0.7",
+                 "--v-to", "1.0", "--v-step", "0.15", "--samples", str(m),
+                 "--seed", "6", "--workers", str(workers), "--out", str(out)]) == 0
+    theta = 30 * math.pi / 180.0
+    closed = conc_closed_w2 if n == 2 else gme_closed_w3_xstate
+    iset = default_set(n)
+    lines = ["v,p_v,std_err,concurrence"]
+    for k in range(3):
+        v = 0.7 + k * 0.15
+        est = nlfrac.estimate_pv(werner_like(theta, v, n), iset, m, 6)
+        lines.append(",".join(format_float(x) for x in
+                              (v, est.p_v, est.std_err, closed(theta, v))))
+    assert out.read_text() == "\n".join(lines) + "\n"
 
 
 def test_dist_rescale_pipeline(tmp_path):

@@ -102,6 +102,10 @@ def test_loader_reports_each_rejection_on_its_line(tmp_path):
         (lambda L: L.__setitem__(5, L[5] + ",7"), 6, "expected 15 fields, got 16"),
         (lambda L: _set_field(L, 7, 4, "0.3x"), 8, "could not convert string to float"),
         (lambda L: _set_field(L, 9, 0, "z"), 10, "invalid literal for int()"),
+        (lambda L: _set_field(L, 9, 0, "9223372036854775808"), 10,
+         "setting_id 9223372036854775808 is outside the int64 range"),
+        (lambda L: _set_field(L, 9, 0, "-9223372036854775809"), 10,
+         "setting_id -9223372036854775809 is outside the int64 range"),
         (lambda L: _set_field(L, 4, 11, "2"), 5, "outcome bits must be 0 or 1"),
         (lambda L: _set_field(L, 6, 13, "-1"), 7, "negative count"),
         (lambda L: _set_field(L, 6, 13, "nan"), 7, "non-finite count"),

@@ -10,8 +10,10 @@ from bellent import nlfrac
 from bellent.errors import ParameterError
 from bellent.nlfrac import (
     CHUNK,
+    ViolationSamples,
     adaptive_simpson,
     estimate_pv,
+    estimate_pvs,
     load_violation_samples,
     pv_from_distribution,
     pv_threshold_sensitivity,
@@ -22,7 +24,8 @@ from bellent.nlfrac import (
     save_violation_samples,
     violation_distribution,
 )
-from bellent.qstate import apply_local_unitaries, gghz, haar_unitary, werner_like
+from bellent.qstate import (apply_local_unitaries, format_float, gghz, haar_unitary,
+                            werner_like)
 
 # analytic curve, frozen from an independent quadrature run
 CLOSED_PINS = {
@@ -103,6 +106,22 @@ def test_worker_determinism():
         est = estimate_pv(rho, iset, 30_000, seed=11, workers=workers)
         assert est.p_v == base.p_v
         assert est.violations == base.violations
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_estimate_pvs_counts_equal_one_state_estimates(n):
+    # each state's count on the shared draws is the one it gets alone, and
+    # the one its I_max samples give, for every worker count
+    iset = default_set(n)
+    m = 2 * CHUNK + 77
+    rhos = [werner_like(np.pi / 5, v, n) for v in (0.8, 0.9, 1.0)]
+    want = [estimate_pv(rho, iset, m, seed=31) for rho in rhos]
+    for rho, est in zip(rhos, want):
+        values = violation_distribution(rho, iset, m, seed=31).values
+        assert est.violations == int(np.count_nonzero(values > 1.0))
+    assert len({est.violations for est in want}) == 3
+    for workers in (1, 2, 3):
+        assert estimate_pvs(rhos, iset, m, seed=31, workers=workers) == want
 
 
 def test_violation_distribution_bits_independent_of_workers():
@@ -208,6 +227,18 @@ def test_samples_round_trip(tmp_path):
     assert back.set_tag == samples.set_tag
 
 
+def test_samples_file_is_the_per_value_text(tmp_path):
+    # longer than one formatting pass, with the extremes of the float range
+    rng = np.random.default_rng(3)
+    values = np.concatenate([[5e-324, 1e-300, -0.0, 1.0, 1e300, 0.1, 2.0 / 3.0],
+                             rng.normal(size=9000) * 10.0 ** rng.integers(-20, 20, 9000)])
+    p = tmp_path / "samples.csv"
+    save_violation_samples(ViolationSamples(values, "s", 1, "set"), p)
+    want = "\n".join(["i_max"] + [format_float(x) for x in values]) + "\n"
+    assert p.read_bytes() == want.encode("utf-8")
+    assert load_violation_samples(p).values.tobytes() == values.tobytes()
+
+
 def test_parameter_checks():
     iset = default_set(2)
     rho = werner_like(0.5, 0.9, 2)
@@ -215,8 +246,17 @@ def test_parameter_checks():
         estimate_pv(rho, iset, 0, seed=1)
     with pytest.raises(ParameterError):
         estimate_pv(werner_like(0.5, 0.9, 3), iset, 10, seed=1)
+    with pytest.raises(ParameterError, match="no states"):
+        estimate_pvs([], iset, 10, seed=1)
+    with pytest.raises(ParameterError, match="party count"):
+        estimate_pvs([rho, werner_like(0.5, 0.9, 3)], iset, 10, seed=1)
+    with pytest.raises(ParameterError, match="worker count"):
+        estimate_pvs([rho, rho], iset, 10, seed=1, workers=0)
     samples = violation_distribution(gghz(0.5, 2).projector(), iset, 100, seed=1)
     with pytest.raises(ParameterError):
         pv_from_distribution(samples, 0.0)
     with pytest.raises(ParameterError):
         pv_from_distribution(samples, 1.5)
+    for v in (0.0, 1.5):
+        with pytest.raises(ParameterError, match="visibility"):
+            pv_threshold_sensitivity(samples, v, 0.01)
