@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingDataError, ParameterError, ParseError
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, read_text
 
 # Columns of every Bell-value product in i_max.  BLAS picks its kernel, and
 # with it the summation order, by the shape of a product, so a fixed column
@@ -130,17 +130,6 @@ class Behavior:
                         raise ParameterError(
                             f"signaling above {ns_tol:g} from party {i} to subset {subset}")
 
-    def correlator(self, settings) -> float:
-        """Full N-party correlation coefficient E(S)."""
-        n = self.n_parties
-        sub = self.table[tuple(settings)]
-        signs = np.ones((2,) * n)
-        for i in range(n):
-            idx = [None] * n
-            idx[i] = slice(None)
-            signs = signs * np.array([1.0, -1.0])[tuple(idx)]
-        return float((sub * signs).sum())
-
 
 @dataclass
 class BellInequality:
@@ -239,12 +228,6 @@ def _relabel_index(n: int, perms, inswaps, outflips) -> np.ndarray:
         src |= (s ^ inswaps[..., i, :]) << (2 * n - 1 - p)
         src |= (r ^ flip) << (n - 1 - p)
     return src.reshape(-1, e.size)
-
-
-def relabel_behavior(b: Behavior, perm, inswap, outflip) -> Behavior:
-    """Apply the same index transformation to a behavior table."""
-    src = _relabel_index(b.n_parties, perm, inswap, outflip)[0]
-    return Behavior(b.n_parties, b.table.ravel()[src].reshape(b.table.shape))
 
 
 @dataclass
@@ -558,10 +541,7 @@ def parse_inequality(text: str, name: str = "") -> BellInequality:
 
 def load_inequality_file(path) -> BellInequality:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MissingDataError(f"cannot read inequality file {path}: {exc}") from None
+    text = read_text(path, "inequality file")
     try:
         return parse_inequality(text, name=path.stem)
     except ParseError as exc:

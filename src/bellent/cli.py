@@ -110,13 +110,11 @@ def _resolve_set(ns, n_parties: int) -> bell.InequalitySet:
     return bell.default_set(n_parties)
 
 
-def _load_density(path) -> qstate.DensityMatrix:
-    if not Path(path).is_file():
-        raise MissingDataError(f"no such state file: {path}")
-    return qstate.as_density_matrix(qstate.load_state(path))
-
-
 def _v_grid(ns):
+    for flag, value in (("--v-from", ns.v_from), ("--v-to", ns.v_to),
+                        ("--v-step", ns.v_step)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{flag} must be finite, got {value!r}")
     if ns.v_step <= 0:
         raise ParameterError(f"--v-step must be positive, got {ns.v_step!r}")
     n = int(round((ns.v_to - ns.v_from) / ns.v_step))
@@ -172,7 +170,7 @@ def _req_n(ns) -> int:
 # ------------------------------------------------------------------ pv / dist
 
 def cmd_pv(ns) -> None:
-    rho = _load_density(ns.state)
+    rho = qstate.as_density_matrix(qstate.load_state(ns.state))
     iset = _resolve_set(ns, rho.n_qubits)
     est = nlfrac.estimate_pv(rho, iset, ns.samples, ns.seed, ns.workers)
     _emit(ns, {"p_v": est.p_v, "std_err": est.std_err, "m": est.m,
@@ -208,7 +206,7 @@ def cmd_sweep(ns) -> None:
 
 
 def cmd_dist(ns) -> None:
-    rho = _load_density(ns.state)
+    rho = qstate.as_density_matrix(qstate.load_state(ns.state))
     iset = _resolve_set(ns, rho.n_qubits)
     samples = nlfrac.violation_distribution(
         rho, iset, ns.samples, ns.seed, ns.workers, state_tag=Path(ns.state).stem)
@@ -217,8 +215,6 @@ def cmd_dist(ns) -> None:
 
 
 def cmd_rescale(ns) -> None:
-    if not Path(ns.samples_file).is_file():
-        raise MissingDataError(f"no such samples file: {ns.samples_file}")
     samples = nlfrac.load_violation_samples(ns.samples_file)
     lines = ["v,p_v"]
     for v in _v_grid(ns):
@@ -231,8 +227,6 @@ def cmd_rescale(ns) -> None:
 # ------------------------------------------------------------------ conc
 
 def cmd_conc(ns) -> None:
-    if not Path(ns.state).is_file():
-        raise MissingDataError(f"no such state file: {ns.state}")
     state = qstate.load_state(ns.state)
     method = ns.method
     if method == "wootters":
@@ -278,9 +272,7 @@ def cmd_fit_eval(ns) -> None:
 
 
 def _read_pairs(path, expected_header):
-    if not Path(path).is_file():
-        raise MissingDataError(f"no such file: {path}")
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = qstate.read_text(path, "file").splitlines()
     if not lines or lines[0] != expected_header:
         raise ParseError(f"{path}: expected header {expected_header!r}")
     pairs = []

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAnXStateError, ParameterError
-from .qstate import DensityMatrix, PureState, check_visibility, partial_trace
+from .qstate import (DensityMatrix, PureState, check_gsms2, check_gsms3, check_theta,
+                     check_visibility, partial_trace)
 
 X_TOL = 1e-9
 
@@ -115,15 +116,10 @@ def gme_concurrence_xstate(dec: XStateDecomposition) -> float:
 
 # ---------------------------------------------------------- closed forms
 
-def _check_theta_v(theta: float, v: float) -> None:
-    if not 0.0 < theta <= math.pi / 4 + 1e-12:
-        raise ParameterError(f"theta must be in (0, pi/4], got {theta!r}")
-    check_visibility(v)
-
-
 def conc_closed_w2(theta: float, v: float) -> float:
     """Concurrence of the 2-qubit noisy gGHZ family: (v(2 sin2t + 1) - 1)/2."""
-    _check_theta_v(theta, v)
+    check_theta(theta)
+    check_visibility(v)
     return max(0.0, (v * (2.0 * math.sin(2.0 * theta) + 1.0) - 1.0) / 2.0)
 
 
@@ -133,7 +129,8 @@ def gme_closed_w3_as_printed(theta: float, v: float) -> float:
     Kept verbatim for reproducing downstream compositions built on it; its
     zero crossing (v = 2/5 at t = 45 deg) disagrees with the X-state route.
     """
-    _check_theta_v(theta, v)
+    check_theta(theta)
+    check_visibility(v)
     return max(0.0, ((3.0 * math.sin(2.0 * theta) + 2.0) * v - 2.0) / 3.0)
 
 
@@ -142,21 +139,18 @@ def gme_closed_w3_xstate(theta: float, v: float) -> float:
 
     Zero at v = 3/7 for t = 45 deg.  Default form for estimation pipelines.
     """
-    _check_theta_v(theta, v)
+    check_theta(theta)
+    check_visibility(v)
     return max(0.0, v * math.sin(2.0 * theta) - 3.0 * (1.0 - v) / 4.0)
 
 
 def conc_gsms2(x: float, y: float) -> float:
     """Concurrence of the 2-qubit GHZ-symmetric family: 2|x| + sqrt2 y - 1/2."""
-    if abs(y) > 1.0 / (2.0 * math.sqrt(2.0)) + 1e-12 or \
-            abs(x) > (1.0 + 2.0 * math.sqrt(2.0) * y) / 4.0 + 1e-12:
-        raise ParameterError(f"(x, y) = ({x!r}, {y!r}) leaves the admissible triangle")
+    check_gsms2(x, y)
     return max(0.0, 2.0 * abs(x) + math.sqrt(2.0) * y - 0.5)
 
 
 def gme_gsms3(x: float, y: float) -> float:
     """GME concurrence of the 3-qubit GHZ-symmetric family: 2|x| + sqrt3 y - 3/4."""
-    if not -1.0 / (4.0 * math.sqrt(3.0)) - 1e-12 <= y <= math.sqrt(3.0) / 4.0 + 1e-12 \
-            or abs(x) > (1.0 + 4.0 * math.sqrt(3.0) * y) / 8.0 + 1e-12:
-        raise ParameterError(f"(x, y) = ({x!r}, {y!r}) leaves the admissible triangle")
+    check_gsms3(x, y)
     return max(0.0, 2.0 * abs(x) + math.sqrt(3.0) * y - 0.75)

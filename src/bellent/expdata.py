@@ -24,10 +24,10 @@ import numpy as np
 
 from . import _rng
 from .bell import InequalitySet, batch_behaviors, i_max, pauli_tensor
-from .errors import MissingDataError, ParameterError, ParseError
+from .errors import ParameterError, ParseError
 from .nlfrac import PvEstimate
 from .qstate import (DensityMatrix, basis_state, format_float, json_field,
-                     read_json_object)
+                     read_json_object, read_text)
 
 CC_HEADER = ("setting_id,u1x,u1y,u1z,u2x,u2y,u2z,u3x,u3y,u3z,"
              "r1,r2,r3,counts,duration_s")
@@ -176,9 +176,7 @@ def load_cc(path) -> CCDataset:
     within DIR_TOL), and the duration must be finite and positive.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingDataError(f"no such coincidence-count file: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, "coincidence-count file").splitlines()
     if not lines or lines[0] != CC_HEADER:
         raise ParseError(f"{path}: bad or missing header", line=1)
     # rows (non-blank lines) before `stop` parse; row `stop` is the first that does not
@@ -218,7 +216,7 @@ def load_cc(path) -> CCDataset:
     tag, norm = path.stem, 1.0
     meta_path = Path(str(path) + ".json")
     if meta_path.is_file():
-        meta = read_json_object(meta_path)
+        meta = read_json_object(meta_path, "file")
         tag = json_field(meta, "tag", str, meta_path, tag)
         norm = json_field(meta, "normalization", float, meta_path, norm)
     counts = np.zeros((len(ids), 8))
@@ -306,7 +304,7 @@ class CCPvResult:
 def _blocks_for_pv(dataset: CCDataset, iset: InequalitySet, margin: float):
     if iset.n_parties != 3:
         raise ParameterError("coincidence-count analysis is three-party only")
-    if margin < 0:
+    if not margin >= 0:
         raise ParameterError(f"margin must be >= 0, got {margin!r}")
     blocks, excluded = group_blocks(dataset)
     if not len(blocks):

@@ -108,9 +108,13 @@ def g3(theta: float) -> float:
     return max(p1, p2)
 
 
-def _check_pv(pv: float) -> None:
-    if not (np.isfinite(pv) and pv >= 0.0):
-        raise ParameterError(f"p_V (percent) must be finite and >= 0, got {pv!r}")
+def _check_pv(pv) -> None:
+    """ParameterError unless p_V (percent), a number or an array, is finite and >= 0."""
+    p = np.asarray(pv, dtype=float)
+    bad = ~(np.isfinite(p) & (p >= 0.0))
+    if bad.any():
+        raise ParameterError(
+            f"p_V (percent) must be finite and >= 0, got {float(p.flat[bad.argmax()])!r}")
 
 
 def v_from_pv_2q(theta: float, pv_percent: float) -> float:
@@ -268,8 +272,9 @@ def refit(xs, basis, provenance: str = "refit", domain=None):
         raise FitError(f"need at least {len(basis)} points, got {len(pts)}")
     pv = np.array([p for p, _ in pts])
     y = np.array([v for _, v in pts])
-    if pv.min() < 0:
-        raise ParameterError("p_V values must be >= 0")
+    _check_pv(pv)
+    if not np.isfinite(y).all():
+        raise ParameterError("fitted values must be finite")
     a = np.stack([pv ** float(b) for b in basis], axis=1)  # 0**0 = 1 in numpy
     coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank < len(basis):
@@ -295,8 +300,9 @@ def estimate_theta_v0(curve):
         raise FitError(f"need at least 3 points, got {len(pts)}")
     vs = np.array([v for v, _ in pts])
     pv = np.array([p for _, p in pts])
-    if pv.min() < 0:
-        raise ParameterError("p_V values must be >= 0")
+    _check_pv(pv)
+    if not np.isfinite(vs).all():
+        raise ParameterError("visibilities must be finite")
     if np.ptp(pv) < 1e-12:
         raise FitError("degenerate curve: all p_V values equal")
     p16, p12 = pv ** (1.0 / 6.0), np.sqrt(pv)

@@ -22,7 +22,7 @@ from . import _rng
 from .bell import InequalitySet, Workspace, batch_i_max, pauli_tensor
 from .errors import ParameterError, ParseError
 from .qstate import (DensityMatrix, check_visibility, json_field, read_json_object,
-                     write_float_lines)
+                     read_text, write_float_lines)
 
 CHUNK = 1 << 14
 
@@ -190,18 +190,6 @@ def pv_from_distribution(samples: ViolationSamples, v: float) -> float:
     return int(np.count_nonzero(samples.values > 1.0 / v)) / samples.m
 
 
-def pv_threshold_sensitivity(samples: ViolationSamples, v: float,
-                             epsilon: float) -> tuple:
-    """Fractions above thresholds 1/v +- epsilon; brackets pv_from_distribution."""
-    check_visibility(v)
-    if epsilon < 0:
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon!r}")
-    thr = 1.0 / v
-    low = int(np.count_nonzero(samples.values > thr + epsilon)) / samples.m
-    high = int(np.count_nonzero(samples.values > thr - epsilon)) / samples.m
-    return low, high
-
-
 # ---------------------------------------------------------------- analytic
 
 def pv_werner2_closed(v: float) -> float:
@@ -233,33 +221,13 @@ def pv_werner2_closed_as_printed(v: float) -> float:
     return 2.0 * ((1.0 - v * v) * ang - 3.0 * s) / (v * v)
 
 
-def _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, tol / 2.0, fa, flm, fm, left, depth - 1)
-            + _adaptive_simpson(f, m, b, tol / 2.0, fm, frm, fb, right, depth - 1))
-
-
-def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48) -> float:
-    """Recursive Simpson quadrature with Richardson acceptance at 15 tol."""
-    if a == b:
-        return 0.0
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, max_depth)
-
-
 def pv_werner2_quadrature(v: float) -> float:
     """Direct integration of the violating cube fraction (times 4).
 
     The x integrand has a 1/sqrt(1 - x^2) endpoint singularity at v = 1;
     substituting x = sin t removes it, leaving a smooth integrand on
-    [0, arcsin(s / v^2)] integrated to absolute tolerance 1e-10.
+    [0, arcsin(s / v^2)], integrated by `scipy.integrate.quad` to absolute
+    and relative tolerance 1e-12.
     """
     check_visibility(v)
     s2 = 2.0 * v * v - 1.0
@@ -272,8 +240,10 @@ def pv_werner2_quadrature(v: float) -> float:
         d = math.sqrt(2.0) - v * (math.sqrt(1.0 - x) + math.sqrt(1.0 + x))
         return d * d
 
+    # imported here, not at module level: it costs every CLI start about 0.25 s
+    from scipy.integrate import quad
     # even integrand in x: 4 * 2 * integral / (V_cube = 8) = integral
-    return adaptive_simpson(g, 0.0, t_max, tol=1e-10) / (v * v)
+    return quad(g, 0.0, t_max, epsabs=1e-12, epsrel=1e-12)[0] / (v * v)
 
 
 def sample_chsh_reduced(v: float, m: int, seed: int) -> PvEstimate:
@@ -320,8 +290,7 @@ def save_violation_samples(samples: ViolationSamples, path) -> None:
 
 
 def load_violation_samples(path) -> ViolationSamples:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, "samples file").splitlines()
     if not lines or lines[0] != "i_max":
         raise ParseError(f"{path}: expected header 'i_max'", line=1)
 
@@ -335,7 +304,7 @@ def load_violation_samples(path) -> ViolationSamples:
 
     values = np.fromiter(numbers(), float)
     meta_path = Path(str(path) + ".json")
-    meta = read_json_object(meta_path)
+    meta = read_json_object(meta_path, "file")
     return ViolationSamples(values,
                             json_field(meta, "state_tag", str, meta_path),
                             json_field(meta, "seed", int, meta_path),

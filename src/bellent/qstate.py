@@ -9,9 +9,12 @@ degree conversion happens only at the CLI boundary.
 All container types are immutable values after construction (arrays are
 marked read-only), so they can be shared freely across workers.
 
-The file IO section also holds the helpers every writer and loader of the
-package shares (`format_float`, `write_float_lines`, `read_json_object`,
-`json_field`), since every other module already imports this one.
+The parameter checks shared by several modules (`check_theta`,
+`check_visibility`, `check_gsms2`, `check_gsms3`) live here, and the file IO
+section holds the helpers every writer and loader of the package shares
+(`format_float`, `write_float_lines`, `read_text`, `read_json_object`,
+`json_field`), since every other module already imports this one.  Each
+check is written as `not lo <= x <= hi`, so NaN fails it.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ class PureState:
         if amp.size != 2 ** self.n_qubits:
             raise ParameterError(
                 f"amplitude vector has length {amp.size}, expected {2 ** self.n_qubits}")
+        if not np.isfinite(amp).all():
+            raise ParameterError("state vector has a non-finite amplitude")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > 1e-12:
             raise ParameterError(f"state vector norm {norm!r} is not 1 within 1e-12")
@@ -87,6 +92,8 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (d, d):
             raise ParameterError(f"entries shape {m.shape}, expected {(d, d)}")
+        if not np.isfinite(m).all():
+            raise ParameterError("density matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
             raise ParameterError("matrix is not Hermitian within 1e-12")
         tr = np.trace(m).real
@@ -137,14 +144,19 @@ def gghz(theta: float, n_qubits: int) -> PureState:
     n_qubits : int
         2 or 3.
     """
-    if not 0.0 < theta <= math.pi / 4 + 1e-12:
-        raise ParameterError(f"theta must be in (0, pi/4], got {theta!r}")
+    check_theta(theta)
     if n_qubits not in (2, 3):
         raise ParameterError(f"n_qubits must be 2 or 3, got {n_qubits}")
     amp = np.zeros(2 ** n_qubits, dtype=complex)
     amp[0] = math.cos(theta)
     amp[-1] = math.sin(theta)
     return PureState(n_qubits, amp)
+
+
+def check_theta(theta: float) -> None:
+    """ParameterError unless theta is a gGHZ angle in (0, pi/4] radians."""
+    if not 0.0 < theta <= math.pi / 4 + 1e-12:
+        raise ParameterError(f"theta must be in (0, pi/4], got {theta!r}")
 
 
 def check_visibility(v: float) -> None:
@@ -160,6 +172,22 @@ def werner_like(theta: float, v: float, n_qubits: int) -> DensityMatrix:
     d = 2 ** n_qubits
     rho = v * np.outer(psi, psi.conj()) + (1.0 - v) / d * np.eye(d)
     return DensityMatrix(n_qubits, rho)
+
+
+def check_gsms2(x: float, y: float) -> None:
+    """ParameterError unless (x, y) is in the 2-qubit GHZ-symmetric triangle."""
+    if not abs(y) <= 1.0 / (2.0 * _SQRT2) + 1e-12:
+        raise ParameterError(f"|y| must not exceed 1/(2 sqrt2), got {y!r}")
+    if not abs(x) <= (1.0 + 2.0 * _SQRT2 * y) / 4.0 + 1e-12:
+        raise ParameterError(f"(x, y) = ({x!r}, {y!r}) leaves the admissible triangle")
+
+
+def check_gsms3(x: float, y: float) -> None:
+    """ParameterError unless (x, y) is in the 3-qubit GHZ-symmetric triangle."""
+    if not -1.0 / (4.0 * _SQRT3) - 1e-12 <= y <= _SQRT3 / 4.0 + 1e-12:
+        raise ParameterError(f"y = {y!r} outside [-1/(4 sqrt3), sqrt3/4]")
+    if not abs(x) <= (1.0 + 4.0 * _SQRT3 * y) / 8.0 + 1e-12:
+        raise ParameterError(f"(x, y) = ({x!r}, {y!r}) leaves the admissible triangle")
 
 
 def _ghz_pm_projectors(n_qubits: int):
@@ -178,10 +206,7 @@ def gsms2(x: float, y: float) -> DensityMatrix:
     with P+- the projectors onto (|00> +- |11>)/sqrt(2).  Admissible region:
     |y| <= 1/(2 sqrt(2)), |x| <= (1 + 2 sqrt(2) y)/4.
     """
-    if abs(y) > 1.0 / (2.0 * _SQRT2) + 1e-12:
-        raise ParameterError(f"|y| must not exceed 1/(2 sqrt2), got {y!r}")
-    if abs(x) > (1.0 + 2.0 * _SQRT2 * y) / 4.0 + 1e-12:
-        raise ParameterError(f"(x, y) = ({x!r}, {y!r}) leaves the admissible triangle")
+    check_gsms2(x, y)
     pp, pm = _ghz_pm_projectors(2)
     rho = (_SQRT2 * y + x) * pp + (_SQRT2 * y - x) * pm \
         + (1.0 - 2.0 * _SQRT2 * y) / 4.0 * np.eye(4)
@@ -194,10 +219,7 @@ def gsms3(x: float, y: float) -> DensityMatrix:
     (2 sqrt(3)/3 y + x) P+ + (2 sqrt(3)/3 y - x) P- + (3 - 4 sqrt(3) y)/24 * id.
     Admissible: -1/(4 sqrt(3)) <= y <= sqrt(3)/4, |x| <= (1 + 4 sqrt(3) y)/8.
     """
-    if not -1.0 / (4.0 * _SQRT3) - 1e-12 <= y <= _SQRT3 / 4.0 + 1e-12:
-        raise ParameterError(f"y = {y!r} outside [-1/(4 sqrt3), sqrt3/4]")
-    if abs(x) > (1.0 + 4.0 * _SQRT3 * y) / 8.0 + 1e-12:
-        raise ParameterError(f"(x, y) = ({x!r}, {y!r}) leaves the admissible triangle")
+    check_gsms3(x, y)
     pp, pm = _ghz_pm_projectors(3)
     rho = (2.0 * _SQRT3 / 3.0 * y + x) * pp + (2.0 * _SQRT3 / 3.0 * y - x) * pm \
         + (3.0 - 4.0 * _SQRT3 * y) / 24.0 * np.eye(8)
@@ -216,7 +238,7 @@ def mems(gamma: float) -> DensityMatrix:
 
 def phn(x: float, n_qubits: int) -> DensityMatrix:
     """Phase-damped GHZ mixture (1/2+x)|+GHZ><+GHZ| + (1/2-x)|-GHZ><-GHZ|."""
-    if abs(x) > 0.5 + 1e-12:
+    if not abs(x) <= 0.5 + 1e-12:
         raise ParameterError(f"|x| must not exceed 1/2, got {x!r}")
     pp, pm = _ghz_pm_projectors(n_qubits)
     return DensityMatrix(n_qubits, (0.5 + x) * pp + (0.5 - x) * pm)
@@ -269,27 +291,7 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(rho.entries, rho.entries).real)
 
 
-def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
-    """<psi| rho |psi>."""
-    if rho.n_qubits != psi.n_qubits:
-        raise ParameterError("qubit counts differ")
-    return float(np.vdot(psi.amplitudes, rho.entries @ psi.amplitudes).real)
-
-
-def visibility_from_purity(p: float) -> float:
-    """Invert P = (1 + 7 v^2)/8 for the 3-qubit Werner-like family."""
-    if not 0.125 - 1e-12 <= p <= 1.0 + 1e-12:
-        raise ParameterError(f"purity must be in [1/8, 1], got {p!r}")
-    return math.sqrt(max(0.0, (8.0 * p - 1.0) / 7.0))
-
-
 # ------------------------------------------------------------------ sampling
-
-def random_bloch_vector(rng: np.random.Generator) -> np.ndarray:
-    """Uniform direction on the unit sphere (normalized normal triple)."""
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
 
 def haar_unitary(rng: np.random.Generator) -> LocalUnitary:
     """Haar-distributed U(2) element via QR of a complex Ginibre matrix."""
@@ -325,13 +327,28 @@ def write_float_lines(fh, values: np.ndarray) -> None:
         fh.write(line * len(chunk) % tuple(chunk))
 
 
-def read_json_object(path) -> dict:
-    """Top-level JSON object of a file; ParseError when it is not one."""
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of a file the package reads; `what` names it in errors.
+
+    MissingDataError when there is no such file or it cannot be read;
+    ParseError, with the line, when its bytes are not UTF-8.
+    """
     path = Path(path)
-    if not path.is_file():
-        raise MissingDataError(f"no such file: {path}")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: {what} is not UTF-8 text", line=line) from None
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingDataError(f"no such {what}: {path}") from None
+    except OSError as exc:
+        raise MissingDataError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
+def read_json_object(path, what: str) -> dict:
+    """Top-level JSON object of a file; ParseError when it is not one."""
+    try:
+        obj = json.loads(read_text(path, what))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from None
     if not isinstance(obj, dict):
@@ -379,7 +396,7 @@ def save_pure_state(psi: PureState, path) -> None:
 
 def load_state(path):
     """Load either a DensityMatrix or a PureState JSON file."""
-    obj = read_json_object(path)
+    obj = read_json_object(path, "state file")
     n = json_field(obj, "n_qubits", int, path)
     if "entries" in obj:
         flat = json_field(obj, "entries", _complex_array, path)

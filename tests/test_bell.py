@@ -8,6 +8,7 @@ from scipy.special import ndtri
 from bellent._rng import bloch_directions, draw_width, raw_words
 from bellent.bell import (
     PAULI,
+    _relabel_index,
     Behavior,
     BellInequality,
     InequalitySet,
@@ -32,7 +33,6 @@ from bellent.bell import (
     mermin,
     parse_inequality,
     pauli_tensor,
-    relabel_behavior,
     serialize_inequality,
     svetlichny,
 )
@@ -113,7 +113,7 @@ def test_orbit_closure_under_relabeling():
     base = max_violation(b, iset)
     for perm in ([0, 1], [1, 0]):
         for inswap in ([0, 0], [1, 0], [0, 1], [1, 1]):
-            rb = relabel_behavior(b, perm, inswap, [[0, 1], [1, 0]])
+            rb = Behavior(2, _relabeled_reference(b.table, perm, inswap, [[0, 1], [1, 0]]))
             rb.validate()
             assert abs(max_violation(rb, iset) - base) < 1e-12
 
@@ -130,9 +130,15 @@ def test_behavior_signaling_detected():
 def test_correlator_sign_convention():
     b = behavior_from_state(gghz(np.pi / 4, 2).projector(),
                             MeasurementSettings(2, CHSH_OPT))
+    # feature (1 + s_a) * 3 + (1 + s_b) is the full correlator E(s_a, s_b);
     # a0 = z against b0 = (x+z)/sqrt2: E = 1/sqrt2
-    assert abs(b.correlator((0, 0)) - 1 / SQRT2) < 1e-12
-    assert abs(b.correlator((1, 1)) + 1 / SQRT2) < 1e-12
+    e = correlators(pauli_tensor(gghz(np.pi / 4, 2).projector()), CHSH_OPT[None])[0]
+    assert abs(e[4] - 1 / SQRT2) < 1e-12
+    assert abs(e[8] + 1 / SQRT2) < 1e-12
+    # the same numbers as the parity-weighted sum over the behavior table
+    parity = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert abs((b.table[0, 0] * parity).sum() - e[4]) < 1e-12
+    assert abs((b.table[1, 1] * parity).sum() - e[8]) < 1e-12
 
 
 def test_correlation_matrix_and_horodecki():
@@ -204,6 +210,11 @@ def test_inequality_file_and_dir_loading(tmp_path):
     assert len(raw) == 1 and raw[0].n_parties == 2
     with pytest.raises(MissingDataError):
         load_inequality_dir(tmp_path / "empty_nowhere")
+    with pytest.raises(MissingDataError, match="no such inequality file"):
+        load_inequality_file(tmp_path / "missing.bellineq")
+    p.write_bytes(b"bellineq 1\nparties \xff\n")
+    with pytest.raises(ParseError, match="line 2: .*inequality file is not UTF-8"):
+        load_inequality_file(p)
 
 
 def test_dedup_collapses_equivalent_members():
@@ -295,7 +306,8 @@ def test_relabel_behavior_matches_reference_loop():
             perm = [int(x) for x in rng.permutation(n)]
             inswap = [int(x) for x in rng.integers(0, 2, n)]
             outflip = rng.integers(0, 2, (n, 2)).tolist()
-            got = relabel_behavior(b, perm, inswap, outflip).table
+            src = _relabel_index(n, perm, inswap, outflip)[0]
+            got = b.table.ravel()[src].reshape(b.table.shape)
             assert got.tobytes() == \
                 _relabeled_reference(b.table, perm, inswap, outflip).tobytes()
 

@@ -14,6 +14,7 @@ from bellent.bell import default_set, serialize_inequality, svetlichny
 from bellent.cli import main
 from bellent.entanglement import conc_closed_w2, gme_closed_w3_xstate
 from bellent.expdata import add_poisson_noise, save_cc, synth_basis_datasets, synth_cc_dataset
+from bellent.fits import g1, g2, g3, v3cr
 from bellent.qstate import DensityMatrix, format_float, save_density_matrix, werner_like
 
 
@@ -93,6 +94,11 @@ def test_exit_codes(tmp_path):
     assert not list(tmp_path.glob("s.csv*"))
 
 
+# The input-file helpers below write their text as latin-1, so "\xff" in a
+# test's text is the single byte 0xff, which is not UTF-8; ASCII text is
+# written as it is.
+
+
 def _cc_with_sidecar(tmp_path, text):
     cc = tmp_path / "cc.csv"
     save_cc(synth_cc_dataset(werner_like(np.pi / 4, 0.9, 3), 2, seed=1), cc)
@@ -109,13 +115,13 @@ def _cc_with_fields(tmp_path, column, texts):
         fields = lines[row].split(",")
         fields[column] = text
         lines[row] = ",".join(fields)
-    cc.write_text("\n".join(lines) + "\n")
+    cc.write_text("\n".join(lines) + "\n", encoding="latin-1")
     return args
 
 
 def _samples(tmp_path, rows, sidecar=True, header="i_max"):
     samples = tmp_path / "dist.csv"
-    samples.write_text(f"{header}\n" + "".join(f"{r}\n" for r in rows))
+    samples.write_text(f"{header}\n" + "".join(f"{r}\n" for r in rows), encoding="latin-1")
     if sidecar:
         (tmp_path / "dist.csv.json").write_text(
             '{"state_tag": "s", "seed": 1, "m": 2, "set_tag": "chsh"}\n')
@@ -125,8 +131,39 @@ def _samples(tmp_path, rows, sidecar=True, header="i_max"):
 
 def _state(tmp_path, text):
     state = tmp_path / "state.json"
-    state.write_text(text)
+    state.write_text(text, encoding="latin-1")
     return ["conc", "--method", "wootters", str(state)]
+
+
+def _fit_table(tmp_path, command, text):
+    """`fit refit` (header pv,value) or `fit estimate-theta-v0` (v,pv) on text."""
+    table = tmp_path / "pts.csv"
+    table.write_text(text, encoding="latin-1")
+    args = ["fit", command, "--in", str(table), "--out", str(tmp_path / "curve.csv")]
+    return args + ["--basis", "2q"] if command == "refit" else args
+
+
+def _ineq_dir(tmp_path, text):
+    """`pv` of a 3-qubit state against a directory holding one .bellineq file."""
+    ineq_dir = tmp_path / "ineqs"
+    ineq_dir.mkdir()
+    (ineq_dir / "ineq.bellineq").write_text(text, encoding="latin-1")
+    state = tmp_path / "w3.json"
+    save_density_matrix(werner_like(np.pi / 4, 0.9, 3), state)
+    return ["pv", str(state), "--samples", "10", "--ineq-dir", str(ineq_dir),
+            "--out", str(tmp_path / "curve.csv")]
+
+
+def _pairs_text(header, rows):
+    return header + "\n" + "".join(f"{a},{b}\n" for a, b in rows)
+
+
+# 20 points of the theta = 0.61 rad curve with v0 = 1: estimate-theta-v0 fits them
+_V_PV_ROWS = [(format_float((v3cr(0.61) + g1(0.61) * p ** (1 / 6) + g2(0.61) * p ** 0.5
+                             + g3(0.61) * p)), format_float(p))
+              for p in np.linspace(0.5, 10, 20).tolist()]
+_PV_VALUE_ROWS = [(format_float(p), format_float(0.3 + 0.1 * p ** 0.25))
+                  for p in np.linspace(0.5, 20, 12).tolist()]
 
 
 MALFORMED_INPUTS = {
@@ -144,6 +181,12 @@ MALFORMED_INPUTS = {
     "samples bad header": lambda d: _samples(d, ["0.5", "1.2"], header="imax"),
     "state bad json": lambda d: _state(d, '{"n_qubits": 2, "entries": [[1, 0],'),
     "state without n_qubits": lambda d: _state(d, '{"entries": [[1, 0]]}'),
+    "cc not utf-8": lambda d: _cc_with_fields(d, 13, {3: "\xff"}),
+    "samples not utf-8": lambda d: _samples(d, ["0.5", "\xff"]),
+    "state not utf-8": lambda d: _state(d, '{"n_qubits": 2, "entries": "\xff"}'),
+    "refit table not utf-8": lambda d: _fit_table(
+        d, "refit", _pairs_text("pv,value", _PV_VALUE_ROWS + [("\xff", "1")])),
+    "bellineq not utf-8": lambda d: _ineq_dir(d, "bellineq 1\nparties \xff\n"),
 }
 
 
@@ -156,8 +199,89 @@ def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
     assert not (tmp_path / "curve.csv").exists()
 
 
+def _nan_state(tmp_path, key, text):
+    state = tmp_path / "state.json"
+    state.write_text('{"n_qubits": 2, "%s": %s}' % (key, text))
+    return str(state)
+
+
+def _make(family, *flags):
+    def args(tmp_path):
+        return ["state", "make", "--family", family, *flags,
+                "--out", str(tmp_path / "curve.csv")]
+    return args
+
+
+def _sweep(*flags):
+    def args(tmp_path):
+        grid = {"--v-from": "0.8", "--v-to": "1.0", "--v-step": "0.1"}
+        grid.update(zip(flags[::2], flags[1::2]))
+        return ["sweep", "--theta-deg", "45", "--n", "2", "--samples", "10",
+                *[x for kv in grid.items() for x in kv], "--out", str(tmp_path / "curve.csv")]
+    return args
+
+
+def _exp_pv_margin(tmp_path):
+    cc = tmp_path / "cc.csv"
+    save_cc(synth_cc_dataset(werner_like(np.pi / 4, 0.9, 3), 2, seed=1), cc)
+    return ["exp", "pv", "--in", str(cc), "--margin", "nan",
+            "--out", str(tmp_path / "curve.csv")]
+
+
+# one NaN entry of a density matrix, the rest a valid Werner state
+_NAN_ENTRIES = "[%s]" % ", ".join(
+    "[NaN, 0]" if k == 5 else "[%s, %s]" % (format_float(z.real), format_float(z.imag))
+    for k, z in enumerate(werner_like(np.pi / 4, 0.9, 2).entries.ravel()))
+
+NON_FINITE_INPUTS = {
+    "sweep --v-from nan": _sweep("--v-from", "nan"),
+    "sweep --v-to inf": _sweep("--v-to", "inf"),
+    "sweep --v-step nan": _sweep("--v-step", "nan"),
+    "rescale --v-step nan": lambda d: _samples(d, ["0.5", "1.2"])[:-2]
+    + ["--v-step", "nan", "--out", str(d / "curve.csv")],
+    "state make gsms2 --x nan": _make("gsms2", "--x", "nan", "--y", "0.1"),
+    "state make gsms3 --y nan": _make("gsms3", "--x", "0", "--y", "nan"),
+    "state make phn --x nan": _make("phn", "--x", "nan", "--n", "2"),
+    "state make werner --theta-deg nan": _make("werner", "--theta-deg", "nan",
+                                               "--v", "0.9", "--n", "2"),
+    "pv on a nan density-matrix entry": lambda d: [
+        "pv", _nan_state(d, "entries", _NAN_ENTRIES), "--samples", "10",
+        "--out", str(d / "curve.csv")],
+    "conc on a nan amplitude": lambda d: [
+        "conc", "--method", "wootters",
+        _nan_state(d, "amplitudes", "[[1, 0], [0, 0], [0, 0], [NaN, 0]]"),
+        "--out", str(d / "curve.csv")],
+    "exp pv --margin nan": _exp_pv_margin,
+    "fit refit nan p_V": lambda d: _fit_table(
+        d, "refit", _pairs_text("pv,value", _PV_VALUE_ROWS + [("nan", "0.5")])),
+    "fit refit nan value": lambda d: _fit_table(
+        d, "refit", _pairs_text("pv,value", _PV_VALUE_ROWS + [("1", "nan")])),
+    "fit estimate nan v": lambda d: _fit_table(
+        d, "estimate-theta-v0", _pairs_text("v,pv", _V_PV_ROWS + [("nan", "1")])),
+    "fit estimate nan p_V": lambda d: _fit_table(
+        d, "estimate-theta-v0", _pairs_text("v,pv", _V_PV_ROWS + [("0.9", "nan")])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_non_finite_input_exits_2_with_one_line(tmp_path, capsys, case):
+    args = NON_FINITE_INPUTS[case](tmp_path)
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.glob("curve.csv*"))
+
+
+def test_valid_fit_tables_of_the_non_finite_cases_pass(tmp_path):
+    # the tables above fail by their nan row alone
+    for command, text in (("refit", _pairs_text("pv,value", _PV_VALUE_ROWS)),
+                          ("estimate-theta-v0", _pairs_text("v,pv", _V_PV_ROWS))):
+        assert main(_fit_table(tmp_path, command, text)) == 0
+
+
 def test_cli_import_leaves_scipy_optimize_out():
-    code = "import sys, bellent.cli; sys.exit('scipy.optimize' in sys.modules)"
+    code = ("import sys, bellent.cli; "
+            "sys.exit('scipy.optimize' in sys.modules or 'scipy.integrate' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 

@@ -184,3 +184,12 @@ def test_closed_form_domain_checks():
         conc_closed_w2(0.3, 1.5)
     with pytest.raises(ParameterError):
         gme_closed_w3_xstate(1.0, 0.5)  # theta beyond pi/4
+    nan = float("nan")
+    for fn in (conc_closed_w2, gme_closed_w3_as_printed, gme_closed_w3_xstate):
+        for theta, v in ((nan, 0.9), (0.5, nan)):
+            with pytest.raises(ParameterError, match="nan"):
+                fn(theta, v)
+    for fn in (conc_gsms2, gme_gsms3):
+        for x, y in ((nan, 0.1), (0.1, nan)):
+            with pytest.raises(ParameterError, match="nan"):
+                fn(x, y)

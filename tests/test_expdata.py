@@ -6,7 +6,7 @@ import pytest
 
 from bellent import _rng
 from bellent.bell import default_set, expand_relabelings, i_max, mermin
-from bellent.errors import ParameterError, ParseError
+from bellent.errors import MissingDataError, ParameterError, ParseError
 from bellent.expdata import (
     CC_HEADER,
     CCDataset,
@@ -551,3 +551,25 @@ def test_dataset_validation():
     table = CCDataset(rec).records
     with pytest.raises(ValueError):
         table["counts"][0, 0] = 2.0  # read-only
+
+
+def test_margin_must_be_a_number_at_least_zero():
+    ds = small_dataset(4)
+    noisy = add_poisson_noise(small_dataset(4, scale=100.0), 1)
+    for bad in (-0.01, float("nan")):
+        with pytest.raises(ParameterError, match="margin must be >= 0"):
+            pv_cc(ds, ISET, margin=bad)
+        with pytest.raises(ParameterError, match="margin must be >= 0"):
+            poisson_resample(noisy, "pv_cc", 2, 0, iset=ISET, margin=bad)
+
+
+def test_loader_file_errors(tmp_path):
+    with pytest.raises(MissingDataError, match="no such coincidence-count file"):
+        load_cc(tmp_path / "missing.csv")
+    p = tmp_path / "cc.csv"
+    save_cc(small_dataset(2), p)
+    lines = p.read_bytes().split(b"\n")
+    lines[4] = lines[4].replace(b",", b",\xff", 1)
+    p.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError, match="line 5: .*coincidence-count file is not UTF-8"):
+        load_cc(p)

@@ -191,3 +191,22 @@ def test_theta_range_checks():
     with pytest.raises(ParameterError):
         v_from_pv_2q(45 * DEG, -2.0)
     beta3(0.0)  # allowed: no 1/theta term in the first branch
+
+
+def test_pv_checks_reject_non_finite_values():
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ParameterError, match=f"got {bad!r}"):
+            c_lower_2q(bad)
+    pts = [(p, 0.3 + 0.1 * p ** 0.25) for p in np.linspace(0.5, 20, 10)]
+    for bad in ((float("nan"), 0.5), (-1.0, 0.5)):
+        with pytest.raises(ParameterError, match="p_V"):
+            refit(pts + [bad], BASIS_2Q)
+    with pytest.raises(ParameterError, match="fitted values must be finite"):
+        refit(pts + [(1.0, float("nan"))], BASIS_2Q)
+    th = 35 * DEG
+    curve = [((v3cr(th) + g1(th) * p ** (1 / 6) + g2(th) * p ** 0.5 + g3(th) * p), p)
+             for p in np.linspace(0.5, 10, 10)]
+    with pytest.raises(ParameterError, match="p_V"):
+        estimate_theta_v0(curve + [(0.9, float("nan"))])
+    with pytest.raises(ParameterError, match="visibilities must be finite"):
+        estimate_theta_v0(curve + [(float("inf"), 1.0)])

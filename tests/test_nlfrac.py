@@ -7,16 +7,14 @@ import pytest
 
 from bellent.bell import default_set, expand_relabelings, mermin, svetlichny
 from bellent import nlfrac
-from bellent.errors import ParameterError
+from bellent.errors import MissingDataError, ParameterError
 from bellent.nlfrac import (
     CHUNK,
     ViolationSamples,
-    adaptive_simpson,
     estimate_pv,
     estimate_pvs,
     load_violation_samples,
     pv_from_distribution,
-    pv_threshold_sensitivity,
     pv_werner2_closed,
     pv_werner2_closed_as_printed,
     pv_werner2_quadrature,
@@ -74,12 +72,6 @@ def test_as_printed_variant_differs():
 def test_quadrature_matches_closed_form():
     for v in CLOSED_PINS:
         assert abs(pv_werner2_quadrature(v) - pv_werner2_closed(v)) < 1e-9
-
-
-def test_adaptive_simpson_on_known_integrals():
-    assert abs(adaptive_simpson(math.sin, 0.0, math.pi) - 2.0) < 1e-10
-    assert abs(adaptive_simpson(lambda x: x * x, 0.0, 1.0) - 1 / 3) < 1e-12
-    assert adaptive_simpson(math.cos, 1.0, 1.0) == 0.0
 
 
 def test_estimate_pv_against_analytic():
@@ -195,17 +187,6 @@ def test_distribution_thresholding_identity():
         assert pv_from_distribution(samples, v) == direct.p_v
 
 
-def test_threshold_sensitivity_brackets():
-    samples = violation_distribution(gghz(np.pi / 4, 2).projector(),
-                                     default_set(2), 20_000, seed=5)
-    p = pv_from_distribution(samples, 0.9)
-    lo, hi = pv_threshold_sensitivity(samples, 0.9, 0.01)
-    assert lo <= p <= hi
-    lo0, hi0 = pv_threshold_sensitivity(samples, 0.9, 0.0)
-    assert hi0 - p in (0.0, pytest.approx(0.0))  # only exact ties can differ
-    assert lo0 <= p
-
-
 def test_reduced_cube_sampler():
     est = sample_chsh_reduced(0.9, 200_000, seed=9)
     want = pv_werner2_closed(0.9)
@@ -225,6 +206,8 @@ def test_samples_round_trip(tmp_path):
     assert back.state_tag == samples.state_tag
     assert back.settings_seed == samples.settings_seed
     assert back.set_tag == samples.set_tag
+    with pytest.raises(MissingDataError, match="no such samples file"):
+        load_violation_samples(tmp_path / "missing.csv")
 
 
 def test_samples_file_is_the_per_value_text(tmp_path):
@@ -257,6 +240,3 @@ def test_parameter_checks():
         pv_from_distribution(samples, 0.0)
     with pytest.raises(ParameterError):
         pv_from_distribution(samples, 1.5)
-    for v in (0.0, 1.5):
-        with pytest.raises(ParameterError, match="visibility"):
-            pv_threshold_sensitivity(samples, v, 0.01)

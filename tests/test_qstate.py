@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from bellent.errors import ParameterError
+from bellent._rng import bloch_directions
+from bellent.errors import MissingDataError, ParameterError, ParseError
 from bellent.qstate import (
     DensityMatrix,
     PureState,
     apply_local_unitaries,
     as_density_matrix,
     basis_state,
-    fidelity_pure,
+    check_gsms2,
+    check_gsms3,
+    check_theta,
     gghz,
     gsms2,
     gsms3,
@@ -20,10 +23,9 @@ from bellent.qstate import (
     partial_trace,
     phn,
     purity,
-    random_bloch_vector,
+    read_text,
     save_density_matrix,
     save_pure_state,
-    visibility_from_purity,
     werner_like,
 )
 
@@ -123,9 +125,9 @@ def test_partial_trace_rejects_bad_subsets():
 
 def test_sphere_uniformity_moments():
     """<u> = 0 and <u_i u_j> = delta_ij / 3 within 5 standard errors at 1e5."""
-    rng = np.random.default_rng(2024)
+    # the sampler of the Monte Carlo chain: 25000 samples of 2 parties x 2 settings
     n = 100_000
-    u = np.stack([random_bloch_vector(rng) for _ in range(n)])
+    u = bloch_directions(2024, "bloch2", 0, n // 4, 2).reshape(n, 3)
     np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
     se_mean = math.sqrt(1 / 3 / n)
     assert np.max(np.abs(u.mean(axis=0))) < 5 * se_mean
@@ -147,16 +149,11 @@ def test_haar_unitary_is_unitary():
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
-def test_fidelity_and_visibility():
-    psi = gghz(np.pi / 4, 3)
-    assert abs(fidelity_pure(psi.projector(), psi) - 1.0) < 1e-12
-    rho = werner_like(np.pi / 4, 0.9, 3)
-    assert abs(fidelity_pure(rho, psi) - (0.9 + 0.1 / 8)) < 1e-12
-    # purity of a 3-qubit werner state and its inverse
-    v = 0.986
-    p = purity(werner_like(np.pi / 4, v, 3))
-    assert abs(visibility_from_purity(p) - v) < 1e-12
-    assert abs(visibility_from_purity(0.982) - 0.98966083656400763) < 1e-12
+def test_werner_purity():
+    # P = (1 + 7 v^2)/8 for the 3-qubit Werner-like family
+    for v in (0.3, 0.9, 0.986, 1.0):
+        p = purity(werner_like(np.pi / 4, v, 3))
+        assert abs(p - (1 + 7 * v * v) / 8) < 1e-12
 
 
 def test_mems_and_basis_state():
@@ -185,6 +182,46 @@ def test_range_checks():
         basis_state("2x")
     with pytest.raises(ParameterError):
         DensityMatrix(2, np.eye(4))  # trace 4
+    nan = float("nan")
+    for check in (lambda: check_theta(nan), lambda: gghz(nan, 2),
+                  lambda: werner_like(nan, 0.9, 2), lambda: werner_like(0.5, nan, 2),
+                  lambda: check_gsms2(nan, 0.1), lambda: check_gsms2(0.1, nan),
+                  lambda: check_gsms3(nan, 0.1), lambda: check_gsms3(0.0, nan),
+                  lambda: gsms2(nan, 0.1), lambda: gsms3(nan, 0.1),
+                  lambda: phn(nan, 2), lambda: mems(nan)):
+        with pytest.raises(ParameterError, match="nan"):
+            check()
+
+
+def test_containers_reject_non_finite_entries():
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        amp = np.array([1, 0, 0, bad], dtype=complex)
+        with pytest.raises(ParameterError, match="non-finite amplitude"):
+            PureState(2, amp)
+        m = werner_like(0.5, 0.9, 2).entries.copy()
+        m[1, 2] = bad
+        with pytest.raises(ParameterError, match="non-finite entry"):
+            DensityMatrix(2, m)
+
+
+def test_read_text_errors_name_the_file(tmp_path, monkeypatch):
+    with pytest.raises(MissingDataError, match="no such state file: "):
+        read_text(tmp_path / "missing.json", "state file")
+    with pytest.raises(MissingDataError, match="no such state file: "):
+        read_text(tmp_path, "state file")  # a directory
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"i_max\n0.5\n\xff\n")
+    with pytest.raises(ParseError, match="line 3: .*samples file is not UTF-8"):
+        read_text(p, "samples file")
+    p.write_bytes("i_max\n\u00ff\n".encode("utf-8"))
+    assert read_text(p, "samples file") == "i_max\n\u00ff\n"
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(type(p), "read_text", denied)
+    with pytest.raises(MissingDataError, match="cannot read samples file .*: Permission denied"):
+        read_text(p, "samples file")
 
 
 def test_density_matrix_rejects_negative_eigenvalue():
