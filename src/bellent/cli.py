@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 parameter error, 3 missing data, 4 domain error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -92,9 +93,9 @@ def _write_manifest(out, manifest: dict) -> None:
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _theta(ns) -> float:
+def _theta(ns, needed_by: str = "this family") -> float:
     if ns.theta_deg is None:
-        raise ParameterError("--theta-deg is required for this family")
+        raise ParameterError(f"--theta-deg is required for {needed_by}")
     return ns.theta_deg * math.pi / 180.0
 
 
@@ -110,14 +111,22 @@ def _resolve_set(ns, n_parties: int) -> bell.InequalitySet:
     return bell.default_set(n_parties)
 
 
+# cap on a visibility grid: far finer than a p_V(v) curve needs, and small
+# enough that a mistyped --v-step fails with a message instead of MemoryError
+MAX_V_POINTS = 100_000
+
+
 def _v_grid(ns):
-    for flag, value in (("--v-from", ns.v_from), ("--v-to", ns.v_to),
-                        ("--v-step", ns.v_step)):
-        if not math.isfinite(value):
-            raise ParameterError(f"{flag} must be finite, got {value!r}")
-    if ns.v_step <= 0:
-        raise ParameterError(f"--v-step must be positive, got {ns.v_step!r}")
-    n = int(round((ns.v_to - ns.v_from) / ns.v_step))
+    qstate.check_visibility(ns.v_from)
+    qstate.check_visibility(ns.v_to)
+    if not 0.0 < ns.v_step < math.inf:
+        raise ParameterError(f"--v-step must be positive and finite, got {ns.v_step!r}")
+    steps = (ns.v_to - ns.v_from) / ns.v_step
+    if steps >= MAX_V_POINTS - 1:
+        raise ParameterError(
+            f"visibility grid [{ns.v_from}, {ns.v_to}] in steps of {ns.v_step} "
+            f"is over the {MAX_V_POINTS}-point limit")
+    n = int(round(steps))
     grid = [ns.v_from + k * ns.v_step for k in range(n + 1)]
     grid = [v for v in grid if v <= ns.v_to + 1e-12]
     if not grid:
@@ -173,9 +182,7 @@ def cmd_pv(ns) -> None:
     rho = qstate.as_density_matrix(qstate.load_state(ns.state))
     iset = _resolve_set(ns, rho.n_qubits)
     est = nlfrac.estimate_pv(rho, iset, ns.samples, ns.seed, ns.workers)
-    _emit(ns, {"p_v": est.p_v, "std_err": est.std_err, "m": est.m,
-               "violations": est.violations, "set_tag": est.set_tag},
-          inputs=[ns.state])
+    _emit(ns, dataclasses.asdict(est), inputs=[ns.state])
 
 
 def cmd_sweep(ns) -> None:
@@ -245,15 +252,16 @@ def cmd_conc(ns) -> None:
 
 # ------------------------------------------------------------------ fit
 
+# name -> (fits function, whether it takes theta before p_V)
 _FIT_EVALS = {
-    "v-2q": lambda th, p: fits.v_from_pv_2q(th, p),
-    "v-3q": lambda th, p: fits.v_from_pv_3q(th, p),
-    "c-lower-2q": lambda th, p: fits.c_lower_2q(p),
-    "c-mems": lambda th, p: fits.c_mems_fit(p),
-    "c-phn3": lambda th, p: fits.c_phn3_fit(p),
-    "c-gme-pure3": lambda th, p: fits.c_gme_pure3_fit(p),
-    "c-gme-45": lambda th, p: fits.c_gme_45_fit(p),
-    "c-gme-35": lambda th, p: fits.c_gme_35_fit(p),
+    "v-2q": (fits.v_from_pv_2q, True),
+    "v-3q": (fits.v_from_pv_3q, True),
+    "c-lower-2q": (fits.c_lower_2q, False),
+    "c-mems": (fits.c_mems_fit, False),
+    "c-phn3": (fits.c_phn3_fit, False),
+    "c-gme-pure3": (fits.c_gme_pure3_fit, False),
+    "c-gme-45": (fits.c_gme_45_fit, False),
+    "c-gme-35": (fits.c_gme_35_fit, False),
 }
 
 
@@ -261,12 +269,11 @@ def cmd_fit_eval(ns) -> None:
     if ns.name not in _FIT_EVALS:
         raise ParameterError(
             f"unknown fit {ns.name!r}; expected one of {sorted(_FIT_EVALS)}")
-    theta = None
-    if ns.name in ("v-2q", "v-3q"):
-        theta = _theta(ns)
-    value = _FIT_EVALS[ns.name](theta, ns.pv)
-    obj = {"name": ns.name, "pv_percent": ns.pv, "value": value, "units": "percent"}
-    if theta is not None:
+    fit, takes_theta = _FIT_EVALS[ns.name]
+    args = (_theta(ns, f"fit eval --name {ns.name}"),) if takes_theta else ()
+    obj = {"name": ns.name, "pv_percent": ns.pv, "value": fit(*args, ns.pv),
+           "units": "percent"}
+    if takes_theta:
         obj["theta_deg"] = ns.theta_deg
     _emit(ns, obj)
 
@@ -324,7 +331,10 @@ def cmd_exp_pv(ns) -> None:
     dataset = expdata.load_cc(ns.infile)
     iset = _resolve_set(ns, 3)
     res = expdata.pv_cc(dataset, iset, ns.margin)
-    _emit(ns, json.loads(res.to_json()), inputs=[ns.infile])
+    obj = dict(dataclasses.asdict(res.estimate), interval_low=res.interval_low,
+               interval_high=res.interval_high,
+               n_excluded_records=res.n_excluded_records)
+    _emit(ns, obj, inputs=[ns.infile])
 
 
 def cmd_exp_resample(ns) -> None:

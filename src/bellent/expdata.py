@@ -291,15 +291,6 @@ class CCPvResult:
     n_blocks: int
     n_excluded_records: int
 
-    def to_json(self) -> str:
-        obj = {"p_v": self.estimate.p_v, "std_err": self.estimate.std_err,
-               "m": self.estimate.m, "violations": self.estimate.violations,
-               "set_tag": self.estimate.set_tag,
-               "interval_low": self.interval_low,
-               "interval_high": self.interval_high,
-               "n_excluded_records": self.n_excluded_records}
-        return json.dumps(obj, indent=2) + "\n"
-
 
 def _blocks_for_pv(dataset: CCDataset, iset: InequalitySet, margin: float):
     if iset.n_parties != 3:

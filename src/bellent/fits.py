@@ -19,6 +19,7 @@ import numpy as np
 
 from . import entanglement
 from .errors import FitError, ParameterError
+from .qstate import check_theta
 
 SQRT10 = math.sqrt(10.0)
 CBRT10 = 10.0 ** (1.0 / 3.0)
@@ -26,86 +27,6 @@ DEFAULT_DOMAIN = (0.5, 30.0)
 
 _B1 = 14.94 * math.pi / 180.0
 _B2 = 29.5 * math.pi / 180.0
-
-
-def _check_theta(theta: float, allow_zero: bool = False) -> None:
-    lo_ok = theta >= 0.0 if allow_zero else theta > 0.0
-    if not (lo_ok and theta <= math.pi / 4 + 1e-12):
-        raise ParameterError(f"theta out of range, got {theta!r}")
-
-
-# ------------------------------------------------- critical visibilities
-
-def beta2(theta: float) -> float:
-    """Maximal CHSH strength of the 2-qubit family: sqrt(sin^2(2t) + 1)."""
-    _check_theta(theta, allow_zero=True)
-    return math.sqrt(math.sin(2.0 * theta) ** 2 + 1.0)
-
-
-def v2cr(theta: float) -> float:
-    return 1.0 / beta2(theta)
-
-
-def beta3(theta: float) -> float:
-    """Piecewise maximal violation strength of the 3-qubit family.
-
-    Branch points at 14.94 and 29.5 degrees; the polynomial branch takes
-    theta in radians.  Adjacent branches agree to about 1e-3 or better.
-    """
-    _check_theta(theta, allow_zero=True)
-    if theta < _B1:
-        return 1.0 + 0.0622 * theta + 1.697 * theta ** 2 \
-            - 3.391 * theta ** 3 + 1.442 * theta ** 4
-    if theta < _B2:
-        return (1.0 + 2.0 * math.sqrt(1.0 + math.sin(2.0 * theta) ** 2)) / 3.0
-    return math.sqrt(2.0 * math.sin(2.0 * theta) ** 2)
-
-
-def v3cr(theta: float) -> float:
-    return 1.0 / beta3(theta)
-
-
-# ------------------------------------------------- printed coefficients
-
-def f1(theta: float) -> float:
-    _check_theta(theta)
-    return (0.19674 - 1.3982 * theta + 4.712274 * theta ** 2
-            - 6.7193 * theta ** 3 + 3.3384 * theta ** 4) / SQRT10
-
-
-def f2(theta: float) -> float:
-    _check_theta(theta)
-    return 0.11886 - 0.011544 / theta - 0.363104 * theta \
-        + 0.460436 * theta ** 2 - 0.204953 * theta ** 3
-
-
-def f3(theta: float) -> float:
-    _check_theta(theta)
-    return (0.03848 - 0.011 / theta - 0.02531 * theta
-            - 0.018331 * theta ** 2 + 0.017373 * theta ** 3) * 1e-2
-
-
-def g1(theta: float) -> float:
-    _check_theta(theta)
-    p1 = -0.061297 + 0.55512 * theta - 0.42815 * theta ** 2
-    p2 = -18.58393 + 57.9917 * math.sqrt(theta) - 50.2727 * theta \
-        + 11.209 * theta ** 2
-    return max(p1, p2) / CBRT10
-
-
-def g2(theta: float) -> float:
-    _check_theta(theta)
-    p = 0.76306 - 4.13852 * theta + 8.28077 * theta ** 2 \
-        - 7.2943 * theta ** 3 + 2.38884 * theta ** 4
-    return min(0.0, p)
-
-
-def g3(theta: float) -> float:
-    _check_theta(theta)
-    p1 = 0.0001151 - 0.0004063 * theta + 0.0004321 * theta ** 2
-    p2 = -0.015237 + 0.084803 * theta - 0.17408 * theta ** 2 \
-        + 0.15723 * theta ** 3 - 0.052804 * theta ** 4
-    return max(p1, p2)
 
 
 def _check_pv(pv) -> None:
@@ -117,93 +38,7 @@ def _check_pv(pv) -> None:
             f"p_V (percent) must be finite and >= 0, got {float(p.flat[bad.argmax()])!r}")
 
 
-def v_from_pv_2q(theta: float, pv_percent: float) -> float:
-    """Visibility from the printed 2-qubit fit: v2cr + f1 p^1/4 + f2 p^1/2 + f3 p."""
-    _check_pv(pv_percent)
-    p = pv_percent
-    return v2cr(theta) + f1(theta) * p ** 0.25 + f2(theta) * math.sqrt(p) \
-        + f3(theta) * p
-
-
-def v_from_pv_3q(theta: float, pv_percent: float) -> float:
-    """Visibility from the printed 3-qubit fit: v3cr + g1 p^1/6 + g2 p^1/2 + g3 p."""
-    _check_pv(pv_percent)
-    p = pv_percent
-    return v3cr(theta) + g1(theta) * p ** (1.0 / 6.0) + g2(theta) * math.sqrt(p) \
-        + g3(theta) * p
-
-
-# ------------------------------------------------- concurrence fits
-
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
-def c_lower_2q(pv_percent: float) -> float:
-    """Lower bound on 2-qubit concurrence from the nonlocal fraction."""
-    _check_pv(pv_percent)
-    p = pv_percent
-    return _clamp01(0.6784 / SQRT10 * p ** 0.25 - 1.59e-2 * math.sqrt(p) + 1e-4 * p)
-
-
-def c_mems_fit(pv_percent: float) -> float:
-    """Concurrence upper envelope (MEMS family) vs nonlocal fraction."""
-    _check_pv(pv_percent)
-    p = pv_percent
-    return _clamp01(1.0 / math.sqrt(2.0) + 0.1125 / SQRT10 * p ** 0.25
-                    - 9.0e-4 * math.sqrt(p) + 2.83e-5 * p)
-
-
-def c_phn3_fit(pv_percent: float) -> float:
-    """GME concurrence of the phase-damped GHZ family vs nonlocal fraction."""
-    _check_pv(pv_percent)
-    p = pv_percent
-    return _clamp01(0.4012 * p ** (1.0 / 6.0) - 0.0118 * math.sqrt(p) + 9.0e-5 * p)
-
-
-def c_gme_pure3_fit(pv_percent: float) -> float:
-    """Pure-state GME lower bound (0.068 p + 0.06 sqrt(p))^(1/2), clamped."""
-    _check_pv(pv_percent)
-    p = pv_percent
-    return _clamp01(math.sqrt(0.068 * p + 0.06 * math.sqrt(p)))
-
-
-def c_gme_45_fit(pv_percent: float) -> float:
-    """Printed GME-concurrence fit for the 45-degree 3-qubit family."""
-    _check_pv(pv_percent)
-    p = pv_percent
-    return _clamp01(0.512 + 0.186 * p ** (1.0 / 6.0) - 7.1e-3 * math.sqrt(p)
-                    + 1.12e-4 * p)
-
-
-def c_gme_35_fit(pv_percent: float) -> float:
-    """Printed GME-concurrence fit for the 35-degree 3-qubit family."""
-    _check_pv(pv_percent)
-    p = pv_percent
-    return _clamp01(0.542 + 0.155 * p ** (1.0 / 6.0) - 8.2e-3 * math.sqrt(p)
-                    + 1.52e-4 * p)
-
-
-FAMILIES = ("werner2", "werner3_printed", "werner3_xstate")
-
-
-def concurrence_from_pv(theta: float, pv_percent: float, family: str) -> float:
-    """Closed-form concurrence at the visibility inferred from p_V.
-
-    `family` picks the closed form: the 2-qubit one, or either of the two
-    3-qubit variants (the as-printed form and the X-state-derived form).
-    Domain errors from the visibility leaving (0, 1] propagate.
-    """
-    if family == "werner2":
-        return entanglement.conc_closed_w2(theta, v_from_pv_2q(theta, pv_percent))
-    if family == "werner3_printed":
-        return entanglement.gme_closed_w3_as_printed(theta, v_from_pv_3q(theta, pv_percent))
-    if family == "werner3_xstate":
-        return entanglement.gme_closed_w3_xstate(theta, v_from_pv_3q(theta, pv_percent))
-    raise ParameterError(f"family must be one of {FAMILIES}, got {family!r}")
-
-
-# ------------------------------------------------- curve objects / refit
+# ------------------------------------------------- fractional-power curves
 
 @dataclass
 class FitCurve:
@@ -227,11 +62,17 @@ class FitCurve:
             raise ParameterError("empty fit domain")
 
     def __call__(self, pv_percent: float) -> float:
+        """Sum of c p^b in basis order, on Python floats (0.0 ** 0.0 is 1.0).
+
+        Exponent 1/2 is math.sqrt, which can differ from p ** 0.5 in the last
+        bit; numpy's array ** differs from Python's for 1/4 and 1/6.
+        """
         _check_pv(pv_percent)
         p = float(pv_percent)
-        # 0^0 = 1 so the constant term survives at pv = 0
-        return float(sum(c * (p ** b if b else 1.0)
-                         for b, c in zip(self.basis, self.coefficients)))
+        total = 0.0
+        for b, c in zip(self.basis, self.coefficients):
+            total += c * (math.sqrt(p) if b == 0.5 else p ** b)
+        return total
 
     def to_json(self) -> str:
         obj = {"basis": list(self.basis), "coefficients": list(self.coefficients),
@@ -250,16 +91,169 @@ BASIS_2Q = (0.0, 0.25, 0.5, 1.0)
 BASIS_3Q = (0.0, 1.0 / 6.0, 0.5, 1.0)
 
 
+# ------------------------------------------------- critical visibilities
+
+def beta2(theta: float) -> float:
+    """Maximal CHSH strength of the 2-qubit family: sqrt(sin^2(2t) + 1).
+
+    Unlike the coefficient functions, it also takes theta = 0.
+    """
+    if theta:
+        check_theta(theta)
+    return math.sqrt(math.sin(2.0 * theta) ** 2 + 1.0)
+
+
+def v2cr(theta: float) -> float:
+    return 1.0 / beta2(theta)
+
+
+def beta3(theta: float) -> float:
+    """Piecewise maximal violation strength of the 3-qubit family.
+
+    Branch points at 14.94 and 29.5 degrees; the polynomial branch takes
+    theta in radians.  Adjacent branches agree to about 1e-3 or better.
+    Like beta2, it also takes theta = 0 (the first branch has no 1/theta).
+    """
+    if theta:
+        check_theta(theta)
+    if theta < _B1:
+        return 1.0 + 0.0622 * theta + 1.697 * theta ** 2 \
+            - 3.391 * theta ** 3 + 1.442 * theta ** 4
+    if theta < _B2:
+        return (1.0 + 2.0 * math.sqrt(1.0 + math.sin(2.0 * theta) ** 2)) / 3.0
+    return math.sqrt(2.0 * math.sin(2.0 * theta) ** 2)
+
+
+def v3cr(theta: float) -> float:
+    return 1.0 / beta3(theta)
+
+
+# ------------------------------------------------- printed coefficients
+
+def f1(theta: float) -> float:
+    check_theta(theta)
+    return (0.19674 - 1.3982 * theta + 4.712274 * theta ** 2
+            - 6.7193 * theta ** 3 + 3.3384 * theta ** 4) / SQRT10
+
+
+def f2(theta: float) -> float:
+    check_theta(theta)
+    return 0.11886 - 0.011544 / theta - 0.363104 * theta \
+        + 0.460436 * theta ** 2 - 0.204953 * theta ** 3
+
+
+def f3(theta: float) -> float:
+    check_theta(theta)
+    return (0.03848 - 0.011 / theta - 0.02531 * theta
+            - 0.018331 * theta ** 2 + 0.017373 * theta ** 3) * 1e-2
+
+
+def g1(theta: float) -> float:
+    check_theta(theta)
+    p1 = -0.061297 + 0.55512 * theta - 0.42815 * theta ** 2
+    p2 = -18.58393 + 57.9917 * math.sqrt(theta) - 50.2727 * theta \
+        + 11.209 * theta ** 2
+    return max(p1, p2) / CBRT10
+
+
+def g2(theta: float) -> float:
+    check_theta(theta)
+    p = 0.76306 - 4.13852 * theta + 8.28077 * theta ** 2 \
+        - 7.2943 * theta ** 3 + 2.38884 * theta ** 4
+    return min(0.0, p)
+
+
+def g3(theta: float) -> float:
+    check_theta(theta)
+    p1 = 0.0001151 - 0.0004063 * theta + 0.0004321 * theta ** 2
+    p2 = -0.015237 + 0.084803 * theta - 0.17408 * theta ** 2 \
+        + 0.15723 * theta ** 3 - 0.052804 * theta ** 4
+    return max(p1, p2)
+
+
+# ------------------------------------------------- printed visibility fits
+
 def fitcurve_2q(theta: float) -> FitCurve:
     """Printed 2-qubit visibility fit at fixed theta as a concrete curve."""
-    return FitCurve(BASIS_2Q, (v2cr(theta), f1(theta), f2(theta), f3(theta)),
-                    provenance="printed")
+    return FitCurve(BASIS_2Q, (v2cr(theta), f1(theta), f2(theta), f3(theta)))
 
 
 def fitcurve_3q(theta: float) -> FitCurve:
     """Printed 3-qubit visibility fit at fixed theta as a concrete curve."""
-    return FitCurve(BASIS_3Q, (v3cr(theta), g1(theta), g2(theta), g3(theta)),
-                    provenance="printed")
+    return FitCurve(BASIS_3Q, (v3cr(theta), g1(theta), g2(theta), g3(theta)))
+
+
+def v_from_pv_2q(theta: float, pv_percent: float) -> float:
+    """Visibility from the printed 2-qubit fit: v2cr + f1 p^1/4 + f2 p^1/2 + f3 p."""
+    return fitcurve_2q(theta)(pv_percent)
+
+
+def v_from_pv_3q(theta: float, pv_percent: float) -> float:
+    """Visibility from the printed 3-qubit fit: v3cr + g1 p^1/6 + g2 p^1/2 + g3 p."""
+    return fitcurve_3q(theta)(pv_percent)
+
+
+# ------------------------------------------------- concurrence fits
+
+def _clamp01(x: float) -> float:
+    return min(1.0, max(0.0, x))
+
+
+_C_LOWER_2Q = FitCurve(BASIS_2Q, (0.0, 0.6784 / SQRT10, -1.59e-2, 1e-4))
+_C_MEMS = FitCurve(BASIS_2Q, (1.0 / math.sqrt(2.0), 0.1125 / SQRT10, -9.0e-4, 2.83e-5))
+_C_PHN3 = FitCurve(BASIS_3Q, (0.0, 0.4012, -0.0118, 9.0e-5))
+_C_GME_PURE3_SQUARED = FitCurve((0.5, 1.0), (0.06, 0.068))
+_C_GME_45 = FitCurve(BASIS_3Q, (0.512, 0.186, -7.1e-3, 1.12e-4))
+_C_GME_35 = FitCurve(BASIS_3Q, (0.542, 0.155, -8.2e-3, 1.52e-4))
+
+
+def c_lower_2q(pv_percent: float) -> float:
+    """Lower bound on 2-qubit concurrence from the nonlocal fraction."""
+    return _clamp01(_C_LOWER_2Q(pv_percent))
+
+
+def c_mems_fit(pv_percent: float) -> float:
+    """Concurrence upper envelope (MEMS family) vs nonlocal fraction."""
+    return _clamp01(_C_MEMS(pv_percent))
+
+
+def c_phn3_fit(pv_percent: float) -> float:
+    """GME concurrence of the phase-damped GHZ family vs nonlocal fraction."""
+    return _clamp01(_C_PHN3(pv_percent))
+
+
+def c_gme_pure3_fit(pv_percent: float) -> float:
+    """Pure-state GME lower bound (0.068 p + 0.06 sqrt(p))^(1/2), clamped."""
+    return _clamp01(math.sqrt(_C_GME_PURE3_SQUARED(pv_percent)))
+
+
+def c_gme_45_fit(pv_percent: float) -> float:
+    """Printed GME-concurrence fit for the 45-degree 3-qubit family."""
+    return _clamp01(_C_GME_45(pv_percent))
+
+
+def c_gme_35_fit(pv_percent: float) -> float:
+    """Printed GME-concurrence fit for the 35-degree 3-qubit family."""
+    return _clamp01(_C_GME_35(pv_percent))
+
+
+FAMILIES = ("werner2", "werner3_printed", "werner3_xstate")
+
+
+def concurrence_from_pv(theta: float, pv_percent: float, family: str) -> float:
+    """Closed-form concurrence at the visibility inferred from p_V.
+
+    `family` picks the closed form: the 2-qubit one, or either of the two
+    3-qubit variants (the as-printed form and the X-state-derived form).
+    Domain errors from the visibility leaving (0, 1] propagate.
+    """
+    if family == "werner2":
+        return entanglement.conc_closed_w2(theta, v_from_pv_2q(theta, pv_percent))
+    if family == "werner3_printed":
+        return entanglement.gme_closed_w3_as_printed(theta, v_from_pv_3q(theta, pv_percent))
+    if family == "werner3_xstate":
+        return entanglement.gme_closed_w3_xstate(theta, v_from_pv_3q(theta, pv_percent))
+    raise ParameterError(f"family must be one of {FAMILIES}, got {family!r}")
 
 
 def refit(xs, basis, provenance: str = "refit", domain=None):

@@ -35,18 +35,17 @@ _IDLE_WORKSPACES: list[Workspace] = []
 
 @dataclass
 class PvEstimate:
-    """Estimated nonlocal fraction with its binomial standard error."""
+    """Estimated nonlocal fraction with its binomial standard error.
+
+    The fields are in the order that `bellent pv` and `bellent exp pv` write
+    them (`dataclasses.asdict`).
+    """
 
     p_v: float
     std_err: float
     m: int
     violations: int
     set_tag: str
-
-    def to_json(self) -> str:
-        obj = {"p_v": self.p_v, "std_err": self.std_err, "m": self.m,
-               "violations": self.violations, "set_tag": self.set_tag}
-        return json.dumps(obj, indent=2) + "\n"
 
 
 @dataclass

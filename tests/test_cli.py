@@ -239,6 +239,13 @@ NON_FINITE_INPUTS = {
     "sweep --v-step nan": _sweep("--v-step", "nan"),
     "rescale --v-step nan": lambda d: _samples(d, ["0.5", "1.2"])[:-2]
     + ["--v-step", "nan", "--out", str(d / "curve.csv")],
+    # finite grids that are out of range or too fine: the grid is refused
+    # before it is built, not left to end in MemoryError
+    "rescale --v-to 1e12": lambda d: _samples(d, ["0.5", "1.2"])
+    + ["--v-to", "1e12", "--v-step", "0.001"],
+    "rescale --v-step 1e-9": lambda d: _samples(d, ["0.5", "1.2"]) + ["--v-step", "1e-9"],
+    "sweep --v-from 0": _sweep("--v-from", "0"),
+    "sweep --v-step 5e-324": _sweep("--v-step", "5e-324"),
     "state make gsms2 --x nan": _make("gsms2", "--x", "nan", "--y", "0.1"),
     "state make gsms3 --y nan": _make("gsms3", "--x", "0", "--y", "nan"),
     "state make phn --x nan": _make("phn", "--x", "nan", "--n", "2"),
@@ -372,6 +379,69 @@ def test_fit_eval_and_refit(tmp_path):
     assert curve["units"] == "percent"
     np.testing.assert_allclose(curve["coefficients"], [0.3, 0.1, 0.01, -1e-4],
                                atol=1e-8)
+
+
+# `fit eval` values of every named fit, frozen from the hand-written formulas
+# that the FitCurve constants replaced; `v-*` keys carry theta in degrees
+FIT_EVAL_PV = (0.0, 0.5, 1.0, 5.0, 8.0, 11.7, 20.0, 30.0)
+FIT_EVAL_PINS = {
+    ("c-lower-2q", None): (0.0, 0.1692035990035079, 0.19872891646582283,
+        0.2857420729316305, 0.3166212023652836, 0.34354767306691586,
+        0.38456646121151133, 0.41798428792424486),
+    ("c-mems", None): (0.7071067811865475, 0.7363999495037952, 0.7418107048634417,
+        0.7584337855132263, 0.7646184256149069, 0.7701553411752277, 0.7788811431368953,
+        0.7862855936743831),
+    ("c-phn3", None): (0.0, 0.34912970569990287, 0.38949, 0.49869778485344896,
+        0.5347270411520806, 0.5651846601512015, 0.6100254434747616,
+        0.6452777727813576),
+    ("c-gme-pure3", None): (0.0, 0.27645326344825966, 0.35777087639996635,
+        0.6885957294741142, 0.8448110010438853, 1.0, 1.0, 1.0),
+    ("c-gme-45", None): (0.512, 0.6727427034276785, 0.691012, 0.739908767757952,
+        0.7558578900156977, 0.7692735663794519, 0.7889319435937272,
+        0.8043402937049097),
+    ("c-gme-35", None): (0.542, 0.6743670257060229, 0.6889520000000001,
+        0.7271116179163354, 0.739225999744911, 0.7492708369876141, 0.7637385758975237,
+        0.7748705796910568),
+    ("v-2q", 10.0): (0.9461886483394653, 0.9645729914537028, 0.9682949219104897,
+        0.9799028356441561, 0.9841219833695204, 0.9877568690779942, 0.9930495944635332,
+        0.9969377551584709),
+    ("v-2q", 25.0): (0.7938448060994456, 0.8095019148173869, 0.8131975684830174,
+        0.8262003897065087, 0.831682421527684, 0.8368877038592593, 0.8456561167881677,
+        0.8536283736481618),
+    ("v-2q", 35.0): (0.7287394448186829, 0.7401556975725572, 0.7428415478349804,
+        0.7523094495232496, 0.7563181192757571, 0.7601375768870359, 0.7666058024676354,
+        0.7725293999930454),
+    ("v-2q", 45.0): (0.7071067811865475, 0.7151393123699809, 0.7172557342518826,
+        0.7250881477937542, 0.7285328087557865, 0.7318678327811882, 0.7376115600242651,
+        0.7429569463523402),
+    ("v-3q", 10.0): (0.9561517699501494, 0.9655042637956257, 0.9666747526578935,
+        0.9701240135322206, 0.9714112082891474, 0.9725914837081193, 0.974541408531766,
+        0.9763203946708119),
+    ("v-3q", 25.0): (0.8524218715008923, 0.8935381702538391, 0.8985821686204207,
+        0.9128580247297443, 0.9178346581592616, 0.9221769831299595, 0.9288418108040238,
+        0.9343573294482241),
+    ("v-3q", 35.0): (0.7524873193057124, 0.8374377119473886, 0.84683376613562,
+        0.8714907060268879, 0.8793481308016525, 0.8858773152762904, 0.8953075534774372,
+        0.9025874515486828),
+    ("v-3q", 45.0): (0.7071067811865475, 0.803400095072168, 0.8143433282147637,
+        0.8436305752013344, 0.853182920925988, 0.8612177401197362, 0.8729912013152455,
+        0.882219308760456),
+}
+
+
+@pytest.mark.parametrize("name, theta_deg", list(FIT_EVAL_PINS))
+def test_fit_eval_values_are_pinned(name, theta_deg):
+    theta = [] if theta_deg is None else ["--theta-deg", repr(theta_deg)]
+    got = [json.loads(main_capture(["fit", "eval", "--name", name,
+                                    "--pv", repr(pv), *theta]))["value"]
+           for pv in FIT_EVAL_PV]
+    assert got == list(FIT_EVAL_PINS[name, theta_deg])
+
+
+def test_fit_eval_names_the_missing_theta(capsys):
+    assert main(["fit", "eval", "--name", "v-3q", "--pv", "5"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --theta-deg is required for fit eval --name v-3q\n"
 
 
 def test_fit_estimate_theta_v0(tmp_path):

@@ -193,6 +193,26 @@ def test_theta_range_checks():
     beta3(0.0)  # allowed: no 1/theta term in the first branch
 
 
+def test_beta_takes_zero_but_not_nan():
+    assert beta2(0.0) == 1.0 and beta3(0.0) == 1.0
+    for beta in (beta2, beta3):
+        for bad in (float("nan"), -0.1, 1.0):
+            with pytest.raises(ParameterError, match="theta"):
+                beta(bad)
+
+
+def test_printed_visibility_fits_are_their_fitcurves():
+    # exponent 1/2 is where math.sqrt(p) and p ** 0.5 can part in the last bit
+    pvs = np.linspace(0.0, 100.0, 2501).tolist()
+    grid = pvs[::50] + [p for p in pvs if math.sqrt(p) != p ** 0.5]
+    for thd in np.linspace(1.0, 45.0, 89).tolist():
+        th = thd * DEG
+        c2, c3 = fitcurve_2q(th), fitcurve_3q(th)
+        for p in grid:
+            assert c2(p) == v_from_pv_2q(th, p)
+            assert c3(p) == v_from_pv_3q(th, p)
+
+
 def test_pv_checks_reject_non_finite_values():
     for bad in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ParameterError, match=f"got {bad!r}"):
