@@ -8,9 +8,8 @@ analysis on coincidence-count data (`expdata`).
 
 __version__ = "0.1.0"
 
-from .bell import (BellInequality, InequalitySet, behavior_from_state,
-                   chsh_horodecki, correlation_matrix, default_set, evaluate,
-                   expand_relabelings, max_violation)
+from .bell import (BellInequality, InequalitySet, default_set,
+                   expand_relabelings)
 from .entanglement import (concurrence2, concurrence_pure,
                            gme_concurrence_pure, gme_concurrence_xstate,
                            xstate_decompose)

@@ -5,17 +5,18 @@ A behavior is the table P(r|S) over joint settings S and outcomes r; a Bell
 functional is a real coefficient table of the same shape with an LHV bound,
 and its normalized value I = sum(mu * P) / bound flags nonlocality at I > 1.
 
-The sampling hot path avoids object construction: `pauli_tensor` converts a
-state once, `batch_i_max` turns batches of Bloch directions into normalized
-violation strengths.  A quantum behavior is no-signalling, so its 4^N table
-entries are fixed by 3^N full and marginal correlators; `correlators`
-computes those, one party at a time with the sample axis innermost, and the
-fixed matrix `feature_map(N)` turns them into tables.  `batch_behaviors` is
-that product, and each `InequalitySet` carries its functionals in the same
-correlator basis (`c_matrix`), so `batch_i_max` never builds a table.  Every
-Bell value, in either basis, comes from one reduction, `i_max`, which runs in
-fixed `_SUB_BLOCK`-column products: a sample's or a block's value has the
-same bits however its batch was cut.
+Behaviors are arrays, never objects: `pauli_tensor` converts a state once,
+`batch_i_max` turns batches of Bloch directions into normalized violation
+strengths.  A quantum behavior is no-signalling, so its 4^N table entries
+are fixed by 3^N full and marginal correlators; `correlators` computes
+those, one party at a time with the sample axis innermost, and the fixed
+matrix `feature_map(N)` turns them into tables.  `batch_behaviors` is that
+product, and each `InequalitySet` carries its functionals in the same
+correlator basis (`c_matrix`), so `batch_i_max` never builds a table.
+Tables from counts need not be no-signalling; they are reduced as tables
+(`w_matrix`).  Every Bell value, in either basis, comes from one reduction,
+`i_max`, which runs in fixed `_SUB_BLOCK`-column products: a sample's or a
+block's value has the same bits however its batch was cut.
 """
 
 from __future__ import annotations
@@ -77,63 +78,8 @@ PAULI = np.array([
 
 
 @dataclass
-class MeasurementSettings:
-    """Two unit Bloch directions per party: directions[party, setting] in R^3."""
-
-    n_parties: int
-    directions: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
-        if d.shape != (self.n_parties, 2, 3):
-            raise ParameterError(f"directions shape {d.shape}, expected {(self.n_parties, 2, 3)}")
-        norms = np.linalg.norm(d, axis=-1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ParameterError("measurement directions must be unit vectors within 1e-12")
-        d.setflags(write=False)
-        self.directions = d
-
-
-@dataclass
-class Behavior:
-    """Joint conditional probability table, indexed [S_1..S_N, r_1..r_N]."""
-
-    n_parties: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.shape != (2,) * (2 * self.n_parties):
-            raise ParameterError(f"table shape {t.shape} wrong for {self.n_parties} parties")
-        t.setflags(write=False)
-        self.table = t
-
-    def validate(self, ns_tol: float = 1e-9) -> None:
-        """Check nonnegativity, normalization, and no-signaling."""
-        n = self.n_parties
-        if np.min(self.table) < -1e-12:
-            raise ParameterError(f"negative probability {np.min(self.table):.3e}")
-        out_axes = tuple(range(n, 2 * n))
-        sums = self.table.sum(axis=out_axes)
-        if np.max(np.abs(sums - 1.0)) > 1e-10:
-            raise ParameterError("probabilities do not sum to 1 for some setting")
-        for held in range(1, n):
-            for subset in itertools.combinations(range(n), held):
-                drop = [i for i in range(n) if i not in subset]
-                marg = self.table.sum(axis=tuple(n + i for i in drop))
-                # marg still carries all settings axes; require independence
-                # from the dropped parties' choices
-                for i in drop:
-                    a = np.take(marg, 0, axis=i)
-                    b = np.take(marg, 1, axis=i)
-                    if np.max(np.abs(a - b)) > ns_tol:
-                        raise ParameterError(
-                            f"signaling above {ns_tol:g} from party {i} to subset {subset}")
-
-
-@dataclass
 class BellInequality:
-    """Coefficient table mu with an LHV bound; same index layout as Behavior."""
+    """Coefficient table mu with an LHV bound, indexed [S_1..S_N, r_1..r_N]."""
 
     n_parties: int
     coefficients: np.ndarray
@@ -160,13 +106,6 @@ class BellInequality:
         """Dedup key: bound-1 coefficients rounded to 1e-9, fixed index order."""
         w = np.round(self.coefficients / self.lhv_bound, 9) + 0.0  # kill -0.0
         return w.tobytes()
-
-
-def evaluate(ineq: BellInequality, b: Behavior) -> float:
-    """Normalized functional value I = sum(mu * P) / C_LHV; violation iff > 1."""
-    if ineq.n_parties != b.n_parties:
-        raise ParameterError("party counts differ")
-    return float(np.sum(ineq.coefficients * b.table)) / ineq.lhv_bound
 
 
 # ------------------------------------------------------------- base classes
@@ -374,10 +313,10 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None) 
 
 
 def batch_behaviors(lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Behavior tables for a batch of settings.
+    """Tables P(r|S) of one state's behaviors at a batch of settings.
 
     dirs has shape (B, N, 2, 3); the result has shape (B,) + (2,)*(2N) in the
-    [S_1..S_N, r_1..r_N] layout shared with Behavior.
+    [S_1..S_N, r_1..r_N] layout of `BellInequality.coefficients`.
     """
     n = lam.ndim
     return (correlators(lam, dirs) @ feature_map(n)).reshape((-1,) + (2,) * (2 * n))
@@ -420,41 +359,6 @@ def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray,
         d = dirs[lo:lo + _SUB_BLOCK]
         out[lo:lo + d.shape[0]] = i_max(correlators(lam, d, ws), c_matrix, ws)
     return out
-
-
-def behavior_from_state(rho: DensityMatrix, m: MeasurementSettings) -> Behavior:
-    """Projective-measurement behavior of a state at the given settings."""
-    if rho.n_qubits != m.n_parties:
-        raise ParameterError(
-            f"state has {rho.n_qubits} qubits but settings cover {m.n_parties} parties")
-    p = batch_behaviors(pauli_tensor(rho), m.directions[None])
-    return Behavior(m.n_parties, p[0])
-
-
-def max_violation(b: Behavior, iset: InequalitySet) -> float:
-    """Maximum normalized value over the expanded set."""
-    if iset.n_parties != b.n_parties:
-        raise ParameterError("party counts differ")
-    return float(i_max(b.table.reshape(1, -1), iset.w_matrix)[0])
-
-
-# ------------------------------------------------------------- CHSH algebra
-
-def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 matrix R_ij = Tr[rho (sigma_i x sigma_j)] of a 2-qubit state."""
-    if rho.n_qubits != 2:
-        raise ParameterError("correlation_matrix needs a 2-qubit state")
-    return pauli_tensor(rho)[1:, 1:].copy()
-
-
-def chsh_horodecki(r_matrix, a0, a1, b0, b1) -> float:
-    """Normalized |a0 . R (b0 + b1) + a1 . R (b0 - b1)| / 2."""
-    r = np.asarray(r_matrix, dtype=float)
-    a0, a1, b0, b1 = (np.asarray(v, dtype=float) for v in (a0, a1, b0, b1))
-    for v in (a0, a1, b0, b1):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ParameterError("settings must be unit vectors")
-    return abs(a0 @ r @ (b0 + b1) + a1 @ r @ (b0 - b1)) / 2.0
 
 
 # ------------------------------------------------------------- file format
@@ -548,15 +452,13 @@ def load_inequality_file(path) -> BellInequality:
         raise ParseError(f"{path.name}: {exc}") from None
 
 
-def load_inequality_dir(path, expand: bool = True):
-    """All *.bellineq files under a directory, optionally orbit-expanded."""
+def load_inequality_dir(path) -> InequalitySet:
+    """Orbit of all *.bellineq files under a directory."""
     path = Path(path)
     files = sorted(path.glob("*.bellineq")) if path.is_dir() else []
     if not files:
         raise MissingDataError(f"no .bellineq files in {path}")
     ineqs = [load_inequality_file(f) for f in files]
-    if not expand:
-        return ineqs
     return expand_relabelings(ineqs, tag=f"dir:{path.name}")
 
 

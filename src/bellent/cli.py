@@ -300,9 +300,7 @@ def cmd_fit_refit(ns) -> None:
     pairs = _read_pairs(ns.infile, "pv,value")
     basis = fits.BASIS_2Q if ns.basis == "2q" else fits.BASIS_3Q
     curve, rms = fits.refit(pairs, basis, provenance=f"refit:{Path(ns.infile).stem}")
-    obj = json.loads(curve.to_json())
-    obj["rms"] = rms
-    _emit(ns, obj, inputs=[ns.infile])
+    _emit(ns, dict(dataclasses.asdict(curve), rms=rms), inputs=[ns.infile])
 
 
 def cmd_fit_estimate(ns) -> None:

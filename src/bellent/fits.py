@@ -11,7 +11,6 @@ the composition checks against the printed constant terms validate that.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,13 +28,10 @@ _B1 = 14.94 * math.pi / 180.0
 _B2 = 29.5 * math.pi / 180.0
 
 
-def _check_pv(pv) -> None:
-    """ParameterError unless p_V (percent), a number or an array, is finite and >= 0."""
-    p = np.asarray(pv, dtype=float)
-    bad = ~(np.isfinite(p) & (p >= 0.0))
-    if bad.any():
-        raise ParameterError(
-            f"p_V (percent) must be finite and >= 0, got {float(p.flat[bad.argmax()])!r}")
+def _check_pv(p: float) -> None:
+    """ParameterError unless p_V (percent) is finite and >= 0."""
+    if not 0.0 <= p < math.inf:
+        raise ParameterError(f"p_V (percent) must be finite and >= 0, got {p!r}")
 
 
 # ------------------------------------------------- fractional-power curves
@@ -67,24 +63,12 @@ class FitCurve:
         Exponent 1/2 is math.sqrt, which can differ from p ** 0.5 in the last
         bit; numpy's array ** differs from Python's for 1/4 and 1/6.
         """
-        _check_pv(pv_percent)
         p = float(pv_percent)
+        _check_pv(p)
         total = 0.0
         for b, c in zip(self.basis, self.coefficients):
             total += c * (math.sqrt(p) if b == 0.5 else p ** b)
         return total
-
-    def to_json(self) -> str:
-        obj = {"basis": list(self.basis), "coefficients": list(self.coefficients),
-               "domain": list(self.domain), "units": self.units,
-               "provenance": self.provenance}
-        return json.dumps(obj, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "FitCurve":
-        obj = json.loads(text)
-        return cls(obj["basis"], obj["coefficients"], obj["domain"],
-                   obj.get("units", "percent"), obj.get("provenance", "printed"))
 
 
 BASIS_2Q = (0.0, 0.25, 0.5, 1.0)
@@ -264,9 +248,10 @@ def refit(xs, basis, provenance: str = "refit", domain=None):
     pts = [(float(p), float(v)) for p, v in xs]
     if len(pts) < len(basis):
         raise FitError(f"need at least {len(basis)} points, got {len(pts)}")
+    for p, _ in pts:
+        _check_pv(p)
     pv = np.array([p for p, _ in pts])
     y = np.array([v for _, v in pts])
-    _check_pv(pv)
     if not np.isfinite(y).all():
         raise ParameterError("fitted values must be finite")
     a = np.stack([pv ** float(b) for b in basis], axis=1)  # 0**0 = 1 in numpy
@@ -292,9 +277,10 @@ def estimate_theta_v0(curve):
     pts = [(float(v), float(p)) for v, p in curve]
     if len(pts) < 3:
         raise FitError(f"need at least 3 points, got {len(pts)}")
+    for _, p in pts:
+        _check_pv(p)
     vs = np.array([v for v, _ in pts])
     pv = np.array([p for _, p in pts])
-    _check_pv(pv)
     if not np.isfinite(vs).all():
         raise ParameterError("visibilities must be finite")
     if np.ptp(pv) < 1e-12:

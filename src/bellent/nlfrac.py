@@ -206,20 +206,6 @@ def pv_werner2_closed(v: float) -> float:
     return 2.0 * ((1.0 + v * v) * ang - 3.0 * s) / (v * v)
 
 
-def pv_werner2_closed_as_printed(v: float) -> float:
-    """Documentation-only variant with the (1 - v^2) arctan prefactor.
-
-    Yields -6 at v = 1, contradicting the known 2(pi - 3); kept so the
-    discrepancy with `pv_werner2_closed` can be demonstrated, not for use.
-    """
-    check_visibility(v)
-    if 2.0 * v * v - 1.0 <= 0.0:
-        return 0.0
-    s = math.sqrt(2.0 * v * v - 1.0)
-    ang = math.atan2(s, 1.0 - v * v)
-    return 2.0 * ((1.0 - v * v) * ang - 3.0 * s) / (v * v)
-
-
 def pv_werner2_quadrature(v: float) -> float:
     """Direct integration of the violating cube fraction (times 4).
 

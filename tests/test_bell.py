@@ -1,5 +1,7 @@
 import itertools
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,27 +11,19 @@ from bellent._rng import bloch_directions, draw_width, raw_words
 from bellent.bell import (
     PAULI,
     _relabel_index,
-    Behavior,
     BellInequality,
-    InequalitySet,
-    MeasurementSettings,
     Workspace,
     batch_behaviors,
     batch_i_max,
-    behavior_from_state,
     bundled_inequality,
     chsh,
-    chsh_horodecki,
-    correlation_matrix,
     correlators,
     default_set,
-    evaluate,
     expand_relabelings,
     feature_map,
     i_max,
     load_inequality_dir,
     load_inequality_file,
-    max_violation,
     mermin,
     parse_inequality,
     pauli_tensor,
@@ -63,31 +57,15 @@ def test_inequality_families_structure():
 
 
 def test_tsirelson_bound_reached():
-    b = behavior_from_state(gghz(np.pi / 4, 2).projector(),
-                            MeasurementSettings(2, CHSH_OPT))
-    b.validate()
-    assert abs(evaluate(chsh(), b) - SQRT2) < 1e-12
+    lam = pauli_tensor(gghz(np.pi / 4, 2).projector())
+    got = batch_i_max(lam, CHSH_OPT[None], default_set(2).c_matrix)
+    assert abs(got[0] - SQRT2) < 1e-12
 
 
 def test_svetlichny_maximum_on_ghz():
-    b = behavior_from_state(gghz(np.pi / 4, 3).projector(),
-                            MeasurementSettings(3, SVET_OPT))
-    b.validate()
-    assert abs(evaluate(svetlichny(), b) - SQRT2) < 1e-12
-    assert abs(max_violation(b, default_set(3)) - SQRT2) < 1e-12
-
-
-def test_evaluate_is_linear_in_the_behavior():
-    rng = np.random.default_rng(13)
-    dirs = rng.normal(size=(2, 2, 3))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    ms = MeasurementSettings(2, dirs)
-    b1 = behavior_from_state(werner_like(0.6, 0.9, 2), ms)
-    b2 = behavior_from_state(werner_like(0.3, 0.5, 2), ms)
-    for lam in (0.0, 0.25, 0.7, 1.0):
-        mix = Behavior(2, lam * b1.table + (1 - lam) * b2.table)
-        want = lam * evaluate(chsh(), b1) + (1 - lam) * evaluate(chsh(), b2)
-        assert abs(evaluate(chsh(), mix) - want) < 1e-12
+    lam = pauli_tensor(gghz(np.pi / 4, 3).projector())
+    got = batch_i_max(lam, SVET_OPT[None], default_set(3).c_matrix)
+    assert abs(got[0] - SQRT2) < 1e-12
 
 
 def test_orbit_sizes_and_digests():
@@ -109,54 +87,40 @@ def test_orbit_closure_under_relabeling():
     rng = np.random.default_rng(21)
     dirs = rng.normal(size=(2, 2, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    b = behavior_from_state(werner_like(0.7, 0.95, 2), MeasurementSettings(2, dirs))
-    base = max_violation(b, iset)
+    table = batch_behaviors(pauli_tensor(werner_like(0.7, 0.95, 2)), dirs[None])[0]
+    base = i_max(table.reshape(1, -1), iset.w_matrix)[0]
     for perm in ([0, 1], [1, 0]):
         for inswap in ([0, 0], [1, 0], [0, 1], [1, 1]):
-            rb = Behavior(2, _relabeled_reference(b.table, perm, inswap, [[0, 1], [1, 0]]))
-            rb.validate()
-            assert abs(max_violation(rb, iset) - base) < 1e-12
-
-
-def test_behavior_signaling_detected():
-    t = np.full((2, 2, 2, 2), 0.25)
-    # at a-input 1 Alice's marginal depends on Bob's input: 0.6/0.4 vs 0.5/0.5
-    t[1, 0] = [[0.3, 0.3], [0.2, 0.2]]
-    b = Behavior(2, t)
-    with pytest.raises(ParameterError, match="signaling"):
-        b.validate()
+            rt = _relabeled_reference(table, perm, inswap, [[0, 1], [1, 0]])
+            assert abs(i_max(rt.reshape(1, -1), iset.w_matrix)[0] - base) < 1e-12
 
 
 def test_correlator_sign_convention():
-    b = behavior_from_state(gghz(np.pi / 4, 2).projector(),
-                            MeasurementSettings(2, CHSH_OPT))
+    lam = pauli_tensor(gghz(np.pi / 4, 2).projector())
     # feature (1 + s_a) * 3 + (1 + s_b) is the full correlator E(s_a, s_b);
     # a0 = z against b0 = (x+z)/sqrt2: E = 1/sqrt2
-    e = correlators(pauli_tensor(gghz(np.pi / 4, 2).projector()), CHSH_OPT[None])[0]
+    e = correlators(lam, CHSH_OPT[None])[0]
     assert abs(e[4] - 1 / SQRT2) < 1e-12
     assert abs(e[8] + 1 / SQRT2) < 1e-12
     # the same numbers as the parity-weighted sum over the behavior table
+    table = batch_behaviors(lam, CHSH_OPT[None])[0]
     parity = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert abs((b.table[0, 0] * parity).sum() - e[4]) < 1e-12
-    assert abs((b.table[1, 1] * parity).sum() - e[8]) < 1e-12
+    assert abs((table[0, 0] * parity).sum() - e[4]) < 1e-12
+    assert abs((table[1, 1] * parity).sum() - e[8]) < 1e-12
 
 
 def test_correlation_matrix_and_horodecki():
     rho = werner_like(np.pi / 4, 0.9, 2)
-    r = correlation_matrix(rho)
     lam = pauli_tensor(rho)
-    np.testing.assert_allclose(r, lam[1:, 1:], atol=1e-15)
-    got = chsh_horodecki(r, *CHSH_OPT[0], *CHSH_OPT[1])
-    assert abs(got - 0.9 * SQRT2) < 1e-12
-    # Horodecki criterion: the optimum equals sqrt of the two largest
-    # eigenvalues of R^T R, and no setting choice can beat it
+    c = default_set(2).c_matrix
+    assert abs(batch_i_max(lam, CHSH_OPT[None], c)[0] - 0.9 * SQRT2) < 1e-12
+    # Horodecki criterion: the CHSH optimum is sqrt of the two largest
+    # eigenvalues of R^T R, R the correlation block of lam; no setting beats it
+    r = lam[1:, 1:]
     s = np.sort(np.linalg.eigvalsh(r.T @ r))
     bound = math.sqrt(s[-1] + s[-2])
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        d = rng.normal(size=(4, 3))
-        d /= np.linalg.norm(d, axis=-1, keepdims=True)
-        assert chsh_horodecki(r, d[0], d[1], d[2], d[3]) <= bound + 1e-12
+    dirs = _random_dirs(np.random.default_rng(3), (50, 2, 2))
+    assert np.max(batch_i_max(lam, dirs, c)) <= bound + 1e-12
 
 
 def test_serialize_parse_round_trip():
@@ -206,8 +170,6 @@ def test_inequality_file_and_dir_loading(tmp_path):
     assert ineq.n_parties == 2
     iset = load_inequality_dir(tmp_path)
     assert len(iset.inequalities) == 8  # expanded orbit
-    raw = load_inequality_dir(tmp_path, expand=False)
-    assert len(raw) == 1 and raw[0].n_parties == 2
     with pytest.raises(MissingDataError):
         load_inequality_dir(tmp_path / "empty_nowhere")
     with pytest.raises(MissingDataError, match="no such inequality file"):
@@ -223,20 +185,26 @@ def test_dedup_collapses_equivalent_members():
     assert len(iset.inequalities) == 8
 
 
-def test_settings_validation():
-    with pytest.raises(ParameterError):
-        MeasurementSettings(2, np.ones((2, 2, 3)))
-    bad = CHSH_OPT.copy()
-    bad[0, 0] *= 1.001
-    with pytest.raises(ParameterError):
-        MeasurementSettings(2, bad)
-
-
 def test_inequality_validation():
     with pytest.raises(ParameterError):
         BellInequality(2, np.zeros((2, 2, 2, 2)), 2.0)
     with pytest.raises(ParameterError):
         BellInequality(2, chsh().coefficients, 0.0)
+
+
+def test_inequality_catalog_demo_output(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "inequality_catalog.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == [
+        "chsh         parties=2 bound=2.0 orbit=8",
+        "mermin       parties=3 bound=2.0 orbit=16",
+        "svetlichny   parties=3 bound=4.0 orbit=16",
+        "",
+        "CHSH at optimal settings: I = 1.414214 (Tsirelson bound 1.414214)",
+        "Svetlichny at optimal settings: I = 1.414214",
+        "Svetlichny over 200 random settings: best I = 1.0715 "
+        "(algebraic max sqrt(2) = 1.4142)",
+    ]
 
 
 # ------------------------------------------------- references for the kernels
@@ -300,16 +268,16 @@ def test_orbit_matches_reference_loop():
 def test_relabel_behavior_matches_reference_loop():
     rng = np.random.default_rng(17)
     for n in (2, 3):
-        b = behavior_from_state(_random_state(n, rng),
-                                MeasurementSettings(n, _random_dirs(rng, (n, 2))))
+        lam = pauli_tensor(_random_state(n, rng))
+        table = batch_behaviors(lam, _random_dirs(rng, (n, 2))[None])[0]
         for _ in range(10):
             perm = [int(x) for x in rng.permutation(n)]
             inswap = [int(x) for x in rng.integers(0, 2, n)]
             outflip = rng.integers(0, 2, (n, 2)).tolist()
             src = _relabel_index(n, perm, inswap, outflip)[0]
-            got = b.table.ravel()[src].reshape(b.table.shape)
+            got = table.ravel()[src].reshape(table.shape)
             assert got.tobytes() == \
-                _relabeled_reference(b.table, perm, inswap, outflip).tobytes()
+                _relabeled_reference(table, perm, inswap, outflip).tobytes()
 
 
 def test_batch_behaviors_match_born_rule():
@@ -410,14 +378,15 @@ def test_feature_basis_i_max_matches_table_basis():
 
 
 def test_max_violation_has_the_bits_of_a_batch():
+    # tables are built once: batch_behaviors is a BLAS product, whose bits
+    # depend on the batch size
     rng = np.random.default_rng(43)
-    iset = default_set(3)
+    w = default_set(3).w_matrix
     lam = pauli_tensor(_random_state(3, rng))
-    dirs = _random_dirs(rng, (40, 3, 2))
-    tables = batch_behaviors(lam, dirs)
-    batch = i_max(tables.reshape(40, -1), iset.w_matrix)
+    tables = batch_behaviors(lam, _random_dirs(rng, (40, 3, 2))).reshape(40, -1)
+    batch = i_max(tables, w)
     for b in range(40):
-        assert max_violation(Behavior(3, tables[b]), iset) == batch[b]
+        assert i_max(tables[b:b + 1], w)[0] == batch[b]
 
 
 def _reference_bloch_directions(seed, tag, start, count, n):

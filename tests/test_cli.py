@@ -376,6 +376,8 @@ def test_fit_eval_and_refit(tmp_path):
     assert main(["fit", "refit", "--in", str(table), "--basis", "2q",
                  "--out", str(out)]) == 0
     curve = json.loads(out.read_text())
+    assert list(curve) == ["basis", "coefficients", "domain", "units", "provenance",
+                           "rms", "manifest_digest"]
     assert curve["units"] == "percent"
     np.testing.assert_allclose(curve["coefficients"], [0.3, 0.1, 0.01, -1e-4],
                                atol=1e-8)

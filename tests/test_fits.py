@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -114,18 +113,6 @@ def test_concurrence_from_pv_families():
     assert a != b  # the two published forms disagree away from v=1
     with pytest.raises(ParameterError):
         concurrence_from_pv(th, 8.0, "nosuch")
-
-
-def test_fitcurve_json_round_trip():
-    curve = fitcurve_3q(40 * DEG)
-    blob = curve.to_json()
-    obj = json.loads(blob)
-    assert obj["units"] == "percent"
-    assert tuple(obj["basis"]) == BASIS_3Q
-    back = FitCurve.from_json(blob)
-    for p in (0.5, 3.0, 12.0):
-        assert back(p) == curve(p)
-    assert back.domain == curve.domain
 
 
 def test_fitcurve_validation():

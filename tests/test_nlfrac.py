@@ -16,7 +16,6 @@ from bellent.nlfrac import (
     load_violation_samples,
     pv_from_distribution,
     pv_werner2_closed,
-    pv_werner2_closed_as_printed,
     pv_werner2_quadrature,
     sample_chsh_reduced,
     save_violation_samples,
@@ -61,12 +60,6 @@ def test_closed_form_continuity_at_critical_visibility():
     h = 1e-7
     d2 = (pv_werner2_closed(v + h) - pv_werner2_closed(v - h)) / (2 * h)
     assert abs(d1 - d2) < 1e-3
-
-
-def test_as_printed_variant_differs():
-    # the sign-flipped denominator gives -6 at v = 1 instead of 2(pi - 3)
-    assert abs(pv_werner2_closed_as_printed(1.0) + 6.0) < 1e-12
-    assert abs(pv_werner2_closed_as_printed(0.75) - pv_werner2_closed(0.75)) > 1e-3
 
 
 def test_quadrature_matches_closed_form():
