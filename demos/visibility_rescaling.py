@@ -10,6 +10,7 @@ bit-identical to rerunning the full estimator at each v with the same
 seed, and turns a v-sweep from hours into milliseconds.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -37,8 +38,9 @@ direct = estimate_pvs([werner_like(np.pi / 4, v, 3) for v in checks], iset, m, s
 for v, est in zip(checks, direct):
     assert pv_from_distribution(samples, v) == est.p_v
 
+# wall-clock times go to stderr, so stdout is the same on every run
 print(f"sampled {m} settings once in {t_sample:.2f} s, "
-      f"replayed {len(vs)} visibilities in {t_replay * 1000:.1f} ms")
+      f"replayed {len(vs)} visibilities in {t_replay * 1000:.1f} ms", file=sys.stderr)
 print(f"{'v':>6} {'p_v':>9}")
 for v, p in zip(vs, replayed):
     print(f"{v:6.3f} {p:9.5f}")

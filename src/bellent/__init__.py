@@ -19,5 +19,5 @@ from .nlfrac import (PvEstimate, ViolationSamples, estimate_pv, estimate_pvs,
                      pv_from_distribution, pv_werner2_closed,
                      pv_werner2_quadrature, sample_chsh_reduced,
                      violation_distribution)
-from .qstate import (DensityMatrix, LocalUnitary, PureState, gghz, gsms2,
-                     gsms3, mems, phn, werner_like)
+from .qstate import (DensityMatrix, PureState, gghz, gsms2, gsms3, mems, phn,
+                     werner_like)

@@ -16,7 +16,6 @@ import hashlib
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 _WORDS_PER_BLOCK = 4
 # half the 2^-53 spacing of the doubles that Generator.random draws
@@ -85,6 +84,8 @@ def normals(seed: int, tag: str, start: int, count: int, words: int,
     Shape (count, words), in `out` when given; `draws` is the uniforms'
     buffer, as `out` of `uniforms`.
     """
+    # imported here, not at module level: it costs every CLI start about 0.25 s
+    from scipy.special import ndtri
     return ndtri(uniforms(seed, tag, start, count, words, draws), out=out)
 
 

@@ -117,21 +117,6 @@ class DensityMatrix:
         return 2 ** self.n_qubits
 
 
-@dataclass
-class LocalUnitary:
-    """2x2 unitary acting on a single qubit."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.matrix, dtype=complex)
-        if u.shape != (2, 2):
-            raise ParameterError(f"local unitary shape {u.shape}, expected (2, 2)")
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-12:
-            raise ParameterError("matrix is not unitary within 1e-12")
-        self.matrix = _readonly(u)
-
-
 # ------------------------------------------------------------------ families
 
 def gghz(theta: float, n_qubits: int) -> PureState:
@@ -256,19 +241,6 @@ def basis_state(bits: str) -> PureState:
 
 # ------------------------------------------------------------------ algebra
 
-def apply_local_unitaries(rho: DensityMatrix, us: list[LocalUnitary]) -> DensityMatrix:
-    """(U_1 x ... x U_N) rho (U_1 x ... x U_N)^dagger."""
-    if len(us) != rho.n_qubits:
-        raise ParameterError(
-            f"need {rho.n_qubits} local unitaries, got {len(us)}")
-    big = np.array([[1.0 + 0j]])
-    for u in us:
-        if not isinstance(u, LocalUnitary):
-            u = LocalUnitary(u)
-        big = np.kron(big, u.matrix)
-    return DensityMatrix(rho.n_qubits, big @ rho.entries @ big.conj().T)
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the qubits in `keep` (0 = leftmost ket label)."""
     keep = sorted(set(int(k) for k in keep))
@@ -289,16 +261,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2)."""
     return float(np.vdot(rho.entries, rho.entries).real)
-
-
-# ------------------------------------------------------------------ sampling
-
-def haar_unitary(rng: np.random.Generator) -> LocalUnitary:
-    """Haar-distributed U(2) element via QR of a complex Ginibre matrix."""
-    z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / _SQRT2
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return LocalUnitary(q * (d / np.abs(d)))
 
 
 # ------------------------------------------------------------------ file IO

@@ -286,10 +286,63 @@ def test_valid_fit_tables_of_the_non_finite_cases_pass(tmp_path):
         assert main(_fit_table(tmp_path, command, text)) == 0
 
 
+def _fresh_python(code, *args):
+    """Run `code` in a new interpreter: (exit code, stdout then stderr)."""
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout + proc.stderr
+
+
 def test_cli_import_leaves_scipy_optimize_out():
-    code = ("import sys, bellent.cli; "
-            "sys.exit('scipy.optimize' in sys.modules or 'scipy.integrate' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    # no scipy module at all: scipy.special alone costs a CLI start about 0.25 s
+    code = "import sys, bellent.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    assert _fresh_python(code) == (0, "[]\n")
+
+
+def test_commands_that_do_not_sample_leave_scipy_special_out(tmp_path):
+    state = tmp_path / "w.json"
+    save_density_matrix(werner_like(np.pi / 4, 0.9, 2), state)
+    samples = tmp_path / "dist.csv"
+    assert main(["dist", str(state), "--samples", "500", "--seed", "8",
+                 "--out", str(samples)]) == 0
+    rho3 = werner_like(np.pi / 4, 0.986, 3)
+    cc = tmp_path / "run.csv"
+    save_cc(add_poisson_noise(synth_cc_dataset(rho3, 8, seed=4, scale=4000.0), seed=5), cc)
+    commands = [
+        ["state", "make", "--family", "werner", "--theta-deg", "45", "--v", "0.9",
+         "--n", "2", "--out", tmp_path / "made.json"],
+        ["conc", state, "--method", "wootters", "--out", tmp_path / "conc.json"],
+        ["fit", "eval", "--name", "c-lower-2q", "--pv", "5", "--out", tmp_path / "fit.json"],
+        ["rescale", samples, "--v-from", "0.8", "--v-to", "1.0", "--v-step", "0.1",
+         "--out", tmp_path / "curve.csv"],
+        ["exp", "pv", "--in", cc, "--out", tmp_path / "pv.json"],
+        ["exp", "resample", "--in", cc, "--statistic", "pv_cc", "--trials", "3",
+         "--seed", "3", "--out", tmp_path / "resample.json"],
+    ]
+    code = ("import json, sys; from bellent.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, 'scipy.special' in sys.modules)")
+    argv = json.dumps([[str(a) for a in c] for c in commands])
+    assert _fresh_python(code, argv) == (0, "[0, 0, 0, 0, 0, 0] False\n")
+
+
+def test_first_draw_on_pool_threads_matches_one_worker(tmp_path):
+    # the first draw of a fresh process runs the deferred scipy.special
+    # import; with 2 workers both pool threads reach it at once
+    state = tmp_path / "w.json"
+    save_density_matrix(werner_like(np.pi / 4, 1.0, 2), state)
+    outs = {w: tmp_path / f"pv{w}.json" for w in (1, 2)}
+    code = ("import sys; from bellent.cli import main\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "print(before, main(sys.argv[1:]), 'scipy.special' in sys.modules)")
+    for w, out in outs.items():
+        assert _fresh_python(code, "pv", state, "--samples", 2 * nlfrac.CHUNK, "--seed", 5,
+                             "--workers", w, "--out", out) == (0, "False 0 True\n")
+    one, two = (out.read_text() for out in outs.values())
+    # the manifest digest hashes the --workers flag, so it alone differs
+    digest = {w: json.loads(t)["manifest_digest"] for w, t in ((1, one), (2, two))}
+    assert two.replace(digest[2], digest[1]) == one
+    assert json.loads(one)["violations"] > 0
 
 
 def test_workers_below_one_rejected(tmp_path, capsys):

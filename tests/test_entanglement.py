@@ -20,13 +20,12 @@ from bellent.errors import NotAnXStateError, ParameterError
 from bellent.qstate import (
     DensityMatrix,
     PureState,
-    apply_local_unitaries,
     gghz,
     gsms2,
     gsms3,
-    haar_unitary,
     werner_like,
 )
+from local_unitaries import apply_local_unitaries, haar_unitary
 
 SQRT2 = math.sqrt(2.0)
 

@@ -1,6 +1,8 @@
 import math
+import runpy
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from bellent.nlfrac import (
     save_violation_samples,
     violation_distribution,
 )
-from bellent.qstate import (apply_local_unitaries, format_float, gghz, haar_unitary,
-                            werner_like)
+from bellent.qstate import format_float, gghz, werner_like
+from local_unitaries import apply_local_unitaries, haar_unitary
 
 # analytic curve, frozen from an independent quadrature run
 CLOSED_PINS = {
@@ -178,6 +180,27 @@ def test_distribution_thresholding_identity():
     for v in (0.8, 0.9, 1.0):
         direct = estimate_pv(werner_like(np.pi / 4, v, 3), iset, m, seed)
         assert pv_from_distribution(samples, v) == direct.p_v
+
+
+def test_visibility_rescaling_demo_output(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "visibility_rescaling.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "     v       p_v",
+        " 0.550   0.00000",
+        " 0.600   0.00000",
+        " 0.650   0.00000",
+        " 0.700   0.00000",
+        " 0.750   0.00000",
+        " 0.800   0.00000",
+        " 0.850   0.00010",
+        " 0.900   0.00065",
+        " 0.950   0.00220",
+        " 1.000   0.00490",
+    ]
+    # the wall-clock line alone goes to stderr
+    assert err.startswith("sampled 20000 settings once in ") and err.count("\n") == 1
 
 
 def test_reduced_cube_sampler():
