@@ -20,7 +20,7 @@ from bellent.qstate import gghz
 for ineq in (chsh(), mermin(), svetlichny()):
     orbit = expand_relabelings([ineq])
     print(f"{ineq.name:12s} parties={ineq.n_parties} "
-          f"bound={ineq.lhv_bound} orbit={len(orbit.inequalities)}")
+          f"bound={ineq.lhv_bound} orbit={len(orbit)}")
 
 # CHSH at the Tsirelson settings: normalized value sqrt(2)
 z, x = np.array([0, 0, 1.0]), np.array([1.0, 0, 0])

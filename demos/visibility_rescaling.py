@@ -22,9 +22,12 @@ from bellent.qstate import gghz, werner_like
 
 iset = default_set(3)
 m, seed = 20_000, 2026
+ghz = gghz(np.pi / 4, 3).projector()
 
+# the first draw imports scipy.special; pay that before the timer
+violation_distribution(ghz, iset, 1, seed)
 t0 = time.perf_counter()
-samples = violation_distribution(gghz(np.pi / 4, 3).projector(), iset, m, seed)
+samples = violation_distribution(ghz, iset, m, seed)
 t_sample = time.perf_counter() - t0
 
 vs = np.linspace(0.55, 1.0, 10)

@@ -20,7 +20,7 @@ M = 200_000
 SEED = 7
 
 iset = default_set(2)
-print(f"inequality set: {iset.tag} ({len(iset.inequalities)} relabelings)")
+print(f"inequality set: {iset.tag} ({len(iset)} relabelings)")
 print(f"{'v':>6} {'closed':>10} {'quadrature':>10} {'monte carlo':>12}")
 vs = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00)
 # every visibility on the same M settings, drawn once

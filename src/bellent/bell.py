@@ -90,55 +90,15 @@ class BellInequality:
         c = np.asarray(self.coefficients, dtype=float)
         if c.shape != (2,) * (2 * self.n_parties):
             raise ParameterError(f"coefficient shape {c.shape} wrong for {self.n_parties} parties")
+        if not 0 < self.lhv_bound < math.inf:
+            raise ParameterError(f"LHV bound must be positive and finite, got {self.lhv_bound!r}")
+        with np.errstate(over="ignore"):  # the orbit holds mu / bound
+            if not np.all(np.isfinite(c / self.lhv_bound)):
+                raise ParameterError("coefficients divided by the LHV bound must be finite")
         if not np.any(c):
             raise ParameterError("inequality has no nonzero coefficient")
-        if not self.lhv_bound > 0:
-            raise ParameterError(f"LHV bound must be positive, got {self.lhv_bound!r}")
         c.setflags(write=False)
         self.coefficients = c
-
-    def normalized(self) -> "BellInequality":
-        if self.lhv_bound == 1.0:
-            return self
-        return BellInequality(self.n_parties, self.coefficients / self.lhv_bound, 1.0, self.name)
-
-    def key(self) -> bytes:
-        """Dedup key: bound-1 coefficients rounded to 1e-9, fixed index order."""
-        w = np.round(self.coefficients / self.lhv_bound, 9) + 0.0  # kill -0.0
-        return w.tobytes()
-
-
-# ------------------------------------------------------------- base classes
-
-def _full_correlator_ineq(n: int, signs: dict, bound: float, name: str) -> BellInequality:
-    mu = np.zeros((2,) * (2 * n))
-    parity = np.ones((2,) * n)
-    for r in itertools.product((0, 1), repeat=n):
-        parity[r] = -1.0 if sum(r) % 2 else 1.0
-    for s, sign in signs.items():
-        mu[s] = sign * parity
-    return BellInequality(n, mu, bound, name)
-
-
-def chsh() -> BellInequality:
-    """E(00) + E(01) + E(10) - E(11), LHV bound 2."""
-    return _full_correlator_ineq(
-        2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}, 2.0, "chsh")
-
-
-def mermin() -> BellInequality:
-    """E(000) - E(011) - E(101) - E(110), LHV bound 2."""
-    return _full_correlator_ineq(
-        3, {(0, 0, 0): 1, (0, 1, 1): -1, (1, 0, 1): -1, (1, 1, 0): -1}, 2.0, "mermin")
-
-
-def svetlichny() -> BellInequality:
-    """Eight-correlator hybrid-model functional, LHV bound 4."""
-    return _full_correlator_ineq(
-        3,
-        {(0, 0, 0): 1, (0, 1, 1): -1, (1, 0, 1): -1, (1, 1, 0): -1,
-         (1, 1, 1): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1},
-        4.0, "svetlichny")
 
 
 # ------------------------------------------------------------- relabelings
@@ -171,7 +131,7 @@ def _relabel_index(n: int, perms, inswaps, outflips) -> np.ndarray:
 
 @dataclass
 class InequalitySet:
-    """Deduplicated relabeling orbit, every member normalized to bound 1.
+    """Deduplicated relabeling orbit as coefficient rows, each at LHV bound 1.
 
     Immutable after construction.  `w_matrix` is the (n_ineqs, 4^N) stack of
     flattened coefficient tables, for behaviors given as tables;
@@ -180,27 +140,27 @@ class InequalitySet:
     """
 
     n_parties: int
-    inequalities: list
+    w_matrix: np.ndarray
     tag: str
-    w_matrix: np.ndarray = field(init=False)
     c_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.inequalities:
-            raise ParameterError("inequality set is empty")
-        w = np.stack([q.coefficients.ravel() for q in self.inequalities])
+        w = np.ascontiguousarray(self.w_matrix, dtype=float)
+        if w.ndim != 2 or not len(w) or w.shape[1] != 4 ** self.n_parties:
+            raise ParameterError(f"bad inequality rows {w.shape} for {self.n_parties} parties")
         c = w @ feature_map(self.n_parties).T
         w.setflags(write=False)
         c.setflags(write=False)
         self.w_matrix, self.c_matrix = w, c
 
     def __len__(self) -> int:
-        return len(self.inequalities)
+        return len(self.w_matrix)
 
     def digest(self) -> str:
-        """SHA-256 over the sorted member dedup keys."""
+        """SHA-256 over the sorted rows, rounded to 1e-9."""
+        rows = np.round(self.w_matrix, 9) + 0.0  # kill -0.0
         h = hashlib.sha256()
-        for k in sorted(q.key() for q in self.inequalities):
+        for k in sorted(r.tobytes() for r in rows):
             h.update(k)
         return h.hexdigest()
 
@@ -218,12 +178,11 @@ def expand_relabelings(ineqs, tag: str = "") -> InequalitySet:
     src = _relabel_index(n, list(itertools.permutations(range(n))),
                          list(itertools.product((0, 1), repeat=n)),
                          list(itertools.product(flips, repeat=n)))
-    shape = ineqs[0].coefficients.shape
     seen = {}
     for base in ineqs:
-        mu = base.normalized().coefficients.ravel()
-        # key() of each candidate, i.e. of a bound-1 table, is its rounded
-        # entries; rounding commutes with the gather
+        mu = (base.coefficients / base.lhv_bound).ravel()
+        # a row's dedup key is its entries rounded to 1e-9, as in digest();
+        # rounding commutes with the gather
         rounded = np.round(mu, 9) + 0.0
         width = src.shape[1] * rounded.itemsize
         for lo in range(0, len(src), _ORBIT_BLOCK):
@@ -232,11 +191,10 @@ def expand_relabelings(ineqs, tag: str = "") -> InequalitySet:
             for g in range(len(block)):
                 key = keys[g * width:(g + 1) * width]
                 if key not in seen:
-                    seen[key] = BellInequality(n, mu[block[g]].reshape(shape), 1.0, base.name)
-    members = list(seen.values())
+                    seen[key] = mu[block[g]]
     if not tag:
         tag = "+".join(sorted({q.name or "ineq" for q in ineqs}))
-    return InequalitySet(n, members, tag)
+    return InequalitySet(n, np.stack(list(seen.values())), tag)
 
 
 # ------------------------------------------------------------- evaluation
@@ -363,33 +321,12 @@ def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray,
 
 # ------------------------------------------------------------- file format
 
-def serialize_inequality(ineq: BellInequality) -> str:
-    """Fixed-order text form; parse(serialize(x)) round-trips exactly."""
-    n = ineq.n_parties
-    lines = [
-        "bellineq 1",
-        f"parties {n}",
-        "inputs 2",
-        "outputs 2",
-        f"bound {format(ineq.lhv_bound, '.17g')}",
-    ]
-    for idx in np.ndindex(*ineq.coefficients.shape):
-        v = ineq.coefficients[idx]
-        if v != 0.0:
-            s = "".join(str(x) for x in idx[:n])
-            r = "".join(str(x) for x in idx[n:])
-            lines.append(f"c {s} {r} {format(v, '.17g')}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_inequality(text: str, name: str = "") -> BellInequality:
     """Parse the line-based inequality format; errors carry line numbers."""
     header = [("bellineq", None), ("parties", None), ("inputs", "2"), ("outputs", "2"),
               ("bound", None)]
     pos = 0
-    n = None
-    bound = None
-    coeffs = None
+    n = bound = coeffs = None
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -416,8 +353,9 @@ def parse_inequality(text: str, name: str = "") -> BellInequality:
                     bound = float(parts[1])
                 except ValueError:
                     raise ParseError(f"bad bound {parts[1]!r}", line=lineno) from None
-                if not bound > 0:
-                    raise ParseError(f"bound must be positive, got {parts[1]}", line=lineno)
+                if not 0 < bound < math.inf:
+                    raise ParseError(f"bound must be positive and finite, got {parts[1]}",
+                                     line=lineno)
                 coeffs = np.zeros((2,) * (2 * n))
             pos += 1
             continue
@@ -435,9 +373,12 @@ def parse_inequality(text: str, name: str = "") -> BellInequality:
             raise ParseError(f"duplicate coefficient for {s_str} {r_str}", line=lineno)
         seen.add(idx)
         try:
-            coeffs[idx] = float(v_str)
+            v = float(v_str)
         except ValueError:
             raise ParseError(f"bad coefficient value {v_str!r}", line=lineno) from None
+        if not math.isfinite(v):
+            raise ParseError(f"coefficient value must be finite, got {v_str!r}", line=lineno)
+        coeffs[idx] = v
     if pos < len(header):
         raise ParseError(f"truncated file: missing '{header[pos][0]}' line")
     return BellInequality(n, coeffs, bound, name)
@@ -448,34 +389,54 @@ def load_inequality_file(path) -> BellInequality:
     text = read_text(path, "inequality file")
     try:
         return parse_inequality(text, name=path.stem)
-    except ParseError as exc:
-        raise ParseError(f"{path.name}: {exc}") from None
+    except (ParseError, ParameterError) as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
+
+
+def inequality_files(path) -> list:
+    """The *.bellineq files directly in a directory, sorted; none if it is missing."""
+    path = Path(path)
+    return sorted(path.glob("*.bellineq")) if path.is_dir() else []
 
 
 def load_inequality_dir(path) -> InequalitySet:
-    """Orbit of all *.bellineq files under a directory."""
-    path = Path(path)
-    files = sorted(path.glob("*.bellineq")) if path.is_dir() else []
+    """Orbit of all `inequality_files` of a directory."""
+    files = inequality_files(path)
     if not files:
         raise MissingDataError(f"no .bellineq files in {path}")
     ineqs = [load_inequality_file(f) for f in files]
-    return expand_relabelings(ineqs, tag=f"dir:{path.name}")
+    return expand_relabelings(ineqs, tag=f"dir:{Path(path).name}")
 
 
-_BUNDLED = {"chsh": chsh, "mermin": mermin, "svetlichny": svetlichny}
+_BUNDLED = ("chsh", "mermin", "svetlichny")
 
 
 def bundled_inequality(name: str) -> BellInequality:
-    """Bundled fixture, parsed from the packaged .bellineq file."""
+    """Bundled inequality, parsed from the packaged .bellineq file."""
     if name not in _BUNDLED:
         raise MissingDataError(f"no bundled inequality {name!r}")
     from importlib import resources
     ref = resources.files("bellent").joinpath(f"data/{name}.bellineq")
     try:
         text = ref.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError):
+    except OSError:
         raise MissingDataError(f"bundled file data/{name}.bellineq missing") from None
     return parse_inequality(text, name=name)
+
+
+def chsh() -> BellInequality:
+    """E(00) + E(01) + E(10) - E(11), LHV bound 2."""
+    return bundled_inequality("chsh")
+
+
+def mermin() -> BellInequality:
+    """E(000) - E(011) - E(101) - E(110), LHV bound 2."""
+    return bundled_inequality("mermin")
+
+
+def svetlichny() -> BellInequality:
+    """Eight-correlator hybrid-model functional, LHV bound 4."""
+    return bundled_inequality("svetlichny")
 
 
 def default_set(n_parties: int) -> InequalitySet:
@@ -486,8 +447,7 @@ def default_set(n_parties: int) -> InequalitySet:
     the tag says so.
     """
     if n_parties == 2:
-        return expand_relabelings(bundled_inequality("chsh"), tag="chsh")
+        return expand_relabelings(chsh(), tag="chsh")
     if n_parties == 3:
-        return expand_relabelings(
-            bundled_inequality("svetlichny"), tag="svetlichny:lower-bound")
+        return expand_relabelings(svetlichny(), tag="svetlichny:lower-bound")
     raise ParameterError(f"no default set for {n_parties} parties")

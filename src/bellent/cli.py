@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,8 +25,6 @@ import numpy as np
 from . import bell, entanglement, expdata, fits, nlfrac, qstate
 from .errors import (DomainError, FitError, MissingDataError, ParameterError,
                      ParseError)
-
-INEQ_DIR_ENV = "BELLENT_INEQ_DIR"
 
 
 def _version() -> str:
@@ -47,7 +44,12 @@ def _sha256(path) -> str:
 
 
 def _manifest(ns, inputs) -> tuple:
-    """(digest, manifest dict) for this invocation; digest skips the timestamp."""
+    """(digest, manifest dict) for this invocation; digest skips the timestamp.
+
+    The files of an --ineq-dir count as inputs: they decide the results.
+    """
+    if getattr(ns, "ineq_dir", None):
+        inputs = [*inputs, *bell.inequality_files(ns.ineq_dir)]
     args = {}
     for k, v in sorted(vars(ns).items()):
         if k in ("func", "command", "subcommand"):
@@ -100,9 +102,8 @@ def _theta(ns, needed_by: str = "this family") -> float:
 
 
 def _resolve_set(ns, n_parties: int) -> bell.InequalitySet:
-    ineq_dir = getattr(ns, "ineq_dir", None) or os.environ.get(INEQ_DIR_ENV)
-    if ineq_dir:
-        iset = bell.load_inequality_dir(ineq_dir)
+    if getattr(ns, "ineq_dir", None):
+        iset = bell.load_inequality_dir(ns.ineq_dir)
         if iset.n_parties != n_parties:
             raise ParameterError(
                 f"inequality directory is for {iset.n_parties} parties, "
@@ -354,7 +355,7 @@ def _add_common(p, samples_default=1_000_000):
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--samples", "-m", type=int, default=samples_default)
     p.add_argument("--ineq-dir", default=None,
-                   help=f"inequality directory (or ${INEQ_DIR_ENV})")
+                   help="directory of .bellineq files (default: the bundled set)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,13 @@
 import itertools
 import math
 import runpy
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from bellent._rng import bloch_directions, draw_width, raw_words
@@ -27,10 +30,9 @@ from bellent.bell import (
     mermin,
     parse_inequality,
     pauli_tensor,
-    serialize_inequality,
     svetlichny,
 )
-from bellent.errors import MissingDataError, ParameterError, ParseError
+from bellent.errors import BellentError, MissingDataError, ParameterError, ParseError
 from bellent.qstate import DensityMatrix, gghz, werner_like
 
 SQRT2 = math.sqrt(2.0)
@@ -46,6 +48,10 @@ def _equatorial(phis):
     return np.array([[[math.cos(p), math.sin(p), 0.0] for p in pair] for pair in phis])
 
 SVET_OPT = _equatorial([(0, np.pi / 2), (0, np.pi / 2), (np.pi / 4, 3 * np.pi / 4)])
+
+
+def _packaged_text(name):
+    return resources.files("bellent").joinpath(f"data/{name}.bellineq").read_text()
 
 
 def test_inequality_families_structure():
@@ -73,9 +79,9 @@ def test_orbit_sizes_and_digests():
     set2 = expand_relabelings([chsh()])
     set3m = expand_relabelings([mermin()])
     set3s = expand_relabelings([svetlichny()])
-    assert len(set2.inequalities) == 8
-    assert len(set3m.inequalities) == 16
-    assert len(set3s.inequalities) == 16
+    assert len(set2) == 8
+    assert len(set3m) == 16
+    assert len(set3s) == 16
     assert set2.digest().startswith("df2aac18d1e4")
     assert set3m.digest().startswith("529e19246699")
     assert set3s.digest().startswith("6535e8ed7934")
@@ -123,17 +129,8 @@ def test_correlation_matrix_and_horodecki():
     assert np.max(batch_i_max(lam, dirs, c)) <= bound + 1e-12
 
 
-def test_serialize_parse_round_trip():
-    for ineq in (chsh(), mermin(), svetlichny()):
-        text = serialize_inequality(ineq)
-        back = parse_inequality(text, name=ineq.name)
-        assert back.n_parties == ineq.n_parties
-        assert back.lhv_bound == ineq.lhv_bound
-        np.testing.assert_array_equal(back.coefficients, ineq.coefficients)
-
-
 def test_parse_reports_line_numbers():
-    good = serialize_inequality(chsh())
+    good = _packaged_text("chsh")
     lines = good.splitlines()
     bad = "\n".join(lines[:3] + lines[4:])  # drop the outputs header line
     with pytest.raises(ParseError) as exc:
@@ -157,19 +154,19 @@ def test_bundled_inequalities_load():
 def test_default_sets():
     s2 = default_set(2)
     s3 = default_set(3)
-    assert s2.tag == "chsh" and len(s2.inequalities) == 8
-    assert s3.tag == "svetlichny:lower-bound" and len(s3.inequalities) == 16
+    assert s2.tag == "chsh" and len(s2) == 8
+    assert s3.tag == "svetlichny:lower-bound" and len(s3) == 16
     with pytest.raises(ParameterError):
         default_set(4)
 
 
 def test_inequality_file_and_dir_loading(tmp_path):
     p = tmp_path / "my.bellineq"
-    p.write_text(serialize_inequality(chsh()))
+    p.write_text(_packaged_text("chsh"))
     ineq = load_inequality_file(p)
     assert ineq.n_parties == 2
     iset = load_inequality_dir(tmp_path)
-    assert len(iset.inequalities) == 8  # expanded orbit
+    assert len(iset) == 8  # expanded orbit
     with pytest.raises(MissingDataError):
         load_inequality_dir(tmp_path / "empty_nowhere")
     with pytest.raises(MissingDataError, match="no such inequality file"):
@@ -182,14 +179,92 @@ def test_inequality_file_and_dir_loading(tmp_path):
 def test_dedup_collapses_equivalent_members():
     # the same inequality twice expands to the same 8-member orbit
     iset = expand_relabelings([chsh(), chsh()])
-    assert len(iset.inequalities) == 8
+    assert len(iset) == 8
 
 
 def test_inequality_validation():
     with pytest.raises(ParameterError):
         BellInequality(2, np.zeros((2, 2, 2, 2)), 2.0)
-    with pytest.raises(ParameterError):
-        BellInequality(2, chsh().coefficients, 0.0)
+    for bound in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="LHV bound"):
+            BellInequality(2, chsh().coefficients, bound)
+    for value in (math.nan, math.inf):
+        mu = chsh().coefficients.copy()
+        mu[0, 0, 0, 0] = value
+        with pytest.raises(ParameterError, match="finite"):
+            BellInequality(2, mu, 2.0)
+    # finite entries whose bound-1 form overflows
+    with pytest.raises(ParameterError, match="finite"):
+        BellInequality(2, chsh().coefficients * 1e300, 1e-300)
+
+
+def test_parse_rejects_non_finite_values_on_their_line():
+    good = _packaged_text("chsh")
+    for old, new, line in (("c 00 00 1\n", "c 00 00 nan\n", 6),
+                           ("c 00 00 1\n", "c 00 00 1e400\n", 6),
+                           ("c 11 11 -1\n", "c 11 11 -inf\n", 21),
+                           ("bound 2", "bound inf", 5),
+                           ("bound 2", "bound nan", 5)):
+        with pytest.raises(ParseError, match="finite") as exc:
+            parse_inequality(good.replace(old, new))
+        assert exc.value.line == line
+
+
+def test_bundled_files_are_the_documented_correlator_forms():
+    """Each packaged functional is sum_S sign_S E(S) over full correlators."""
+    forms = {
+        chsh: {"00": 1, "01": 1, "10": 1, "11": -1},
+        mermin: {"000": 1, "011": -1, "101": -1, "110": -1},
+        svetlichny: {"000": 1, "011": -1, "101": -1, "110": -1,
+                     "111": 1, "100": -1, "010": -1, "001": -1},
+    }
+    for make, signs in forms.items():
+        ineq = make()
+        n = ineq.n_parties
+        # full correlator E(S) is the feature with base-3 digits 1 + S_i
+        want = np.zeros(3 ** n)
+        for settings_, sign in signs.items():
+            want[int("".join(str(1 + int(b)) for b in settings_), 3)] = sign
+        assert ineq.name == make.__name__
+        np.testing.assert_array_equal(ineq.coefficients.ravel() @ feature_map(n).T, want)
+
+
+# .bellineq text from valid header and coefficient lines; one value in eight
+# is any float text or a bad token, and a third of the texts get arbitrary
+# lines mixed in
+_BAD_VALUE = st.one_of(st.floats().map(repr),
+                       st.sampled_from(["nan", "-inf", "1e400", "1e-320", "-0", "1_0", "x"]))
+
+
+def _value(draw, good):
+    return draw(_BAD_VALUE if draw(st.integers(0, 7)) == 0 else good)
+
+
+@st.composite
+def _bellineq_text(draw):
+    n = draw(st.sampled_from([2, 3]))
+    bound = _value(draw, st.floats(1e-3, 1e3).map(repr))
+    lines = ["bellineq 1", f"parties {n}", "inputs 2", "outputs 2", f"bound {bound}"]
+    bits = st.text("01", min_size=n, max_size=n)
+    coefficient = st.sampled_from(["1", "-1", "0.5", "0"]) | st.floats(-1e6, 1e6).map(repr)
+    indices = st.lists(st.tuples(bits, bits), min_size=1, max_size=12, unique=True)
+    for s_bits, r_bits in draw(indices):
+        lines.append(f"c {s_bits} {r_bits} {_value(draw, coefficient)}")
+    if draw(st.integers(0, 2)) == 0:
+        for line in draw(st.lists(st.text(max_size=12), min_size=1, max_size=2)):
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_bellineq_text())
+def test_parse_inequality_returns_finite_or_raises_package_error(text):
+    try:
+        ineq = parse_inequality(text)
+    except BellentError:
+        return
+    assert 0 < ineq.lhv_bound < math.inf
+    assert np.all(np.isfinite(ineq.coefficients / ineq.lhv_bound))
 
 
 def test_inequality_catalog_demo_output(capsys):
@@ -227,20 +302,18 @@ def _relabeled_reference(mu, perm, inswap, outflip):
 
 
 def _orbit_reference(ineqs):
-    """Members of the relabeling orbit, first occurrence kept, in loop order."""
+    """Bound-1 rows of the relabeling orbit, first occurrence kept, in loop order."""
     n = ineqs[0].n_parties
     flips = list(itertools.product((0, 1), repeat=2))
     seen = {}
     for base in ineqs:
-        nb = base.normalized()
+        mu = base.coefficients / base.lhv_bound
         for perm in itertools.permutations(range(n)):
             for inswap in itertools.product((0, 1), repeat=n):
                 for outflip in itertools.product(flips, repeat=n):
-                    cand = BellInequality(
-                        n, _relabeled_reference(nb.coefficients, perm, inswap, outflip),
-                        1.0, base.name)
-                    seen.setdefault(cand.key(), cand)
-    return list(seen.values())
+                    row = _relabeled_reference(mu, perm, inswap, outflip).ravel()
+                    seen.setdefault((np.round(row, 9) + 0.0).tobytes(), row)
+    return np.stack(list(seen.values()))
 
 
 def _random_state(n, rng):
@@ -257,12 +330,8 @@ def _random_dirs(rng, shape):
 def test_orbit_matches_reference_loop():
     for ineqs in ([chsh()], [mermin()], [svetlichny()], [mermin(), svetlichny()],
                   [chsh(), chsh()]):
-        got = expand_relabelings(ineqs).inequalities
-        want = _orbit_reference(ineqs)
-        assert [q.name for q in got] == [q.name for q in want]
-        assert [q.lhv_bound for q in got] == [q.lhv_bound for q in want]
-        assert [q.coefficients.tobytes() for q in got] == \
-            [q.coefficients.tobytes() for q in want]
+        got = expand_relabelings(ineqs).w_matrix
+        assert got.tobytes() == _orbit_reference(ineqs).tobytes()
 
 
 def test_relabel_behavior_matches_reference_loop():

@@ -1,16 +1,18 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from bellent import nlfrac
-from bellent.bell import default_set, serialize_inequality, svetlichny
+from bellent.bell import default_set
 from bellent.cli import main
 from bellent.entanglement import conc_closed_w2, gme_closed_w3_xstate
 from bellent.expdata import add_poisson_noise, save_cc, synth_basis_datasets, synth_cc_dataset
@@ -154,6 +156,9 @@ def _ineq_dir(tmp_path, text):
             "--out", str(tmp_path / "curve.csv")]
 
 
+SVETLICHNY_TEXT = resources.files("bellent").joinpath("data/svetlichny.bellineq").read_text()
+
+
 def _pairs_text(header, rows):
     return header + "\n" + "".join(f"{a},{b}\n" for a, b in rows)
 
@@ -187,6 +192,11 @@ MALFORMED_INPUTS = {
     "refit table not utf-8": lambda d: _fit_table(
         d, "refit", _pairs_text("pv,value", _PV_VALUE_ROWS + [("\xff", "1")])),
     "bellineq not utf-8": lambda d: _ineq_dir(d, "bellineq 1\nparties \xff\n"),
+    "bellineq coefficient nan": lambda d: _ineq_dir(
+        d, SVETLICHNY_TEXT.replace("c 000 000 1\n", "c 000 000 nan\n")),
+    "bellineq coefficient 1e400": lambda d: _ineq_dir(
+        d, SVETLICHNY_TEXT.replace("c 000 000 1\n", "c 000 000 1e400\n")),
+    "bellineq bound inf": lambda d: _ineq_dir(d, SVETLICHNY_TEXT.replace("bound 4", "bound inf")),
 }
 
 
@@ -556,24 +566,27 @@ def test_exp_pipeline(tmp_path):
                       rtol=1e-12, atol=0.0)
 
 
-def test_ineq_dir_flag_and_env(tmp_path, monkeypatch):
+def test_ineq_dir_flag_and_manifest(tmp_path):
     ineq_dir = tmp_path / "ineqs"
     ineq_dir.mkdir()
-    (ineq_dir / "svet.bellineq").write_text(serialize_inequality(svetlichny()))
+    svet = ineq_dir / "svet.bellineq"
+    svet.write_text(SVETLICHNY_TEXT)
     state = tmp_path / "w3.json"
     assert main(["state", "make", "--family", "werner", "--theta-deg", "45",
                  "--v", "1.0", "--n", "3", "--out", str(state)]) == 0
-    a = json.loads(main_capture(["pv", str(state), "--samples", "2000",
-                                 "--seed", "1", "--ineq-dir", str(ineq_dir)]))
+    out = tmp_path / "pv.json"
+    assert main(["pv", str(state), "--samples", "2000", "--seed", "1",
+                 "--ineq-dir", str(ineq_dir), "--out", str(out)]) == 0
+    a = json.loads(out.read_text())
     assert a["set_tag"] == "dir:ineqs"
-    monkeypatch.setenv("BELLENT_INEQ_DIR", str(ineq_dir))
-    b = json.loads(main_capture(["pv", str(state), "--samples", "2000",
-                                 "--seed", "1"]))
-    assert b["p_v"] == a["p_v"]
-    monkeypatch.delenv("BELLENT_INEQ_DIR")
-    c = json.loads(main_capture(["pv", str(state), "--samples", "2000",
-                                 "--seed", "1"]))
-    assert c["set_tag"] == "svetlichny:lower-bound"
+    manifest = json.loads((tmp_path / "pv.json.manifest.json").read_text())
+    assert manifest["input_digests"][str(svet)] == hashlib.sha256(svet.read_bytes()).hexdigest()
+    assert manifest["manifest_digest"] == a["manifest_digest"]
+    # the same orbit as the default set, so the same count; the digest tells
+    # the runs apart because the directory's files are inputs
+    b = json.loads(main_capture(["pv", str(state), "--samples", "2000", "--seed", "1"]))
+    assert b["set_tag"] == "svetlichny:lower-bound"
+    assert b["p_v"] == a["p_v"] and b["manifest_digest"] != a["manifest_digest"]
 
 
 def test_cli_entry_point_runs():
