@@ -137,44 +137,33 @@ def _v_grid(ns):
 
 # ------------------------------------------------------------------ state
 
+# family -> (qstate constructor, its flags in call order); the constructor is
+# looked up by name when called, so a wrapper put on the qstate attribute runs
+_FAMILIES = {
+    "werner": ("werner_like", ("theta_deg", "v", "n")),
+    "gghz": ("gghz", ("theta_deg", "n")),
+    "gsms2": ("gsms2", ("x", "y")),
+    "gsms3": ("gsms3", ("x", "y")),
+    "mems": ("mems", ("gamma",)),
+    "phn": ("phn", ("x", "n")),
+    "basis": ("basis_state", ("bits",)),
+}
+
+
 def cmd_state_make(ns) -> None:
-    fam = ns.family
-    if fam == "werner":
-        obj = qstate.werner_like(_theta(ns), _req(ns, "v"), _req_n(ns))
-    elif fam == "gghz":
-        obj = qstate.gghz(_theta(ns), _req_n(ns))
-    elif fam == "gsms2":
-        obj = qstate.gsms2(_req(ns, "x"), _req(ns, "y"))
-    elif fam == "gsms3":
-        obj = qstate.gsms3(_req(ns, "x"), _req(ns, "y"))
-    elif fam == "mems":
-        obj = qstate.mems(_req(ns, "gamma"))
-    elif fam == "phn":
-        obj = qstate.phn(_req(ns, "x"), _req_n(ns))
-    elif fam == "basis":
-        if not ns.bits:
-            raise ParameterError("--bits is required for the basis family")
-        obj = qstate.basis_state(ns.bits)
-    else:
-        raise ParameterError(f"unknown family {fam!r}")
+    make, flags = _FAMILIES[ns.family]
+    args = []
+    for flag in flags:
+        if getattr(ns, flag) is None:
+            raise ParameterError(
+                f"--{flag.replace('_', '-')} is required for the {ns.family} family")
+        args.append(_theta(ns) if flag == "theta_deg" else getattr(ns, flag))
+    obj = getattr(qstate, make)(*args)
     if isinstance(obj, qstate.PureState):
         qstate.save_pure_state(obj, ns.out)
     else:
         qstate.save_density_matrix(obj, ns.out)
     _write_manifest(ns.out, _manifest(ns, ())[1])
-
-
-def _req(ns, name: str) -> float:
-    v = getattr(ns, name, None)
-    if v is None:
-        raise ParameterError(f"--{name.replace('_', '-')} is required for this family")
-    return v
-
-
-def _req_n(ns) -> int:
-    if ns.n is None:
-        raise ParameterError("--n is required for this family")
-    return ns.n
 
 
 # ------------------------------------------------------------------ pv / dist
@@ -188,12 +177,9 @@ def cmd_pv(ns) -> None:
 
 def cmd_sweep(ns) -> None:
     theta = _theta(ns)
-    n = _req_n(ns)
+    n = ns.n
     iset = _resolve_set(ns, n)
-    if ns.closed_form == "auto":
-        form = "w2" if n == 2 else "w3-xstate"
-    else:
-        form = ns.closed_form
+    form = ("w2" if n == 2 else "w3-xstate") if ns.closed_form == "auto" else ns.closed_form
     closed = {
         "w2": entanglement.conc_closed_w2,
         "w3-xstate": entanglement.gme_closed_w3_xstate,
@@ -242,12 +228,10 @@ def cmd_conc(ns) -> None:
     elif method == "gme-xstate":
         dec = entanglement.xstate_decompose(qstate.as_density_matrix(state))
         value = entanglement.gme_concurrence_xstate(dec)
-    elif method == "gme-pure":
+    else:  # gme-pure, the last of the parser's choices
         if not isinstance(state, qstate.PureState):
             raise ParameterError("gme-pure needs a pure-state file")
         value = entanglement.gme_concurrence_pure(state)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
     _emit(ns, {"method": method, "value": value}, inputs=[ns.state])
 
 
@@ -367,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("state", help="state construction").add_subparsers(
         dest="subcommand", required=True)
     mk = st.add_parser("make", help="write a state JSON file")
-    mk.add_argument("--family", required=True,
-                    choices=["werner", "gghz", "gsms2", "gsms3", "mems", "phn", "basis"])
+    mk.add_argument("--family", required=True, choices=list(_FAMILIES))
     mk.add_argument("--theta-deg", type=float, default=None)
     mk.add_argument("--v", type=float, default=None)
     mk.add_argument("--n", type=int, default=None, choices=[2, 3])

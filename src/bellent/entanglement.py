@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotAnXStateError, ParameterError
 from .qstate import (DensityMatrix, PureState, check_gsms2, check_gsms3, check_theta,
-                     check_visibility, partial_trace)
+                     check_visibility, partial_trace, purity)
 
 X_TOL = 1e-9
 
@@ -52,8 +52,7 @@ def concurrence_pure(psi: PureState, bipartition) -> float:
     keep = sorted(set(int(k) for k in bipartition))
     if not keep or len(keep) >= psi.n_qubits:
         raise ParameterError("bipartition must be a non-empty strict subset of the qubits")
-    red = partial_trace(psi.projector(), keep)
-    pur = float(np.vdot(red.entries, red.entries).real)
+    pur = purity(partial_trace(psi.projector(), keep))
     return math.sqrt(max(0.0, 2.0 * (1.0 - pur)))
 
 

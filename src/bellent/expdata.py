@@ -7,8 +7,10 @@ r1*4 + r2*2 + r3) and the duration.  Every operation works on whole
 columns.  A Bell test needs a full behavior, so records are grouped into
 blocks of 8 settings (two directions per party, all combinations);
 grouping matches directions with a 1e-6 tolerance since real data carries
-rounded vectors.  Nonlocal fractions computed here share the estimator
-conventions of the sampling module; with exact synthetic counts the two
+rounded vectors.  A record table and the rows of a count file pass one set
+of value checks (`_value_faults`), so a file that loads makes a dataset.
+Nonlocal fractions computed here use the sampling module's binomial
+estimator (`PvEstimate.of_count`); with exact synthetic counts the two
 pipelines see the same settings and produce the same violation flags.
 """
 
@@ -62,6 +64,25 @@ def _with_counts(records: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _value_faults(directions, counts, duration) -> tuple:
+    """(mask, message) for each value check of a record, in the order a line is checked.
+
+    directions (L, 3, 3), counts (L, k) and duration (L,) hold L records or
+    file rows; each mask (L,) marks the ones that fail its check.  Rounded
+    directions pass: a projection direction is a unit vector within DIR_TOL.
+    """
+    with np.errstate(all="ignore"):
+        # einsum, not np.linalg.norm: load_cc runs this on every file row
+        norms = np.sqrt(np.einsum("lij,lij->li", directions, directions))
+        return (
+            (~np.isfinite(counts).all(axis=1), "non-finite count"),
+            ((counts < 0).any(axis=1), "negative count"),
+            (~np.isfinite(duration), "non-finite duration"),
+            (duration <= 0, "non-positive duration"),
+            (~(np.abs(norms - 1.0) <= DIR_TOL).all(axis=1), "non-unit projection direction"),
+        )
+
+
 @dataclass
 class CCDataset:
     """A record table (dtype `RECORD`, read-only) with its normalization and tag."""
@@ -77,23 +98,10 @@ class CCDataset:
         if not len(recs):
             raise ParameterError("dataset has no records")
         sid = recs["setting_id"]
-        norms = np.linalg.norm(recs["directions"], axis=2)
-        bad = ~(np.max(np.abs(norms - 1.0), axis=1) <= 1e-9)
-        if bad.any():
-            raise ParameterError(
-                f"setting {sid[bad.argmax()]}: directions must be unit vectors")
-        bad = ~np.isfinite(recs["counts"]).all(axis=1)
-        if bad.any():
-            raise ParameterError(f"setting {sid[bad.argmax()]}: non-finite count")
-        bad = np.min(recs["counts"], axis=1) < 0
-        if bad.any():
-            raise ParameterError(f"setting {sid[bad.argmax()]}: negative count")
-        bad = ~(recs["duration_s"] > 0)
-        if bad.any():
-            duration = float(recs["duration_s"][bad.argmax()])
-            raise ParameterError(f"duration must be positive, got {duration!r}")
-        if np.isinf(recs["duration_s"]).any():  # only +inf is left
-            raise ParameterError("duration must be finite, got inf")
+        for bad, message in _value_faults(recs["directions"], recs["counts"],
+                                          recs["duration_s"]):
+            if bad.any():
+                raise ParameterError(f"setting {sid[bad.argmax()]}: {message}")
         if len(np.unique(sid)) != len(sid):
             raise ParameterError("duplicate setting_ids in dataset")
         recs.setflags(write=False)
@@ -171,9 +179,10 @@ def load_cc(path) -> CCDataset:
     """Read a coincidence-count CSV (and its optional sidecar).
 
     All rows are parsed and checked at once; a malformed file raises
-    ParseError for its earliest offending line.  A setting has one set of
+    ParseError for its earliest offending line.  A row's values pass the
+    checks of a record (`_value_faults`).  A setting has one set of
     directions and one duration: its rows must agree on both (directions
-    within DIR_TOL), and the duration must be finite and positive.
+    within DIR_TOL).
     """
     path = Path(path)
     lines = read_text(path, "coincidence-count file").splitlines()
@@ -193,12 +202,7 @@ def load_cc(path) -> CCDataset:
     with np.errstate(all="ignore"):
         checks = (
             (~((bits == 0) | (bits == 1)).all(axis=1), "outcome bits must be 0 or 1"),
-            (~np.isfinite(count), "non-finite count"),
-            (count < 0, "negative count"),
-            (~np.isfinite(duration), "non-finite duration"),
-            (duration <= 0, "non-positive duration"),
-            (~(np.max(np.abs(np.linalg.norm(head_dirs, axis=2) - 1.0), axis=1)
-               <= DIR_TOL)[row_head], "non-unit projection direction"),
+            *_value_faults(dirs, count[:, None], duration),
             (np.max(np.abs(dirs[first[setting]] - dirs), axis=(1, 2)) > DIR_TOL,
              "directions differ within setting {}"),
             (duration[first[setting]] != duration, "durations differ within setting {}"),
@@ -307,9 +311,7 @@ def _pv_of_blocks(records, blocks, excluded, iset, margin) -> CCPvResult:
     n = len(blocks)
     # count tables need not be no-signalling, so they are reduced as tables
     values = i_max(behavior_tables(records, blocks).reshape(n, 64), iset.w_matrix)
-    violations = int(np.count_nonzero(values > 1.0))
-    p = violations / n
-    est = PvEstimate(p, math.sqrt(p * (1.0 - p) / n), n, violations, iset.tag)
+    est = PvEstimate.of_count(int(np.count_nonzero(values > 1.0)), n, iset.tag)
     low = int(np.count_nonzero(values > 1.0 + margin)) / n
     high = int(np.count_nonzero(values > 1.0 - margin)) / n
     return CCPvResult(est, low, high, n, excluded)
@@ -399,10 +401,10 @@ def poisson_resample(dataset: CCDataset, statistic, trials: int, seed: int,
     """Mean and uncertainty of a statistic from Poisson count redraws.
 
     Each trial redraws every count as Poisson(count) and recomputes the
-    statistic; `statistic` is "pv_cc", "total_counts", or a callable taking
-    a CCDataset.  Counts must be raw integers (resampling after mixing
-    normalized data is not meaningful).  Redraws never change the settings,
-    so "pv_cc" groups the blocks once and reuses them in every trial.
+    statistic, one of `STATISTICS`: "pv_cc" or "total_counts".  Counts must
+    be raw integers (resampling after mixing normalized data is not
+    meaningful).  Redraws never change the settings, so "pv_cc" groups the
+    blocks once and reuses them in every trial.
 
     The mean is taken over redraws of counts that already carry Poisson
     noise, which doubles the count noise: blocks near the threshold cross
@@ -415,22 +417,16 @@ def poisson_resample(dataset: CCDataset, statistic, trials: int, seed: int,
     std**2 = Var_t(p_t) + mean_t(p_t (1 - p_t) / n_t), where the second
     term is each trial's `estimate.std_err**2`.  Redrawing counts alone
     keeps every block's settings fixed, so it never sees the second part.
-    For "total_counts" and callables the std is the Poisson-only spread;
-    `lambda ds: pv_cc(ds, iset).estimate.p_v` gives that spread for p_V.
+    For "total_counts" the std is the Poisson-only spread, which for
+    "pv_cc" is `std_poisson`.
     """
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
+    if statistic not in STATISTICS:
+        raise ParameterError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
     blocked = statistic == "pv_cc"
-    if callable(statistic):
-        fn = statistic
-    elif blocked:
-        if iset is None:
-            raise ParameterError("statistic 'pv_cc' needs an inequality set")
-    elif statistic == "total_counts":
-        fn = CCDataset.total_counts
-    else:
-        raise ParameterError(f"unknown statistic {statistic!r}; "
-                             f"expected one of {STATISTICS} or a callable")
+    if blocked and iset is None:
+        raise ParameterError("statistic 'pv_cc' needs an inequality set")
     recs = dataset.records
     counts = recs["counts"]
     fractional = np.max(np.abs(counts - np.round(counts)), axis=1) > 1e-9
@@ -449,7 +445,7 @@ def poisson_resample(dataset: CCDataset, statistic, trials: int, seed: int,
             est = _pv_of_blocks(redrawn, blocks, excluded, iset, margin).estimate
             values[t], sampling_var[t] = est.p_v, est.std_err ** 2
         else:
-            values[t] = fn(CCDataset(redrawn, dataset.normalization, dataset.tag))
+            values[t] = CCDataset(redrawn).total_counts()
     std_sampling = math.sqrt(sampling_var.mean()) if blocked else None
     return Resampled(float(values.mean()), float(values.std(ddof=1)),
                      std_sampling)

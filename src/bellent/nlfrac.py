@@ -47,6 +47,12 @@ class PvEstimate:
     violations: int
     set_tag: str
 
+    @classmethod
+    def of_count(cls, violations: int, m: int, set_tag: str) -> PvEstimate:
+        """The fraction violations / m with its binomial standard error."""
+        p = violations / m
+        return cls(p, math.sqrt(p * (1.0 - p) / m), m, violations, set_tag)
+
 
 @dataclass
 class ViolationSamples:
@@ -145,12 +151,8 @@ def estimate_pvs(rhos, iset: InequalitySet, m: int, seed: int,
         return [int(np.count_nonzero(batch_i_max(lam, dirs, c, ws) > 1.0)) for lam in lams]
 
     chunks = _run_chunks(iset.n_parties, seed, m, workers, work)
-    estimates = []
-    for violations in map(sum, zip(*chunks)):
-        p = violations / m
-        estimates.append(PvEstimate(p, math.sqrt(p * (1.0 - p) / m), m, violations,
-                                    iset.tag))
-    return estimates
+    return [PvEstimate.of_count(violations, m, iset.tag)
+            for violations in map(sum, zip(*chunks))]
 
 
 def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
@@ -288,6 +290,10 @@ def load_violation_samples(path) -> ViolationSamples:
                     raise ParseError(f"{path}: bad number {x!r}", line=lineno) from None
 
     values = np.fromiter(numbers(), float)
+    finite = np.isfinite(values)
+    if not finite.all():  # the line is looked up on this path only
+        lineno = [n for n, x in enumerate(lines[1:], start=2) if x.strip()][finite.argmin()]
+        raise ParseError(f"{path}: non-finite sample", line=lineno)
     meta_path = Path(str(path) + ".json")
     meta = read_json_object(meta_path, "file")
     return ViolationSamples(values,

@@ -183,6 +183,8 @@ MALFORMED_INPUTS = {
         d, 0, dict.fromkeys(range(1, 9), "9223372036854775808")),
     "samples sidecar missing": lambda d: _samples(d, ["0.5", "1.2"], sidecar=False),
     "samples row not a float": lambda d: _samples(d, ["0.5", "1.2.3"]),
+    "samples row nan": lambda d: _samples(d, ["0.5", "nan"]),
+    "samples row inf": lambda d: _samples(d, ["inf", "1.2"]),
     "samples bad header": lambda d: _samples(d, ["0.5", "1.2"], header="imax"),
     "state bad json": lambda d: _state(d, '{"n_qubits": 2, "entries": [[1, 0],'),
     "state without n_qubits": lambda d: _state(d, '{"entries": [[1, 0]]}'),
@@ -287,6 +289,30 @@ def test_non_finite_input_exits_2_with_one_line(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     assert not list(tmp_path.glob("curve.csv*"))
+
+
+# each family's flags, with values it accepts
+_FAMILY_FLAGS = {
+    "werner": {"--theta-deg": "45", "--v": "0.9", "--n": "2"},
+    "gghz": {"--theta-deg": "30", "--n": "3"},
+    "gsms2": {"--x": "0.1", "--y": "0.1"},
+    "gsms3": {"--x": "0", "--y": "0.1"},
+    "mems": {"--gamma": "0.8"},
+    "phn": {"--x": "0.2", "--n": "3"},
+    "basis": {"--bits": "010"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_FLAGS))
+def test_state_make_names_each_missing_flag(tmp_path, capsys, family):
+    flags = _FAMILY_FLAGS[family]
+    assert main(_make(family, *[x for kv in flags.items() for x in kv])(tmp_path)) == 0
+    for left_out in flags:
+        capsys.readouterr()
+        rest = [x for kv in flags.items() if kv[0] != left_out for x in kv]
+        assert main(_make(family, *rest)(tmp_path)) == 2
+        assert capsys.readouterr().err == \
+            f"error: {left_out} is required for the {family} family\n"
 
 
 def test_valid_fit_tables_of_the_non_finite_cases_pass(tmp_path):

@@ -461,9 +461,8 @@ def test_poisson_resample_pv_cc_adds_block_sampling():
     assert math.isclose(res.std ** 2, res.std_poisson ** 2 + res.std_sampling ** 2,
                         rel_tol=1e-12)
     # the Poisson part is the spread of p_V itself over the same redraws
-    p_only = poisson_resample(ds, lambda d: pv_cc(d, iset).estimate.p_v, 8, 11)
-    assert p_only.std_sampling is None
-    assert (p_only.mean, p_only.std) == (res.mean, res.std_poisson)
+    p_only = _poisson_only_reference(ds, lambda d: pv_cc(d, iset).estimate.p_v, 8, 11)
+    assert p_only == (res.mean, res.std_poisson)
 
 
 def _poisson_only_reference(ds, fn, trials, seed):
@@ -480,22 +479,19 @@ def _poisson_only_reference(ds, fn, trials, seed):
 
 def test_poisson_resample_without_blocks_is_poisson_only():
     ds = add_poisson_noise(small_dataset(4, scale=1000.0), seed=9)
-    first = lambda d: d.records["counts"][0, 0]
-    for statistic, fn in (("total_counts", CCDataset.total_counts), (first, first)):
-        res = poisson_resample(ds, statistic, 50, 4)
-        assert res.std_sampling is None and res.std == res.std_poisson
-        assert res == _poisson_only_reference(ds, fn, 50, 4)
+    res = poisson_resample(ds, "total_counts", 50, 4)
+    assert res.std_sampling is None and res.std == res.std_poisson
+    assert res == _poisson_only_reference(ds, CCDataset.total_counts, 50, 4)
 
 
 def test_poisson_resample_custom_statistic():
+    """Only the named statistics are resampled: a callable is refused."""
     ds = add_poisson_noise(small_dataset(4, scale=1000.0), seed=9)
-    mean, std = poisson_resample(ds, lambda d: d.records["counts"][0, 0], 2_000, 2)
-    lam = ds.records["counts"][0, 0]
-    assert abs(mean - lam) < 4 * math.sqrt(lam / 2_000) + 1e-9
-    assert abs(std - math.sqrt(lam)) < 0.15 * math.sqrt(lam) + 0.2
+    with pytest.raises(ParameterError, match="unknown statistic"):
+        poisson_resample(ds, lambda d: d.records["counts"][0, 0], 10, 2)
     with pytest.raises(ParameterError):
         poisson_resample(ds, "pv_cc", 1, 2, iset=ISET)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="unknown statistic 'nosuch'"):
         poisson_resample(ds, "nosuch", 10, 2)
 
 
@@ -528,29 +524,93 @@ def test_dataset_validation():
         CCDataset(np.concatenate([rec, cc_records([0], u, np.ones((1, 8)))]))
     with pytest.raises(ParameterError):
         cc_records([1], u, np.ones((1, 7)))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="setting 2: non-unit projection direction"):
         CCDataset(cc_records([2], u * 2, np.ones((1, 8))))
     with pytest.raises(ParameterError):
         pv_cc(CCDataset(rec), default_set(2))
-    with pytest.raises(ParameterError, match="negative count"):
+    with pytest.raises(ParameterError, match="setting 3: negative count"):
         CCDataset(cc_records([3], u, -np.ones((1, 8))))
     for bad in (np.nan, np.inf, -np.inf):
         counts = np.ones((1, 8))
         counts[0, 5] = bad
         with pytest.raises(ParameterError, match="setting 3: non-finite count"):
             CCDataset(cc_records([3], u, counts))
-    with pytest.raises(ParameterError, match="duration"):
-        CCDataset(cc_records([4], u, np.ones((1, 8)), 0.0))
-    for bad in (-1.0, np.nan, -np.inf):
-        with pytest.raises(ParameterError, match="duration must be positive"):
+    for bad in (0.0, -1.0):
+        with pytest.raises(ParameterError, match="setting 4: non-positive duration"):
             CCDataset(cc_records([4], u, np.ones((1, 8)), bad))
-    with pytest.raises(ParameterError, match="duration must be finite, got inf"):
-        CCDataset(cc_records([4], u, np.ones((1, 8)), np.inf))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="setting 4: non-finite duration"):
+            CCDataset(cc_records([4], u, np.ones((1, 8)), bad))
     with pytest.raises(ParameterError):
         CCDataset([rec])  # a list is not a record table
     table = CCDataset(rec).records
     with pytest.raises(ValueError):
         table["counts"][0, 0] = 2.0  # read-only
+
+
+# a value fault of setting 3 as {CSV column: text}; a count is edited on the
+# row of outcome 5 only, a duration or direction on all of the setting's rows
+VALUE_FAULTS = {
+    "non-finite count": {13: "nan"},
+    "negative count": {13: "-1"},
+    "non-finite duration": {14: "inf"},
+    "non-positive duration": {14: "0"},
+    "non-unit projection direction": {1: "1", 2: "1", 3: "0"},
+}
+
+
+@pytest.mark.parametrize("message", sorted(VALUE_FAULTS))
+def test_value_faults_read_the_same_in_tables_and_files(tmp_path, message):
+    ds = small_dataset(2)
+    p = tmp_path / "cc.csv"
+    save_cc(ds, p)
+    lines = p.read_text().splitlines()
+    recs = ds.records.copy()
+    edits = VALUE_FAULTS[message]
+    # setting 3's rows are list indices 25..32, outcome r at 25 + r
+    rows = [30] if 13 in edits else range(25, 33)
+    for col, text in edits.items():
+        for row in rows:
+            _set_field(lines, row, col, text)
+        if col == 13:
+            recs["counts"][3, 5] = float(text)
+        elif col == 14:
+            recs["duration_s"][3] = float(text)
+        else:
+            recs["directions"][3].flat[col - 1] = float(text)
+    with pytest.raises(ParameterError) as exc:
+        CCDataset(recs)
+    assert str(exc.value) == f"setting 3: {message}"
+    err = _rejected_line(tmp_path, lines, lambda L: None)
+    line = rows[0] + 1
+    assert (err.line, str(err)) == (line, f"line {line}: {tmp_path / 'bad.csv'}: {message}")
+
+
+def test_directions_are_unit_within_dir_tol():
+    u = np.eye(3)[None]
+    CCDataset(cc_records([0], u * (1 + 1e-7), np.ones((1, 8))))
+    with pytest.raises(ParameterError, match="setting 0: non-unit projection direction"):
+        CCDataset(cc_records([0], u * (1 + 1e-5), np.ones((1, 8))))
+
+
+def test_rounded_directions_load_and_give_the_same_blocks(tmp_path):
+    """A file whose directions carry 7 significant digits gives the exact file's p_V."""
+    iset = expand_relabelings([mermin()])
+    exact = tmp_path / "exact.csv"
+    save_cc(small_dataset(10), exact)
+    lines = exact.read_text().splitlines()
+    for k in range(1, len(lines)):
+        fields = lines[k].split(",")
+        fields[1:10] = [f"{float(x):.7g}" for x in fields[1:10]]
+        lines[k] = ",".join(fields)
+    rounded = tmp_path / "rounded.csv"
+    rounded.write_text("\n".join(lines) + "\n")
+    norms = np.linalg.norm(load_cc(rounded).records["directions"], axis=2)
+    assert 1e-9 < np.max(np.abs(norms - 1.0)) < 1e-6
+    a, b = pv_cc(load_cc(exact), iset), pv_cc(load_cc(rounded), iset)
+    assert a.estimate.violations > 0
+    assert (b.estimate.violations, b.n_blocks, b.n_excluded_records) == \
+        (a.estimate.violations, a.n_blocks, a.n_excluded_records)
 
 
 def test_margin_must_be_a_number_at_least_zero():

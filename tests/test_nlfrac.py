@@ -9,7 +9,7 @@ import pytest
 
 from bellent.bell import default_set, expand_relabelings, mermin, svetlichny
 from bellent import nlfrac
-from bellent.errors import MissingDataError, ParameterError
+from bellent.errors import MissingDataError, ParameterError, ParseError
 from bellent.nlfrac import (
     CHUNK,
     ViolationSamples,
@@ -224,6 +224,16 @@ def test_samples_round_trip(tmp_path):
     assert back.set_tag == samples.set_tag
     with pytest.raises(MissingDataError, match="no such samples file"):
         load_violation_samples(tmp_path / "missing.csv")
+
+
+def test_non_finite_sample_is_refused_on_its_line(tmp_path):
+    p = tmp_path / "samples.csv"
+    save_violation_samples(ViolationSamples([0.5, 1.2], "s", 1, "set"), p)
+    for text, line in (("i_max\n0.5\n\n-inf\nnan\n", 4), ("i_max\nnan\n", 2)):
+        p.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_violation_samples(p)
+        assert exc.value.line == line and str(p) in str(exc.value)
 
 
 def test_samples_file_is_the_per_value_text(tmp_path):
