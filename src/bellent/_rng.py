@@ -13,6 +13,7 @@ generator emits 64-bit words in blocks of 4 per counter tick, and
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 from numpy.random import Philox
@@ -20,6 +21,28 @@ from numpy.random import Philox
 _WORDS_PER_BLOCK = 4
 # half the 2^-53 spacing of the doubles that Generator.random draws
 _HALF_STEP = 2.0 ** -54
+
+
+class Workspace:
+    """Named float64 arrays that the sampling hot path reuses from call to call.
+
+    A chunk that draws its directions (`bloch_directions`) and evaluates its
+    kernel (`bell.batch_i_max`) in one workspace allocates nothing anew, so
+    the hot loop takes no page faults.  An array is a view into a flat buffer
+    that only grows, so a shorter block, or the other party count, reuses the
+    buffer of a longer one.  Results built in a workspace are views into it,
+    valid until its next use; a workspace serves one thread at a time.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def array(self, name: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.zeros(size)
+        return flat[:size].reshape(shape)
 
 
 def substream_key(seed: int, tag: str) -> int:
@@ -60,16 +83,16 @@ def raw_words(seed: int, tag: str, start: int, count: int, words: int) -> np.nda
 
 
 def uniforms(seed: int, tag: str, start: int, count: int, words: int,
-             out: np.ndarray | None = None) -> np.ndarray:
+             ws: Workspace | None = None) -> np.ndarray:
     """Uniform doubles strictly inside (0, 1), one per word: (k + 1/2) 2^-53
     for the top 53 bits k of the word, shape (count, words).
 
-    Drawn straight into `out`, a C-contiguous float64 array of shape
-    (count, draw_width(words)) that the result is a view of; a new one when
-    not given.
+    Drawn straight into `ws.array("draws")`, shape (count, draw_width(words)),
+    that the result is a view of; a fresh workspace when none is given.
     """
-    if out is None:
-        out = np.empty((count, draw_width(words)))
+    if ws is None:
+        ws = Workspace()
+    out = ws.array("draws", (count, draw_width(words)))
     # Generator.random gives k 2^-53 from the same words as raw_words, one
     # word per double, so adding 2^-54 rounds exactly as (k + 1/2) 2^-53
     np.random.Generator(_philox(seed, tag, start, words)).random(out=out)
@@ -77,37 +100,25 @@ def uniforms(seed: int, tag: str, start: int, count: int, words: int,
     return out[:, :words]
 
 
-def normals(seed: int, tag: str, start: int, count: int, words: int,
-            out: np.ndarray | None = None, draws: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals by inverse-CDF, exactly one word consumed per normal.
-
-    Shape (count, words), in `out` when given; `draws` is the uniforms'
-    buffer, as `out` of `uniforms`.
-    """
-    # imported here, not at module level: it costs every CLI start about 0.25 s
-    from scipy.special import ndtri
-    return ndtri(uniforms(seed, tag, start, count, words, draws), out=out)
-
-
 def bloch_directions(seed: int, tag: str, start: int, count: int, n_parties: int,
-                     out: np.ndarray | None = None,
-                     draws: np.ndarray | None = None) -> np.ndarray:
+                     ws: Workspace | None = None) -> np.ndarray:
     """Uniform unit vectors on the sphere, shape (count, n_parties, 2, 3).
 
-    Two measurement directions per party, 3 normals per direction, so each
-    sample consumes 6*n_parties words (rounded up to whole counter blocks).
-    `out` is an optional C-contiguous result array and `draws` an optional
-    buffer for the uniforms, as `out` of `uniforms`; a loop that passes both
-    allocates nothing per call.
+    Two measurement directions per party, 3 standard normals per direction
+    by inverse CDF, one word per normal, so each sample consumes 6*n_parties
+    words (rounded up to whole counter blocks).  The uniforms are drawn into
+    `ws` (see `uniforms`) and the result is `ws.array("dirs")`, so a loop
+    that passes one workspace allocates nothing per call.
     """
+    if ws is None:
+        ws = Workspace()
+    # imported here, not at module level: it costs every CLI start about 0.25 s
+    from scipy.special import ndtri
     words = n_parties * 2 * 3
-    if out is not None:
-        out = out.reshape(count, words)
-    z = normals(seed, tag, start, count, words, out, draws).reshape(count, n_parties, 2, 3)
+    u = uniforms(seed, tag, start, count, words, ws)
+    z = ndtri(u, out=ws.array("dirs", (count, words))).reshape(count, n_parties, 2, 3)
     # ndtri has consumed the draws, so their buffer holds the squared norms
-    if draws is None:
-        draws = np.empty(2 * count * n_parties * 2)
-    norm, term = draws.reshape(2, -1)[:, :count * n_parties * 2].reshape(2, count, n_parties, 2)
+    norm, term = ws.array("draws", (2, count, n_parties, 2))
     # the same sum, in the same order, as np.linalg.norm over the last axis;
     # ndtri never returns exactly 0 on (0,1) grid points, so it is positive
     np.multiply(z[..., 0], z[..., 0], out=norm)

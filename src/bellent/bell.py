@@ -16,7 +16,9 @@ correlator basis (`c_matrix`), so `batch_i_max` never builds a table.
 Tables from counts need not be no-signalling; they are reduced as tables
 (`w_matrix`).  Every Bell value, in either basis, comes from one reduction,
 `i_max`, which runs in fixed `_SUB_BLOCK`-column products: a sample's or a
-block's value has the same bits however its batch was cut.
+block's value has the same bits however its batch was cut.  The kernel's
+intermediates live in the caller's `Workspace`, the one that
+`_rng.bloch_directions` draws the directions into.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rng import Workspace
 from .errors import MissingDataError, ParameterError, ParseError
 from .qstate import DensityMatrix, read_text
 
@@ -39,31 +42,6 @@ from .qstate import DensityMatrix, read_text
 # also builds correlators in sub-blocks of this many samples, which keeps
 # their intermediates (at N=3, about 1 KiB a sample) cache-sized.
 _SUB_BLOCK = 2048
-
-
-class Workspace:
-    """Named float64 arrays that the sampling kernel reuses from call to call.
-
-    A run that passes one workspace to every `batch_i_max` call allocates its
-    intermediates once, instead of once per sub-block, so its hot loop takes
-    no page faults and its time does not depend on how the allocator hands
-    memory back and forth with the kernel.  An array is a view into a flat
-    buffer that only grows, so a shorter block, or the other party count,
-    reuses the buffer of a longer one.  Results built in a workspace are
-    views into it, valid until its next use; a workspace serves one thread
-    at a time.
-    """
-
-    def __init__(self):
-        self._flat = {}
-
-    def array(self, name: str, shape) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.zeros(size)
-        return flat[:size].reshape(shape)
-
 
 # Relabelings gathered at once in expand_relabelings: at N=3 a block's gather
 # index and candidate tables take 64 KiB each, for a 3072-row orbit map.

@@ -323,8 +323,7 @@ def cmd_exp_pv(ns) -> None:
 def cmd_exp_resample(ns) -> None:
     dataset = expdata.load_cc(ns.infile)
     iset = _resolve_set(ns, 3) if ns.statistic == "pv_cc" else None
-    res = expdata.poisson_resample(
-        dataset, ns.statistic, ns.trials, ns.seed, iset=iset, margin=ns.margin)
+    res = expdata.poisson_resample(dataset, ns.statistic, ns.trials, ns.seed, iset=iset)
     obj = {"statistic": ns.statistic, "trials": ns.trials,
            "mean": res.mean, "std": res.std}
     if res.std_sampling is not None:
@@ -442,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     er.add_argument("--statistic", required=True)
     er.add_argument("--trials", type=int, default=100)
     er.add_argument("--seed", type=int, default=0)
-    er.add_argument("--margin", type=float, default=expdata.DEFAULT_MARGIN)
     er.add_argument("--ineq-dir", default=None)
     er.add_argument("--out", default=None)
     er.set_defaults(func=cmd_exp_resample)

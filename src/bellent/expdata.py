@@ -296,25 +296,21 @@ class CCPvResult:
     n_excluded_records: int
 
 
-def _blocks_for_pv(dataset: CCDataset, iset: InequalitySet, margin: float):
+def _blocks_for_pv(dataset: CCDataset, iset: InequalitySet):
     if iset.n_parties != 3:
         raise ParameterError("coincidence-count analysis is three-party only")
-    if not margin >= 0:
-        raise ParameterError(f"margin must be >= 0, got {margin!r}")
     blocks, excluded = group_blocks(dataset)
     if not len(blocks):
         raise ParameterError("no complete setting blocks in dataset")
     return blocks, excluded
 
 
-def _pv_of_blocks(records, blocks, excluded, iset, margin) -> CCPvResult:
+def _pv_of_blocks(records, blocks, iset) -> tuple[PvEstimate, np.ndarray]:
+    """The fraction of blocks above 1, and every block's Bell value."""
     n = len(blocks)
     # count tables need not be no-signalling, so they are reduced as tables
     values = i_max(behavior_tables(records, blocks).reshape(n, 64), iset.w_matrix)
-    est = PvEstimate.of_count(int(np.count_nonzero(values > 1.0)), n, iset.tag)
-    low = int(np.count_nonzero(values > 1.0 + margin)) / n
-    high = int(np.count_nonzero(values > 1.0 - margin)) / n
-    return CCPvResult(est, low, high, n, excluded)
+    return PvEstimate.of_count(int(np.count_nonzero(values > 1.0)), n, iset.tag), values
 
 
 def pv_cc(dataset: CCDataset, iset: InequalitySet,
@@ -325,8 +321,14 @@ def pv_cc(dataset: CCDataset, iset: InequalitySet,
     bracketing the effect of finite Bell-value precision.  Incomplete blocks
     are excluded; their record count is reported.
     """
-    blocks, excluded = _blocks_for_pv(dataset, iset, margin)
-    return _pv_of_blocks(dataset.records, blocks, excluded, iset, margin)
+    if not margin >= 0:
+        raise ParameterError(f"margin must be >= 0, got {margin!r}")
+    blocks, excluded = _blocks_for_pv(dataset, iset)
+    est, values = _pv_of_blocks(dataset.records, blocks, iset)
+    n = len(blocks)
+    low = int(np.count_nonzero(values > 1.0 + margin)) / n
+    high = int(np.count_nonzero(values > 1.0 - margin)) / n
+    return CCPvResult(est, low, high, n, excluded)
 
 
 # ----------------------------------------------------------------- mixing
@@ -396,8 +398,7 @@ class Resampled(tuple):
 
 
 def poisson_resample(dataset: CCDataset, statistic, trials: int, seed: int,
-                     iset: InequalitySet = None,
-                     margin: float = DEFAULT_MARGIN) -> Resampled:
+                     iset: InequalitySet = None) -> Resampled:
     """Mean and uncertainty of a statistic from Poisson count redraws.
 
     Each trial redraws every count as Poisson(count) and recomputes the
@@ -435,14 +436,14 @@ def poisson_resample(dataset: CCDataset, statistic, trials: int, seed: int,
             "Poisson resampling needs raw integer counts "
             f"(setting {recs['setting_id'][fractional.argmax()]} has fractional values)")
     if blocked:
-        blocks, excluded = _blocks_for_pv(dataset, iset, margin)
+        blocks, _ = _blocks_for_pv(dataset, iset)
     values = np.empty(trials)
     sampling_var = np.empty(trials)
     for t in range(trials):
         gen = _rng.generator(seed, "poisson", t)
         redrawn = _with_counts(recs, gen.poisson(counts).astype(float))
         if blocked:
-            est = _pv_of_blocks(redrawn, blocks, excluded, iset, margin).estimate
+            est = _pv_of_blocks(redrawn, blocks, iset)[0]
             values[t], sampling_var[t] = est.p_v, est.std_err ** 2
         else:
             values[t] = CCDataset(redrawn).total_counts()

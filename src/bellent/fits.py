@@ -240,7 +240,7 @@ def concurrence_from_pv(theta: float, pv_percent: float, family: str) -> float:
     raise ParameterError(f"family must be one of {FAMILIES}, got {family!r}")
 
 
-def refit(xs, basis, provenance: str = "refit", domain=None):
+def refit(xs, basis, provenance: str = "refit"):
     """Least squares on a fixed fractional-power basis.
 
     xs holds (pv_percent, value) pairs.  Returns (FitCurve, rms_residual).
@@ -260,9 +260,7 @@ def refit(xs, basis, provenance: str = "refit", domain=None):
         raise FitError(f"design matrix rank {rank} < {len(basis)}; "
                        "p_V values too degenerate")
     rms = float(np.sqrt(np.mean((a @ coef - y) ** 2)))
-    if domain is None:
-        domain = (float(pv.min()) if pv.min() > 0 else DEFAULT_DOMAIN[0],
-                  float(pv.max()))
+    domain = (float(pv.min()) if pv.min() > 0 else DEFAULT_DOMAIN[0], float(pv.max()))
     return FitCurve(tuple(basis), tuple(coef), domain, "percent", provenance), rms
 
 

@@ -4,14 +4,14 @@ p_V is the probability that Haar-random local projective measurements on a
 state produce a behavior violating at least one inequality of a given set.
 Sampling uses counter-addressed RNG substreams keyed by (seed, sample index),
 so results are bit-identical for any worker count and the same settings are
-replayed for different states under a shared seed.
+replayed for different states under a shared seed.  Each chunk of samples
+is drawn and evaluated in one `_rng.Workspace`, borrowed from an idle list.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,18 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng
-from .bell import InequalitySet, Workspace, batch_i_max, pauli_tensor
+from .bell import InequalitySet, batch_i_max, pauli_tensor
 from .errors import ParameterError, ParseError
 from .qstate import (DensityMatrix, check_visibility, json_field, read_json_object,
                      read_text, write_float_lines)
 
 CHUNK = 1 << 14
 
-# Workspaces not in use, for the next estimate: a process allocates its
-# sampling buffers once per concurrent thread, not once per estimate or per
-# worker thread.  Module-wide because pool threads last one call; results
+# Workspaces not in use, for the next chunk: a process allocates as many as
+# it ever runs chunks at once, not one per chunk or per estimate.  Results
 # never depend on what a workspace held before.
-_IDLE_WORKSPACES: list[Workspace] = []
+_IDLE_WORKSPACES: list[_rng.Workspace] = []
 
 
 @dataclass
@@ -92,40 +91,29 @@ def _check_request(rho: DensityMatrix, iset: InequalitySet, m: int, workers: int
 def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work):
     """work(start, dirs, ws) over disjoint sample ranges, 1 or more threads.
 
-    Each thread borrows a workspace from `_IDLE_WORKSPACES` when it starts,
-    draws every chunk's directions and runs its kernel in it; the call
-    hands the workspaces back, so no chunk allocates its arrays anew.
+    Each chunk takes a workspace from `_IDLE_WORKSPACES`, draws its
+    directions and runs its kernel in it, and puts it back, so no chunk
+    allocates its arrays anew.
     """
     tag = f"bloch{n_parties}"
-    width = _rng.draw_width(6 * n_parties)
-    local = threading.local()
-    borrowed = []
-
-    def borrow():
-        # list.pop is atomic, so two threads never get the same workspace
-        try:
-            local.ws = _IDLE_WORKSPACES.pop()
-        except IndexError:
-            local.ws = Workspace()
-        borrowed.append(local.ws)
 
     def one(span):
         start, count = span
-        ws = local.ws
-        dirs = _rng.bloch_directions(seed, tag, start, count, n_parties,
-                                     out=ws.array("dirs", (count, n_parties, 2, 3)),
-                                     draws=ws.array("draws", (count, width)))
-        return work(start, dirs, ws)
+        # list.pop is atomic, so two chunks never get the same workspace
+        try:
+            ws = _IDLE_WORKSPACES.pop()
+        except IndexError:
+            ws = _rng.Workspace()
+        try:
+            dirs = _rng.bloch_directions(seed, tag, start, count, n_parties, ws)
+            return work(start, dirs, ws)
+        finally:
+            _IDLE_WORKSPACES.append(ws)
 
-    spans = list(_chunk_ranges(m))
-    try:
-        if workers == 1:
-            borrow()
-            return [one(s) for s in spans]
-        with ThreadPoolExecutor(max_workers=workers, initializer=borrow) as pool:
-            return list(pool.map(one, spans))
-    finally:
-        _IDLE_WORKSPACES.extend(borrowed)
+    if workers == 1:
+        return [one(s) for s in _chunk_ranges(m)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, _chunk_ranges(m)))
 
 
 def estimate_pvs(rhos, iset: InequalitySet, m: int, seed: int,

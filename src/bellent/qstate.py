@@ -338,22 +338,21 @@ def _complex_array(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs])
 
 
-def save_density_matrix(rho: DensityMatrix, path) -> None:
+def _write_state(path, n_qubits: int, key: str, values) -> None:
+    """The JSON that `load_state` reads: [re, im] pairs of `values` under `key`."""
     rows = ",\n    ".join(
-        "[%s, %s]" % (format_float(z.real), format_float(z.imag))
-        for z in rho.entries.ravel())
-    text = '{\n  "n_qubits": %d,\n  "entries": [\n    %s\n  ]\n}\n' % (rho.n_qubits, rows)
+        "[%s, %s]" % (format_float(z.real), format_float(z.imag)) for z in values)
+    text = '{\n  "n_qubits": %d,\n  "%s": [\n    %s\n  ]\n}\n' % (n_qubits, key, rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def save_density_matrix(rho: DensityMatrix, path) -> None:
+    _write_state(path, rho.n_qubits, "entries", rho.entries.ravel())
 
 
 def save_pure_state(psi: PureState, path) -> None:
-    rows = ",\n    ".join(
-        "[%s, %s]" % (format_float(z.real), format_float(z.imag))
-        for z in psi.amplitudes)
-    text = '{\n  "n_qubits": %d,\n  "amplitudes": [\n    %s\n  ]\n}\n' % (psi.n_qubits, rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_state(path, psi.n_qubits, "amplitudes", psi.amplitudes)
 
 
 def load_state(path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from bellent._rng import bloch_directions, draw_width, raw_words
+from bellent._rng import bloch_directions, raw_words
 from bellent.bell import (
     PAULI,
     _relabel_index,
@@ -467,15 +467,15 @@ def _reference_bloch_directions(seed, tag, start, count, n):
 
 
 def test_bloch_directions_into_buffers_bit_identical():
-    for n in (2, 3):
-        for start, count in ((0, 1), (7, 333), (12345, 2048)):
+    # one workspace across party counts, short draws after long ones, as a
+    # chunk reuses an idle workspace
+    ws = Workspace()
+    for n in (3, 2):
+        for start, count in ((12345, 2048), (7, 333), (0, 1)):
             want = bloch_directions(9, f"bloch{n}", start, count, n)
-            out = np.full((count, n, 2, 3), np.nan)
-            draws = np.full((count, draw_width(6 * n)), np.nan)
-            got = bloch_directions(9, f"bloch{n}", start, count, n, out=out, draws=draws)
-            assert np.shares_memory(got, out) and got.tobytes() == want.tobytes()
-            only_draws = bloch_directions(9, f"bloch{n}", start, count, n, draws=draws)
-            assert only_draws.tobytes() == want.tobytes()
+            got = bloch_directions(9, f"bloch{n}", start, count, n, ws)
+            assert np.shares_memory(got, ws.array("dirs", (count, 6 * n)))
+            assert got.tobytes() == want.tobytes()
 
 
 def test_bloch_directions_bit_identical_to_reference():

@@ -615,12 +615,9 @@ def test_rounded_directions_load_and_give_the_same_blocks(tmp_path):
 
 def test_margin_must_be_a_number_at_least_zero():
     ds = small_dataset(4)
-    noisy = add_poisson_noise(small_dataset(4, scale=100.0), 1)
     for bad in (-0.01, float("nan")):
         with pytest.raises(ParameterError, match="margin must be >= 0"):
             pv_cc(ds, ISET, margin=bad)
-        with pytest.raises(ParameterError, match="margin must be >= 0"):
-            poisson_resample(noisy, "pv_cc", 2, 0, iset=ISET, margin=bad)
 
 
 def test_loader_file_errors(tmp_path):

@@ -112,7 +112,7 @@ def test_estimate_pvs_counts_equal_one_state_estimates(n):
 
 
 def test_violation_distribution_bits_independent_of_workers():
-    # each worker thread draws and evaluates in its own workspace
+    # each chunk draws and evaluates in the workspace it borrows
     rho = werner_like(np.pi / 5, 0.95, 3)
     iset = default_set(3)
     base = violation_distribution(rho, iset, 40_000, seed=12, workers=1)
