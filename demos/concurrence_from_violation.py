@@ -31,5 +31,7 @@ for theta_deg, v in ((45, 1.0), (45, 0.9), (35, 0.95), (30, 1.0)):
     print(f"{theta_deg:6d} {v:5.2f} {pv_pct:8.3f} {c_fit:11.4f} "
           f"{c_exact:9.4f}")
 
-# the fit is a lower bound away from the maximally entangled line,
-# tight on it
+# fed p_V in percent, the fit stays far below the exact concurrence on
+# every row, on the maximally entangled line too (0.4130 against 1.0000
+# at theta = 45, v = 1); item 2 of ROADMAP.md finds that the printed fits
+# close when fed 100 x p_V in percent, and leaves that change open

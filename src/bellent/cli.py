@@ -1,10 +1,12 @@
 """Command-line front end emitting machine-readable JSON/CSV tables.
 
-Every file-producing invocation writes a companion `<out>.manifest.json`
-recording the command, flags, seed, library versions, and input digests;
-JSON outputs embed the manifest digest (computed without the timestamp, so
-identical runs produce identical output bytes).  Angles cross this boundary
-in degrees and are converted to radians exactly once.
+A command either writes its own --out file or returns a JSON object;
+`main` alone writes the object, to --out or stdout, and, whenever --out is
+given, the companion `<out>.manifest.json` recording the command, flags,
+seed, library versions, and input digests.  JSON outputs embed the manifest
+digest (computed without the timestamp, so identical runs produce
+identical output bytes).  Angles cross this boundary in degrees and are
+converted to radians exactly once.
 
 Exit codes: 0 success, 2 parameter error, 3 missing data, 4 domain error.
 """
@@ -23,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bell, entanglement, expdata, fits, nlfrac, qstate
-from .errors import (DomainError, FitError, MissingDataError, ParameterError,
-                     ParseError)
+from .errors import (BellentError, DomainError, FitError, MissingDataError,
+                     ParameterError, ParseError)
 
 
 def _version() -> str:
@@ -43,13 +45,28 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(ns, inputs) -> tuple:
-    """(digest, manifest dict) for this invocation; digest skips the timestamp.
+def _basis_files(path) -> list:
+    """The *.csv files directly in a directory, sorted; none if it is missing."""
+    path = Path(path)
+    return sorted(path.glob("*.csv")) if path.is_dir() else []
 
-    The files of an --ineq-dir count as inputs: they decide the results.
-    """
-    if getattr(ns, "ineq_dir", None):
-        inputs = [*inputs, *bell.inequality_files(ns.ineq_dir)]
+
+# the arguments that name input files, and those that name input directories
+# with the listing of their input files, in the order the manifest lists them
+_INPUT_FILES = ("state", "samples_file", "infile", "state_cc")
+_INPUT_DIRS = (("basis_dir", _basis_files), ("ineq_dir", bell.inequality_files))
+
+
+def _inputs(ns) -> list:
+    files = [getattr(ns, key) for key in _INPUT_FILES if hasattr(ns, key)]
+    for key, listing in _INPUT_DIRS:
+        if getattr(ns, key, None):
+            files += listing(getattr(ns, key))
+    return files
+
+
+def _manifest(ns) -> dict:
+    """The manifest of this invocation; its `manifest_digest` skips the timestamp."""
     args = {}
     for k, v in sorted(vars(ns).items()):
         if k in ("func", "command", "subcommand"):
@@ -66,33 +83,12 @@ def _manifest(ns, inputs) -> tuple:
             "scipy": __import__("scipy").__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
         },
-        "input_digests": {str(p): _sha256(p) for p in inputs if Path(p).is_file()},
+        "input_digests": {str(p): _sha256(p) for p in _inputs(ns) if Path(p).is_file()},
     }
     digest = hashlib.sha256(
         json.dumps(core, sort_keys=True).encode("utf-8")).hexdigest()
-    manifest = dict(core)
-    manifest["manifest_digest"] = digest
-    manifest["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    return digest, manifest
-
-
-def _emit(ns, obj: dict, inputs=()) -> None:
-    """Write JSON output (with manifest digest) to --out or stdout."""
-    digest, manifest = _manifest(ns, inputs)
-    obj = dict(obj)
-    obj["manifest_digest"] = digest
-    text = json.dumps(obj, indent=2) + "\n"
-    out = getattr(ns, "out", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        _write_manifest(out, manifest)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_manifest(out, manifest: dict) -> None:
-    Path(str(out) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    return dict(core, manifest_digest=digest,
+                timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
 
 
 def _theta(ns, needed_by: str = "this family") -> float:
@@ -163,16 +159,14 @@ def cmd_state_make(ns) -> None:
         qstate.save_pure_state(obj, ns.out)
     else:
         qstate.save_density_matrix(obj, ns.out)
-    _write_manifest(ns.out, _manifest(ns, ())[1])
 
 
 # ------------------------------------------------------------------ pv / dist
 
-def cmd_pv(ns) -> None:
+def cmd_pv(ns) -> dict:
     rho = qstate.as_density_matrix(qstate.load_state(ns.state))
     iset = _resolve_set(ns, rho.n_qubits)
-    est = nlfrac.estimate_pv(rho, iset, ns.samples, ns.seed, ns.workers)
-    _emit(ns, dataclasses.asdict(est), inputs=[ns.state])
+    return dataclasses.asdict(nlfrac.estimate_pv(rho, iset, ns.samples, ns.seed, ns.workers))
 
 
 def cmd_sweep(ns) -> None:
@@ -191,12 +185,9 @@ def cmd_sweep(ns) -> None:
     # one pass over the settings for the whole grid
     ests = nlfrac.estimate_pvs([qstate.werner_like(theta, v, n) for v in grid],
                                iset, ns.samples, ns.seed, ns.workers)
-    lines = ["v,p_v,std_err,concurrence"]
-    for v, est in zip(grid, ests):
-        lines.append(",".join(qstate.format_float(x) for x in
-                              (v, est.p_v, est.std_err, closed(theta, v))))
-    Path(ns.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(ns.out, _manifest(ns, ())[1])
+    qstate.write_table(ns.out, "v,p_v,std_err,concurrence",
+                       [grid, [e.p_v for e in ests], [e.std_err for e in ests],
+                        [closed(theta, v) for v in grid]])
 
 
 def cmd_dist(ns) -> None:
@@ -205,22 +196,18 @@ def cmd_dist(ns) -> None:
     samples = nlfrac.violation_distribution(
         rho, iset, ns.samples, ns.seed, ns.workers, state_tag=Path(ns.state).stem)
     nlfrac.save_violation_samples(samples, ns.out)
-    _write_manifest(ns.out, _manifest(ns, [ns.state])[1])
 
 
 def cmd_rescale(ns) -> None:
     samples = nlfrac.load_violation_samples(ns.samples_file)
-    lines = ["v,p_v"]
-    for v in _v_grid(ns):
-        p_v = nlfrac.pv_from_distribution(samples, v)
-        lines.append(f"{qstate.format_float(v)},{qstate.format_float(p_v)}")
-    Path(ns.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(ns.out, _manifest(ns, [ns.samples_file])[1])
+    grid = _v_grid(ns)
+    qstate.write_table(ns.out, "v,p_v",
+                       [grid, [nlfrac.pv_from_distribution(samples, v) for v in grid]])
 
 
 # ------------------------------------------------------------------ conc
 
-def cmd_conc(ns) -> None:
+def cmd_conc(ns) -> dict:
     state = qstate.load_state(ns.state)
     method = ns.method
     if method == "wootters":
@@ -232,7 +219,7 @@ def cmd_conc(ns) -> None:
         if not isinstance(state, qstate.PureState):
             raise ParameterError("gme-pure needs a pure-state file")
         value = entanglement.gme_concurrence_pure(state)
-    _emit(ns, {"method": method, "value": value}, inputs=[ns.state])
+    return {"method": method, "value": value}
 
 
 # ------------------------------------------------------------------ fit
@@ -250,7 +237,7 @@ _FIT_EVALS = {
 }
 
 
-def cmd_fit_eval(ns) -> None:
+def cmd_fit_eval(ns) -> dict:
     if ns.name not in _FIT_EVALS:
         raise ParameterError(
             f"unknown fit {ns.name!r}; expected one of {sorted(_FIT_EVALS)}")
@@ -260,7 +247,7 @@ def cmd_fit_eval(ns) -> None:
            "units": "percent"}
     if takes_theta:
         obj["theta_deg"] = ns.theta_deg
-    _emit(ns, obj)
+    return obj
 
 
 def _read_pairs(path, expected_header):
@@ -281,46 +268,41 @@ def _read_pairs(path, expected_header):
     return pairs
 
 
-def cmd_fit_refit(ns) -> None:
+def cmd_fit_refit(ns) -> dict:
     pairs = _read_pairs(ns.infile, "pv,value")
     basis = fits.BASIS_2Q if ns.basis == "2q" else fits.BASIS_3Q
     curve, rms = fits.refit(pairs, basis, provenance=f"refit:{Path(ns.infile).stem}")
-    _emit(ns, dict(dataclasses.asdict(curve), rms=rms), inputs=[ns.infile])
+    return dict(dataclasses.asdict(curve), rms=rms)
 
 
-def cmd_fit_estimate(ns) -> None:
-    pairs = _read_pairs(ns.infile, "v,pv")
-    theta, v0, rms = fits.estimate_theta_v0(pairs)
-    _emit(ns, {"theta_deg": theta * 180.0 / math.pi, "v0": v0, "rms": rms},
-          inputs=[ns.infile])
+def cmd_fit_estimate(ns) -> dict:
+    theta, v0, rms = fits.estimate_theta_v0(_read_pairs(ns.infile, "v,pv"))
+    return {"theta_deg": theta * 180.0 / math.pi, "v0": v0, "rms": rms}
 
 
 # ------------------------------------------------------------------ exp
 
 def cmd_exp_mix(ns) -> None:
     state_cc = expdata.normalize_cc(expdata.load_cc(ns.state_cc))
-    basis_dir = Path(ns.basis_dir)
-    files = sorted(basis_dir.glob("*.csv")) if basis_dir.is_dir() else []
+    files = _basis_files(ns.basis_dir)
     if len(files) != 8:
         raise MissingDataError(
-            f"need exactly 8 basis CSV files in {basis_dir}, found {len(files)}")
+            f"need exactly 8 basis CSV files in {Path(ns.basis_dir)}, found {len(files)}")
     basis = [expdata.normalize_cc(expdata.load_cc(f)) for f in files]
     mixed = expdata.mix_counts(state_cc, basis, ns.vc)
     expdata.save_cc(mixed, ns.out)
-    _write_manifest(ns.out, _manifest(ns, [ns.state_cc] + files)[1])
 
 
-def cmd_exp_pv(ns) -> None:
+def cmd_exp_pv(ns) -> dict:
     dataset = expdata.load_cc(ns.infile)
     iset = _resolve_set(ns, 3)
     res = expdata.pv_cc(dataset, iset, ns.margin)
-    obj = dict(dataclasses.asdict(res.estimate), interval_low=res.interval_low,
-               interval_high=res.interval_high,
-               n_excluded_records=res.n_excluded_records)
-    _emit(ns, obj, inputs=[ns.infile])
+    return dict(dataclasses.asdict(res.estimate), interval_low=res.interval_low,
+                interval_high=res.interval_high,
+                n_excluded_records=res.n_excluded_records)
 
 
-def cmd_exp_resample(ns) -> None:
+def cmd_exp_resample(ns) -> dict:
     dataset = expdata.load_cc(ns.infile)
     iset = _resolve_set(ns, 3) if ns.statistic == "pv_cc" else None
     res = expdata.poisson_resample(dataset, ns.statistic, ns.trials, ns.seed, iset=iset)
@@ -328,7 +310,7 @@ def cmd_exp_resample(ns) -> None:
            "mean": res.mean, "std": res.std}
     if res.std_sampling is not None:
         obj.update(std_poisson=res.std_poisson, std_sampling=res.std_sampling)
-    _emit(ns, obj, inputs=[ns.infile])
+    return obj
 
 
 # ------------------------------------------------------------------ parser
@@ -448,20 +430,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# error type -> exit code
+_EXIT_CODES = ((ParameterError, 2), (MissingDataError, 3), (ParseError, 3),
+               (DomainError, 4), (FitError, 4))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        ns.func(ns)
-    except ParameterError as exc:
+        obj = ns.func(ns)
+        manifest = _manifest(ns)
+    except BellentError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MissingDataError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DomainError, FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    if obj is not None:
+        qstate.write_json(ns.out, dict(obj, manifest_digest=manifest["manifest_digest"]))
+    if ns.out:
+        qstate.write_json(f"{ns.out}.manifest.json", manifest)
     return 0
 
 

@@ -16,7 +16,6 @@ pipelines see the same settings and produce the same violation flags.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -28,8 +27,8 @@ from . import _rng
 from .bell import InequalitySet, batch_behaviors, i_max, pauli_tensor
 from .errors import ParameterError, ParseError
 from .nlfrac import PvEstimate
-from .qstate import (DensityMatrix, basis_state, format_float, json_field,
-                     read_json_object, read_text)
+from .qstate import (DensityMatrix, basis_state, data_lines, format_float, json_field,
+                     read_json_object, read_text, write_json)
 
 CC_HEADER = ("setting_id,u1x,u1y,u1z,u2x,u2y,u2z,u3x,u3y,u3z,"
              "r1,r2,r3,counts,duration_s")
@@ -127,9 +126,7 @@ def save_cc(dataset: CCDataset, path) -> None:
             lines.append(f"{head}{r >> 2 & 1},{r >> 1 & 1},{r & 1},"
                          f"{format_float(count)}{tail}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    sidecar = {"tag": dataset.tag, "normalization": dataset.normalization}
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    write_json(f"{path}.json", {"tag": dataset.tag, "normalization": dataset.normalization})
 
 
 def _parse(rows) -> tuple:
@@ -213,8 +210,7 @@ def load_cc(path) -> CCDataset:
             stop = int(bad.argmax())
             stop_msg = message.format(sid[stop])
     if stop_msg is not None:
-        lineno = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-        raise ParseError(f"{path}: {stop_msg}", line=lineno[stop])
+        raise ParseError(f"{path}: {stop_msg}", line=data_lines(lines)[stop])
     if not len(sid):
         raise ParseError(f"{path}: no data rows")
     tag, norm = path.stem, 1.0

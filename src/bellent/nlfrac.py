@@ -10,7 +10,6 @@ is drawn and evaluated in one `_rng.Workspace`, borrowed from an idle list.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,8 +20,8 @@ import numpy as np
 from . import _rng
 from .bell import InequalitySet, batch_i_max, pauli_tensor
 from .errors import ParameterError, ParseError
-from .qstate import (DensityMatrix, check_visibility, json_field, read_json_object,
-                     read_text, write_float_lines)
+from .qstate import (DensityMatrix, check_visibility, data_lines, json_field,
+                     read_json_object, read_text, write_json, write_table)
 
 CHUNK = 1 << 14
 
@@ -254,14 +253,9 @@ def sample_chsh_reduced(v: float, m: int, seed: int) -> PvEstimate:
 
 def save_violation_samples(samples: ViolationSamples, path) -> None:
     """CSV with header `i_max` plus a JSON sidecar at <path>.json."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i_max\n")
-        write_float_lines(fh, samples.values)
-    sidecar = {"state_tag": samples.state_tag, "seed": samples.settings_seed,
-               "m": samples.m, "set_tag": samples.set_tag}
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    write_table(path, "i_max", [samples.values])
+    write_json(f"{path}.json", {"state_tag": samples.state_tag, "seed": samples.settings_seed,
+                                "m": samples.m, "set_tag": samples.set_tag})
 
 
 def load_violation_samples(path) -> ViolationSamples:
@@ -278,10 +272,11 @@ def load_violation_samples(path) -> ViolationSamples:
                     raise ParseError(f"{path}: bad number {x!r}", line=lineno) from None
 
     values = np.fromiter(numbers(), float)
+    if not values.size:
+        raise ParseError(f"{path}: no data rows")
     finite = np.isfinite(values)
     if not finite.all():  # the line is looked up on this path only
-        lineno = [n for n, x in enumerate(lines[1:], start=2) if x.strip()][finite.argmin()]
-        raise ParseError(f"{path}: non-finite sample", line=lineno)
+        raise ParseError(f"{path}: non-finite sample", line=data_lines(lines)[finite.argmin()])
     meta_path = Path(str(path) + ".json")
     meta = read_json_object(meta_path, "file")
     return ViolationSamples(values,

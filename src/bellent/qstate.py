@@ -12,8 +12,9 @@ marked read-only), so they can be shared freely across workers.
 The parameter checks shared by several modules (`check_theta`,
 `check_visibility`, `check_gsms2`, `check_gsms3`) live here, and the file IO
 section holds the helpers every writer and loader of the package shares
-(`format_float`, `write_float_lines`, `read_text`, `read_json_object`,
-`json_field`), since every other module already imports this one.  Each
+(`format_float`, `write_table`, `write_json`, `read_text`, `data_lines`,
+`read_json_object`, `json_field`), since every other module already
+imports this one.  Each
 check is written as `not lo <= x <= hi`, so NaN fails it.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -267,8 +269,8 @@ def purity(rho: DensityMatrix) -> float:
 
 # 17 significant digits round-trips any double exactly
 _FLOAT_SPEC = ".17g"
-# values per %-formatting pass in write_float_lines: its tuple and text stay
-# small, whatever the length of the array
+# rows per %-formatting pass in write_table: its tuple and text stay small,
+# whatever the length of the table
 _LINES_PER_PASS = 4096
 
 
@@ -277,16 +279,29 @@ def format_float(x: float) -> str:
     return format(float(x), _FLOAT_SPEC)
 
 
-def write_float_lines(fh, values: np.ndarray) -> None:
-    """Write each value in the text of `format_float`, one per line, to fh.
+def write_table(path, header: str, columns) -> None:
+    """A CSV file: the header line, then row i of the equal-length columns per line.
 
-    Formats fixed slices of values in one `%` pass each, which is faster
-    than a call per value and holds one slice's text at a time.
+    Each value is written in the text of `format_float`.  Fixed slices of
+    rows are formatted in one `%` pass each, which is faster than a call per
+    value and holds one slice's text at a time.
     """
-    line = "%" + _FLOAT_SPEC + "\n"
-    for lo in range(0, len(values), _LINES_PER_PASS):
-        chunk = values[lo:lo + _LINES_PER_PASS].tolist()
-        fh.write(line * len(chunk) % tuple(chunk))
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    line = ",".join(["%" + _FLOAT_SPEC] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(table), _LINES_PER_PASS):
+            chunk = table[lo:lo + _LINES_PER_PASS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def write_json(path, obj) -> None:
+    """obj as indented JSON and a newline, to the file at path (stdout for None)."""
+    text = json.dumps(obj, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def read_text(path, what: str) -> str:
@@ -305,6 +320,11 @@ def read_text(path, what: str) -> str:
         raise MissingDataError(f"no such {what}: {path}") from None
     except OSError as exc:
         raise MissingDataError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
+def data_lines(lines) -> list:
+    """The line numbers of the non-blank lines after the header, `lines[0]`."""
+    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
 
 
 def read_json_object(path, what: str) -> dict:

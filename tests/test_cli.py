@@ -186,6 +186,7 @@ MALFORMED_INPUTS = {
     "samples row nan": lambda d: _samples(d, ["0.5", "nan"]),
     "samples row inf": lambda d: _samples(d, ["inf", "1.2"]),
     "samples bad header": lambda d: _samples(d, ["0.5", "1.2"], header="imax"),
+    "samples without rows": lambda d: _samples(d, ["", " "]),
     "state bad json": lambda d: _state(d, '{"n_qubits": 2, "entries": [[1, 0],'),
     "state without n_qubits": lambda d: _state(d, '{"entries": [[1, 0]]}'),
     "cc not utf-8": lambda d: _cc_with_fields(d, 13, {3: "\xff"}),
@@ -618,3 +619,98 @@ def test_ineq_dir_flag_and_manifest(tmp_path):
 def test_cli_entry_point_runs():
     code, out, _ = run_cli(["--help"])
     assert code == 0 and "state" in out
+
+
+# ------------------------------------------------------------------ manifests
+
+@pytest.fixture(scope="module")
+def manifest_inputs(tmp_path_factory):
+    """One input file of each kind a subcommand reads, and two input directories."""
+    d = tmp_path_factory.mktemp("inputs")
+    save_density_matrix(werner_like(np.pi / 4, 0.9, 2), d / "w2.json")
+    save_density_matrix(werner_like(np.pi / 4, 0.9, 3), d / "w3.json")
+    assert main(["dist", str(d / "w2.json"), "--samples", "200",
+                 "--out", str(d / "samples.csv")]) == 0
+    save_cc(add_poisson_noise(synth_cc_dataset(werner_like(np.pi / 4, 0.9, 3), 2, seed=1,
+                                               scale=100.0), seed=2), d / "cc.csv")
+    (d / "basis").mkdir()
+    # written in reverse order: the manifest lists them sorted
+    for k, ds in reversed(list(enumerate(synth_basis_datasets(2, seed=1)))):
+        save_cc(ds, d / "basis" / f"basis{k:03b}.csv")
+    (d / "pts.csv").write_text(_pairs_text("pv,value", _PV_VALUE_ROWS))
+    (d / "curve.csv").write_text(_pairs_text("v,pv", _V_PV_ROWS))
+    (d / "ineqs").mkdir()
+    for name in ("svetlichny", "mermin"):
+        text = resources.files("bellent").joinpath(f"data/{name}.bellineq").read_text()
+        (d / "ineqs" / f"{name}.bellineq").write_text(text)
+    return d
+
+
+# case -> (argv without --out, input files in manifest order, sorted args keys)
+_SAMPLING_KEYS = ["ineq_dir", "out", "samples", "seed", "state", "workers"]
+MANIFEST_CASES = {
+    "state make": (["state", "make", "--family", "werner", "--theta-deg", "45",
+                    "--v", "0.9", "--n", "2"], [],
+                   ["bits", "family", "gamma", "n", "out", "theta_deg", "v", "x", "y"]),
+    "pv": (["pv", "{d}/w2.json", "--samples", "100"], ["w2.json"], _SAMPLING_KEYS),
+    "pv --ineq-dir": (["pv", "{d}/w3.json", "--samples", "100", "--ineq-dir", "{d}/ineqs"],
+                      ["w3.json", "ineqs/mermin.bellineq", "ineqs/svetlichny.bellineq"],
+                      _SAMPLING_KEYS),
+    "sweep": (["sweep", "--theta-deg", "45", "--n", "2", "--v-from", "0.8",
+               "--v-to", "1.0", "--v-step", "0.1", "--samples", "100"], [],
+              ["closed_form", "family", "ineq_dir", "n", "out", "samples", "seed",
+               "theta_deg", "v_from", "v_step", "v_to", "workers"]),
+    "dist": (["dist", "{d}/w2.json", "--samples", "100"], ["w2.json"], _SAMPLING_KEYS),
+    "rescale": (["rescale", "{d}/samples.csv", "--v-from", "0.8", "--v-to", "1.0"],
+                ["samples.csv"], ["out", "samples_file", "v_from", "v_step", "v_to"]),
+    "conc": (["conc", "{d}/w2.json", "--method", "wootters"], ["w2.json"],
+             ["method", "out", "state"]),
+    "fit eval": (["fit", "eval", "--name", "c-lower-2q", "--pv", "5"], [],
+                 ["name", "out", "pv", "theta_deg"]),
+    "fit refit": (["fit", "refit", "--in", "{d}/pts.csv", "--basis", "2q"], ["pts.csv"],
+                  ["basis", "infile", "out"]),
+    "fit estimate-theta-v0": (["fit", "estimate-theta-v0", "--in", "{d}/curve.csv"],
+                              ["curve.csv"], ["infile", "out"]),
+    "exp mix": (["exp", "mix", "--state", "{d}/cc.csv", "--basis-dir", "{d}/basis",
+                 "--vc", "0.9"],
+                ["cc.csv"] + [f"basis/basis{k:03b}.csv" for k in range(8)],
+                ["basis_dir", "out", "state_cc", "vc"]),
+    "exp pv": (["exp", "pv", "--in", "{d}/cc.csv"], ["cc.csv"],
+               ["ineq_dir", "infile", "margin", "out"]),
+    "exp resample": (["exp", "resample", "--in", "{d}/cc.csv", "--statistic", "pv_cc",
+                      "--trials", "2"], ["cc.csv"],
+                     ["ineq_dir", "infile", "out", "seed", "statistic", "trials"]),
+}
+# the commands that print their result when run without --out
+_JSON_COMMANDS = ["pv", "pv --ineq-dir", "conc", "fit eval", "fit refit",
+                  "fit estimate-theta-v0", "exp pv", "exp resample"]
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifest_lists_args_and_input_digests_in_order(tmp_path, manifest_inputs, case):
+    argv, inputs, arg_keys = MANIFEST_CASES[case]
+    d = manifest_inputs
+    out = tmp_path / "result"
+    assert main([a.format(d=d) for a in argv] + ["--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "result.manifest.json").read_text())
+    assert manifest["command"] == " ".join(argv[:2] if argv[0] in ("state", "fit", "exp")
+                                           else argv[:1])
+    assert list(manifest["args"]) == arg_keys
+    assert list(manifest["input_digests"].items()) == [
+        (str(d / f), hashlib.sha256((d / f).read_bytes()).hexdigest()) for f in inputs]
+    assert list(manifest) == ["command", "args", "seed", "versions", "input_digests",
+                              "manifest_digest", "timestamp"]
+    if case in _JSON_COMMANDS:
+        assert json.loads(out.read_text())["manifest_digest"] == manifest["manifest_digest"]
+
+
+@pytest.mark.parametrize("case", _JSON_COMMANDS)
+def test_json_command_without_out_prints_only_its_result(
+        tmp_path, manifest_inputs, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(d=manifest_inputs) for a in MANIFEST_CASES[case][0]]
+    before = sorted(manifest_inputs.rglob("*"))
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("}\n") and "manifest_digest" in json.loads(out)
+    assert list(tmp_path.iterdir()) == [] and sorted(manifest_inputs.rglob("*")) == before
