@@ -107,11 +107,13 @@ def _relabel_index(n: int, perms, inswaps, outflips) -> np.ndarray:
     return src.reshape(-1, e.size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InequalitySet:
     """Deduplicated relabeling orbit as coefficient rows, each at LHV bound 1.
 
-    Immutable after construction.  `w_matrix` is the (n_ineqs, 4^N) stack of
+    Immutable after construction: a frozen dataclass over read-only arrays,
+    so one instance (such as a `default_set` orbit) can be shared by every
+    caller in a process.  `w_matrix` is the (n_ineqs, 4^N) stack of
     flattened coefficient tables, for behaviors given as tables;
     `c_matrix` = w_matrix @ feature_map(N).T is the (n_ineqs, 3^N) same set on
     the correlator features of `correlators`, for quantum behaviors.
@@ -129,7 +131,8 @@ class InequalitySet:
         c = w @ feature_map(self.n_parties).T
         w.setflags(write=False)
         c.setflags(write=False)
-        self.w_matrix, self.c_matrix = w, c
+        object.__setattr__(self, "w_matrix", w)
+        object.__setattr__(self, "c_matrix", c)
 
     def __len__(self) -> int:
         return len(self.w_matrix)
@@ -417,12 +420,14 @@ def svetlichny() -> BellInequality:
     return bundled_inequality("svetlichny")
 
 
+@functools.cache
 def default_set(n_parties: int) -> InequalitySet:
     """Default estimation set: CHSH orbit (N=2), Svetlichny orbit (N=3).
 
     The three-party set is a strict subset of the known facet classes, so
     estimates built on it are lower bounds on the true nonlocal fraction;
-    the tag says so.
+    the tag says so.  Each set is parsed and expanded once per process and
+    then shared read-only: every call returns the same frozen instance.
     """
     if n_parties == 2:
         return expand_relabelings(chsh(), tag="chsh")

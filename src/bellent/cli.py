@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -58,11 +59,16 @@ _INPUT_DIRS = (("basis_dir", _basis_files), ("ineq_dir", bell.inequality_files))
 
 
 def _inputs(ns) -> list:
+    """The input files, each followed by its `<file>.json` sidecar.
+
+    The loaders take tags, seeds and normalizations from a sidecar, so it is
+    an input too; `_manifest` digests only the paths that are files.
+    """
     files = [getattr(ns, key) for key in _INPUT_FILES if hasattr(ns, key)]
     for key, listing in _INPUT_DIRS:
         if getattr(ns, key, None):
             files += listing(getattr(ns, key))
-    return files
+    return [p for f in files for p in (f, f"{f}.json")]
 
 
 def _manifest(ns) -> dict:
@@ -323,7 +329,13 @@ def _add_common(p, samples_default=1_000_000):
                    help="directory of .bellineq files (default: the bundled set)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `bellent` parser, built once per process and shared read-only.
+
+    Parsing leaves the parser as it was (each call fills a new namespace),
+    so every `main` call in a process reuses this one instance.
+    """
     parser = argparse.ArgumentParser(
         prog="bellent",
         description="Entanglement estimation from Bell-violation statistics.")

@@ -263,15 +263,16 @@ def load_violation_samples(path) -> ViolationSamples:
     if not lines or lines[0] != "i_max":
         raise ParseError(f"{path}: expected header 'i_max'", line=1)
 
-    def numbers():
-        for lineno, x in enumerate(lines[1:], start=2):
-            if x.strip():
-                try:
-                    yield float(x)
-                except ValueError:
-                    raise ParseError(f"{path}: bad number {x!r}", line=lineno) from None
-
-    values = np.fromiter(numbers(), float)
+    rows = [x for x in lines[1:] if x.strip()]
+    try:
+        values = np.fromiter(map(float, rows), float, len(rows))
+    except ValueError:  # the bad row and its line are looked up on this path only
+        for lineno, x in zip(data_lines(lines), rows):
+            try:
+                float(x)
+            except ValueError:
+                raise ParseError(f"{path}: bad number {x!r}", line=lineno) from None
+        raise
     if not values.size:
         raise ParseError(f"{path}: no data rows")
     finite = np.isfinite(values)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import runpy
@@ -158,6 +159,18 @@ def test_default_sets():
     assert s3.tag == "svetlichny:lower-bound" and len(s3) == 16
     with pytest.raises(ParameterError):
         default_set(4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_default_set_is_one_frozen_instance_per_process(n):
+    iset = default_set(n)
+    assert default_set(n) is iset
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iset.tag = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iset.c_matrix = np.zeros_like(iset.c_matrix)
+    with pytest.raises(ValueError, match="read-only"):
+        iset.w_matrix[0, 0] = 0.0
 
 
 def test_inequality_file_and_dir_loading(tmp_path):

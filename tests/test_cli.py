@@ -646,7 +646,8 @@ def manifest_inputs(tmp_path_factory):
     return d
 
 
-# case -> (argv without --out, input files in manifest order, sorted args keys)
+# case -> (argv without --out, input files in manifest order, sorted args keys);
+# a file's `<file>.json` sidecar, which its loader reads, follows it
 _SAMPLING_KEYS = ["ineq_dir", "out", "samples", "seed", "state", "workers"]
 MANIFEST_CASES = {
     "state make": (["state", "make", "--family", "werner", "--theta-deg", "45",
@@ -662,7 +663,8 @@ MANIFEST_CASES = {
                "theta_deg", "v_from", "v_step", "v_to", "workers"]),
     "dist": (["dist", "{d}/w2.json", "--samples", "100"], ["w2.json"], _SAMPLING_KEYS),
     "rescale": (["rescale", "{d}/samples.csv", "--v-from", "0.8", "--v-to", "1.0"],
-                ["samples.csv"], ["out", "samples_file", "v_from", "v_step", "v_to"]),
+                ["samples.csv", "samples.csv.json"],
+                ["out", "samples_file", "v_from", "v_step", "v_to"]),
     "conc": (["conc", "{d}/w2.json", "--method", "wootters"], ["w2.json"],
              ["method", "out", "state"]),
     "fit eval": (["fit", "eval", "--name", "c-lower-2q", "--pv", "5"], [],
@@ -673,12 +675,13 @@ MANIFEST_CASES = {
                               ["curve.csv"], ["infile", "out"]),
     "exp mix": (["exp", "mix", "--state", "{d}/cc.csv", "--basis-dir", "{d}/basis",
                  "--vc", "0.9"],
-                ["cc.csv"] + [f"basis/basis{k:03b}.csv" for k in range(8)],
+                ["cc.csv", "cc.csv.json"] + [f"basis/basis{k:03b}.csv{ext}" for k in range(8)
+                                             for ext in ("", ".json")],
                 ["basis_dir", "out", "state_cc", "vc"]),
-    "exp pv": (["exp", "pv", "--in", "{d}/cc.csv"], ["cc.csv"],
+    "exp pv": (["exp", "pv", "--in", "{d}/cc.csv"], ["cc.csv", "cc.csv.json"],
                ["ineq_dir", "infile", "margin", "out"]),
     "exp resample": (["exp", "resample", "--in", "{d}/cc.csv", "--statistic", "pv_cc",
-                      "--trials", "2"], ["cc.csv"],
+                      "--trials", "2"], ["cc.csv", "cc.csv.json"],
                      ["ineq_dir", "infile", "out", "seed", "statistic", "trials"]),
 }
 # the commands that print their result when run without --out
@@ -714,3 +717,49 @@ def test_json_command_without_out_prints_only_its_result(
     out, err = capsys.readouterr()
     assert err == "" and out.endswith("}\n") and "manifest_digest" in json.loads(out)
     assert list(tmp_path.iterdir()) == [] and sorted(manifest_inputs.rglob("*")) == before
+
+
+def test_editing_a_sidecar_tag_changes_the_manifest_digest(tmp_path, manifest_inputs):
+    d = manifest_inputs
+    state = tmp_path / "cc.csv"
+    state.write_bytes((d / "cc.csv").read_bytes())
+    meta = json.loads((d / "cc.csv.json").read_text())
+    argv = ["exp", "mix", "--state", str(state), "--basis-dir", str(d / "basis"),
+            "--vc", "0.9", "--out", str(tmp_path / "mixed.csv")]
+
+    def digest_and_tag(tag):
+        (tmp_path / "cc.csv.json").write_text(json.dumps(dict(meta, tag=tag)))
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "mixed.csv.manifest.json").read_text())
+        assert str(state) + ".json" in manifest["input_digests"]
+        out_tag = json.loads((tmp_path / "mixed.csv.json").read_text())["tag"]
+        return manifest["manifest_digest"], out_tag
+
+    first, first_tag = digest_and_tag("run-a")
+    second, second_tag = digest_and_tag("run-b")
+    assert first_tag.startswith("run-a") and second_tag.startswith("run-b")
+    assert first != second
+
+
+def test_in_process_commands_after_errors_match_a_fresh_process(tmp_path, capsys):
+    # the parser and the default orbits are shared by every main call in a
+    # process; failed calls before a command must leave its output as a
+    # fresh process writes it
+    state = tmp_path / "w.json"
+    save_density_matrix(werner_like(np.pi / 4, 0.9, 2), state)
+    out = tmp_path / "pv.json"
+    argv = ["pv", str(state), "--samples", "20000", "--seed", "5", "--out", str(out)]
+    code, _, err = run_cli(argv)
+    assert code == 0, err
+    fresh = out.read_bytes(), json.loads((tmp_path / "pv.json.manifest.json").read_text())
+    out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["pv", str(state), "--samples", "many"])
+    assert exc.value.code == 2
+    assert main(["pv", str(tmp_path / "missing.json"), "--samples", "10"]) == 3
+    capsys.readouterr()
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "pv.json.manifest.json").read_text())
+    assert out.read_bytes() == fresh[0]
+    assert {k: v for k, v in manifest.items() if k != "timestamp"} == \
+        {k: v for k, v in fresh[1].items() if k != "timestamp"}
