@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -56,19 +55,31 @@ def _basis_files(path) -> list:
 # with the listing of their input files, in the order the manifest lists them
 _INPUT_FILES = ("state", "samples_file", "infile", "state_cc")
 _INPUT_DIRS = (("basis_dir", _basis_files), ("ineq_dir", bell.inequality_files))
+# by command, the arguments whose loader also reads each file's sidecar
+# (`qstate.sidecar_path`): samples files and count tables
+_SIDECAR_INPUTS = {"rescale": ("samples_file",), "exp mix": ("state_cc", "basis_dir"),
+                   "exp pv": ("infile",), "exp resample": ("infile",)}
+
+
+def _command(ns) -> str:
+    """The command as the manifest names it, such as `pv` or `exp mix`."""
+    sub = getattr(ns, "subcommand", None)
+    return f"{ns.command} {sub}" if sub else ns.command
 
 
 def _inputs(ns) -> list:
-    """The input files, each followed by its `<file>.json` sidecar.
+    """The input files, each followed by its sidecar when its loader reads one.
 
-    The loaders take tags, seeds and normalizations from a sidecar, so it is
-    an input too; `_manifest` digests only the paths that are files.
+    A sidecar holds the tag, seed or normalization that the loader takes, so
+    it is an input too; `_manifest` digests only the paths that are files.
     """
-    files = [getattr(ns, key) for key in _INPUT_FILES if hasattr(ns, key)]
+    keyed = [(key, getattr(ns, key)) for key in _INPUT_FILES if hasattr(ns, key)]
     for key, listing in _INPUT_DIRS:
         if getattr(ns, key, None):
-            files += listing(getattr(ns, key))
-    return [p for f in files for p in (f, f"{f}.json")]
+            keyed += [(key, f) for f in listing(getattr(ns, key))]
+    sidecars = _SIDECAR_INPUTS.get(_command(ns), ())
+    return [p for key, f in keyed
+            for p in ((f, qstate.sidecar_path(f)) if key in sidecars else (f,))]
 
 
 def _manifest(ns) -> dict:
@@ -79,8 +90,7 @@ def _manifest(ns) -> dict:
             continue
         args[k] = str(v) if isinstance(v, Path) else v
     core = {
-        "command": ns.command if not getattr(ns, "subcommand", None)
-        else f"{ns.command} {ns.subcommand}",
+        "command": _command(ns),
         "args": args,
         "seed": args.get("seed"),
         "versions": {
@@ -329,117 +339,180 @@ def _add_common(p, samples_default=1_000_000):
                    help="directory of .bellineq files (default: the bundled set)")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `bellent` parser, built once per process and shared read-only.
+def _state_make_args(p):
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
+    p.add_argument("--theta-deg", type=float, default=None)
+    p.add_argument("--v", type=float, default=None)
+    p.add_argument("--n", type=int, default=None, choices=[2, 3])
+    p.add_argument("--x", type=float, default=None)
+    p.add_argument("--y", type=float, default=None)
+    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--bits", default=None)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_state_make)
 
-    Parsing leaves the parser as it was (each call fills a new namespace),
-    so every `main` call in a process reuses this one instance.
-    """
+
+def _pv_args(p):
+    p.add_argument("state")
+    _add_common(p)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_pv)
+
+
+def _sweep_args(p):
+    p.add_argument("--family", default="werner", choices=["werner"])
+    p.add_argument("--theta-deg", type=float, required=True)
+    p.add_argument("--n", type=int, required=True, choices=[2, 3])
+    p.add_argument("--v-from", type=float, required=True)
+    p.add_argument("--v-to", type=float, required=True)
+    p.add_argument("--v-step", type=float, default=0.01)
+    p.add_argument("--closed-form", default="auto",
+                   choices=["auto", "w2", "w3-xstate", "w3-printed"])
+    _add_common(p, samples_default=100_000)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_sweep)
+
+
+def _dist_args(p):
+    p.add_argument("state")
+    _add_common(p, samples_default=100_000)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_dist)
+
+
+def _rescale_args(p):
+    p.add_argument("samples_file")
+    p.add_argument("--v-from", type=float, required=True)
+    p.add_argument("--v-to", type=float, required=True)
+    p.add_argument("--v-step", type=float, default=0.01)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_rescale)
+
+
+def _conc_args(p):
+    p.add_argument("state")
+    p.add_argument("--method", required=True,
+                   choices=["wootters", "gme-xstate", "gme-pure"])
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_conc)
+
+
+def _fit_eval_args(p):
+    p.add_argument("--name", required=True)
+    p.add_argument("--pv", type=float, required=True, help="p_V in percent")
+    p.add_argument("--theta-deg", type=float, default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_fit_eval)
+
+
+def _fit_refit_args(p):
+    p.add_argument("--in", dest="infile", required=True, help="CSV with header pv,value")
+    p.add_argument("--basis", required=True, choices=["2q", "3q"])
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_fit_refit)
+
+
+def _fit_estimate_args(p):
+    p.add_argument("--in", dest="infile", required=True, help="CSV with header v,pv")
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_fit_estimate)
+
+
+def _exp_mix_args(p):
+    p.add_argument("--state", dest="state_cc", required=True)
+    p.add_argument("--basis-dir", required=True)
+    p.add_argument("--vc", type=float, required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_exp_mix)
+
+
+def _exp_pv_args(p):
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--margin", type=float, default=expdata.DEFAULT_MARGIN)
+    p.add_argument("--ineq-dir", default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_exp_pv)
+
+
+def _exp_resample_args(p):
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--statistic", required=True)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ineq-dir", default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_exp_resample)
+
+
+# command -> (help, function adding its arguments), or, for a group,
+# (help, {subcommand: (help, function)}); in the order the help lists them
+_COMMANDS = {
+    "state": ("state construction", {
+        "make": ("write a state JSON file", _state_make_args)}),
+    "pv": ("estimate the nonlocal fraction", _pv_args),
+    "sweep": ("p_V and concurrence over a visibility grid", _sweep_args),
+    "dist": ("violation-strength samples", _dist_args),
+    "rescale": ("p_V(v) by threshold shifting", _rescale_args),
+    "conc": ("concurrence of a state file", _conc_args),
+    "fit": ("fit curves", {
+        "eval": ("evaluate a named fit", _fit_eval_args),
+        "refit": ("least squares on a fractional-power basis", _fit_refit_args),
+        "estimate-theta-v0": ("recover (theta, v0) from a curve", _fit_estimate_args)}),
+    "exp": ("coincidence-count analysis", {
+        "mix": ("white-noise admixture of normalized counts", _exp_mix_args),
+        "pv": ("nonlocal fraction from counts", _exp_pv_args),
+        "resample": ("uncertainty of a statistic: count noise, plus block sampling "
+                     "for pv_cc", _exp_resample_args)}),
+}
+
+
+def _command_path(argv) -> tuple:
+    """The command, and in a group its subcommand, that argv starts with; () if none."""
+    table, path = _COMMANDS, ()
+    for word in argv:
+        if word not in table:
+            return ()
+        path += (word,)
+        spec = table[word][1]
+        if not isinstance(spec, dict):
+            return path
+        table = spec
+    return ()
+
+
+def _add_commands(parser, dest, table, path) -> None:
+    # for one command, only its subparser is built; the metavar is the text
+    # argparse makes of the full choices, so usage lines read the same
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                metavar="{%s}" % ",".join(table) if path else None)
+    for name, (help_text, spec) in table.items():
+        if path and name != path[0]:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(spec, dict):
+            _add_commands(p, "subcommand", spec, path[1:])
+        else:
+            spec(p)
+
+
+def _parser(path) -> argparse.ArgumentParser:
+    """The `bellent` parser with the subparsers on `path` only, or all for ()."""
     parser = argparse.ArgumentParser(
         prog="bellent",
         description="Entanglement estimation from Bell-violation statistics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    st = sub.add_parser("state", help="state construction").add_subparsers(
-        dest="subcommand", required=True)
-    mk = st.add_parser("make", help="write a state JSON file")
-    mk.add_argument("--family", required=True, choices=list(_FAMILIES))
-    mk.add_argument("--theta-deg", type=float, default=None)
-    mk.add_argument("--v", type=float, default=None)
-    mk.add_argument("--n", type=int, default=None, choices=[2, 3])
-    mk.add_argument("--x", type=float, default=None)
-    mk.add_argument("--y", type=float, default=None)
-    mk.add_argument("--gamma", type=float, default=None)
-    mk.add_argument("--bits", default=None)
-    mk.add_argument("--out", required=True)
-    mk.set_defaults(func=cmd_state_make)
-
-    pv = sub.add_parser("pv", help="estimate the nonlocal fraction")
-    pv.add_argument("state")
-    _add_common(pv)
-    pv.add_argument("--out", default=None)
-    pv.set_defaults(func=cmd_pv)
-
-    sw = sub.add_parser("sweep", help="p_V and concurrence over a visibility grid")
-    sw.add_argument("--family", default="werner", choices=["werner"])
-    sw.add_argument("--theta-deg", type=float, required=True)
-    sw.add_argument("--n", type=int, required=True, choices=[2, 3])
-    sw.add_argument("--v-from", type=float, required=True)
-    sw.add_argument("--v-to", type=float, required=True)
-    sw.add_argument("--v-step", type=float, default=0.01)
-    sw.add_argument("--closed-form", default="auto",
-                    choices=["auto", "w2", "w3-xstate", "w3-printed"])
-    _add_common(sw, samples_default=100_000)
-    sw.add_argument("--out", required=True)
-    sw.set_defaults(func=cmd_sweep)
-
-    ds = sub.add_parser("dist", help="violation-strength samples")
-    ds.add_argument("state")
-    _add_common(ds, samples_default=100_000)
-    ds.add_argument("--out", required=True)
-    ds.set_defaults(func=cmd_dist)
-
-    rs = sub.add_parser("rescale", help="p_V(v) by threshold shifting")
-    rs.add_argument("samples_file")
-    rs.add_argument("--v-from", type=float, required=True)
-    rs.add_argument("--v-to", type=float, required=True)
-    rs.add_argument("--v-step", type=float, default=0.01)
-    rs.add_argument("--out", required=True)
-    rs.set_defaults(func=cmd_rescale)
-
-    cc = sub.add_parser("conc", help="concurrence of a state file")
-    cc.add_argument("state")
-    cc.add_argument("--method", required=True,
-                    choices=["wootters", "gme-xstate", "gme-pure"])
-    cc.add_argument("--out", default=None)
-    cc.set_defaults(func=cmd_conc)
-
-    ft = sub.add_parser("fit", help="fit curves").add_subparsers(
-        dest="subcommand", required=True)
-    fe = ft.add_parser("eval", help="evaluate a named fit")
-    fe.add_argument("--name", required=True)
-    fe.add_argument("--pv", type=float, required=True, help="p_V in percent")
-    fe.add_argument("--theta-deg", type=float, default=None)
-    fe.add_argument("--out", default=None)
-    fe.set_defaults(func=cmd_fit_eval)
-    fr = ft.add_parser("refit", help="least squares on a fractional-power basis")
-    fr.add_argument("--in", dest="infile", required=True,
-                    help="CSV with header pv,value")
-    fr.add_argument("--basis", required=True, choices=["2q", "3q"])
-    fr.add_argument("--out", default=None)
-    fr.set_defaults(func=cmd_fit_refit)
-    fs = ft.add_parser("estimate-theta-v0", help="recover (theta, v0) from a curve")
-    fs.add_argument("--in", dest="infile", required=True, help="CSV with header v,pv")
-    fs.add_argument("--out", default=None)
-    fs.set_defaults(func=cmd_fit_estimate)
-
-    ex = sub.add_parser("exp", help="coincidence-count analysis").add_subparsers(
-        dest="subcommand", required=True)
-    em = ex.add_parser("mix", help="white-noise admixture of normalized counts")
-    em.add_argument("--state", dest="state_cc", required=True)
-    em.add_argument("--basis-dir", required=True)
-    em.add_argument("--vc", type=float, required=True)
-    em.add_argument("--out", required=True)
-    em.set_defaults(func=cmd_exp_mix)
-    ep = ex.add_parser("pv", help="nonlocal fraction from counts")
-    ep.add_argument("--in", dest="infile", required=True)
-    ep.add_argument("--margin", type=float, default=expdata.DEFAULT_MARGIN)
-    ep.add_argument("--ineq-dir", default=None)
-    ep.add_argument("--out", default=None)
-    ep.set_defaults(func=cmd_exp_pv)
-    er = ex.add_parser(
-        "resample",
-        help="uncertainty of a statistic: count noise, plus block sampling for pv_cc")
-    er.add_argument("--in", dest="infile", required=True)
-    er.add_argument("--statistic", required=True)
-    er.add_argument("--trials", type=int, default=100)
-    er.add_argument("--seed", type=int, default=0)
-    er.add_argument("--ineq-dir", default=None)
-    er.add_argument("--out", default=None)
-    er.set_defaults(func=cmd_exp_resample)
-
+    _add_commands(parser, "command", _COMMANDS, path)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full `bellent` parser: every command with its arguments.
+
+    `main` builds only the subparser of the command its arguments name,
+    which saves most of the parser's cost and parses, helps and fails with
+    the same output.  Arguments that name no command (none, `-h`, an
+    unknown command) get this parser, whose help and errors list them all.
+    """
+    return _parser(())
 
 
 # error type -> exit code
@@ -448,7 +521,8 @@ _EXIT_CODES = ((ParameterError, 2), (MissingDataError, 3), (ParseError, 3),
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _parser(_command_path(argv)).parse_args(argv)
     try:
         obj = ns.func(ns)
         manifest = _manifest(ns)

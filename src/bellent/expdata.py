@@ -28,7 +28,7 @@ from .bell import InequalitySet, batch_behaviors, i_max, pauli_tensor
 from .errors import ParameterError, ParseError
 from .nlfrac import PvEstimate
 from .qstate import (DensityMatrix, basis_state, data_lines, format_float, json_field,
-                     read_json_object, read_text, write_json)
+                     read_json_object, read_text, sidecar_path, write_json)
 
 CC_HEADER = ("setting_id,u1x,u1y,u1z,u2x,u2y,u2z,u3x,u3y,u3z,"
              "r1,r2,r3,counts,duration_s")
@@ -126,7 +126,7 @@ def save_cc(dataset: CCDataset, path) -> None:
             lines.append(f"{head}{r >> 2 & 1},{r >> 1 & 1},{r & 1},"
                          f"{format_float(count)}{tail}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_json(f"{path}.json", {"tag": dataset.tag, "normalization": dataset.normalization})
+    write_json(sidecar_path(path), {"tag": dataset.tag, "normalization": dataset.normalization})
 
 
 def _parse(rows) -> tuple:
@@ -214,7 +214,7 @@ def load_cc(path) -> CCDataset:
     if not len(sid):
         raise ParseError(f"{path}: no data rows")
     tag, norm = path.stem, 1.0
-    meta_path = Path(str(path) + ".json")
+    meta_path = sidecar_path(path)
     if meta_path.is_file():
         meta = read_json_object(meta_path, "file")
         tag = json_field(meta, "tag", str, meta_path, tag)

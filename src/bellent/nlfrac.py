@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +20,8 @@ from . import _rng
 from .bell import InequalitySet, batch_i_max, pauli_tensor
 from .errors import ParameterError, ParseError
 from .qstate import (DensityMatrix, check_visibility, data_lines, json_field,
-                     read_json_object, read_text, write_json, write_table)
+                     read_json_object, read_text, sidecar_path, write_json,
+                     write_table)
 
 CHUNK = 1 << 14
 
@@ -254,8 +254,9 @@ def sample_chsh_reduced(v: float, m: int, seed: int) -> PvEstimate:
 def save_violation_samples(samples: ViolationSamples, path) -> None:
     """CSV with header `i_max` plus a JSON sidecar at <path>.json."""
     write_table(path, "i_max", [samples.values])
-    write_json(f"{path}.json", {"state_tag": samples.state_tag, "seed": samples.settings_seed,
-                                "m": samples.m, "set_tag": samples.set_tag})
+    write_json(sidecar_path(path), {"state_tag": samples.state_tag,
+                                    "seed": samples.settings_seed,
+                                    "m": samples.m, "set_tag": samples.set_tag})
 
 
 def load_violation_samples(path) -> ViolationSamples:
@@ -263,22 +264,23 @@ def load_violation_samples(path) -> ViolationSamples:
     if not lines or lines[0] != "i_max":
         raise ParseError(f"{path}: expected header 'i_max'", line=1)
 
-    rows = [x for x in lines[1:] if x.strip()]
-    try:
-        values = np.fromiter(map(float, rows), float, len(rows))
-    except ValueError:  # the bad row and its line are looked up on this path only
-        for lineno, x in zip(data_lines(lines), rows):
-            try:
-                float(x)
-            except ValueError:
-                raise ParseError(f"{path}: bad number {x!r}", line=lineno) from None
-        raise
+    try:  # one pass over every row; blank rows, which are skipped, are rare
+        values = np.fromiter(map(float, lines[1:]), float, len(lines) - 1)
+    except ValueError:  # a blank or a bad row: skip the one, name the other
+        numbers = []
+        for lineno, x in enumerate(lines[1:], start=2):
+            if x.strip():
+                try:
+                    numbers.append(float(x))
+                except ValueError:
+                    raise ParseError(f"{path}: bad number {x!r}", line=lineno) from None
+        values = np.array(numbers)
     if not values.size:
         raise ParseError(f"{path}: no data rows")
     finite = np.isfinite(values)
     if not finite.all():  # the line is looked up on this path only
         raise ParseError(f"{path}: non-finite sample", line=data_lines(lines)[finite.argmin()])
-    meta_path = Path(str(path) + ".json")
+    meta_path = sidecar_path(path)
     meta = read_json_object(meta_path, "file")
     return ViolationSamples(values,
                             json_field(meta, "state_tag", str, meta_path),

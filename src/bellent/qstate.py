@@ -304,6 +304,11 @@ def write_json(path, obj) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def sidecar_path(path) -> Path:
+    """`<path>.json`, the metadata file beside a samples file or count table."""
+    return Path(f"{path}.json")
+
+
 def read_text(path, what: str) -> str:
     """The UTF-8 text of a file the package reads; `what` names it in errors.
 

@@ -162,9 +162,10 @@ def test_default_sets():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_default_set_is_one_frozen_instance_per_process(n):
-    iset = default_set(n)
-    assert default_set(n) is iset
+def test_default_set_is_frozen_and_compares_by_identity(n):
+    iset, again = default_set(n), default_set(n)
+    assert iset == iset and iset != again and hash(iset) != hash(again)
+    assert iset.digest() == again.digest()
     with pytest.raises(dataclasses.FrozenInstanceError):
         iset.tag = "other"
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -343,6 +344,22 @@ def _random_dirs(rng, shape):
 def test_orbit_matches_reference_loop():
     for ineqs in ([chsh()], [mermin()], [svetlichny()], [mermin(), svetlichny()],
                   [chsh(), chsh()]):
+        got = expand_relabelings(ineqs).w_matrix
+        assert got.tobytes() == _orbit_reference(ineqs).tobytes()
+
+
+def test_orbit_matches_reference_loop_without_symmetry():
+    # a random table, and the same table summed over party permutations: the
+    # orbit stages keep hundreds of rows, with and without merging in the first
+    rng = np.random.default_rng(11)
+    t = rng.integers(-1, 2, (2,) * 6).astype(float)
+    sym = sum(t.transpose(p + tuple(3 + i for i in p)) for p in itertools.permutations(range(3)))
+    # CHSH with one entry moved by 1e-12: relabeled rows that differ only there
+    # share a dedup key, and the row of the first relabeling is the one kept
+    near = chsh().coefficients.copy()
+    near[0, 1, 1, 0] += 1e-12
+    for ineqs in ([BellInequality(3, t, 3.0)], [BellInequality(3, sym, 9.0)],
+                  [BellInequality(2, near, 2.0)], [BellInequality(2, near, 2.0), chsh()]):
         got = expand_relabelings(ineqs).w_matrix
         assert got.tobytes() == _orbit_reference(ineqs).tobytes()
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -13,7 +14,7 @@ import pytest
 
 from bellent import nlfrac
 from bellent.bell import default_set
-from bellent.cli import main
+from bellent.cli import _command_path, _parser, build_parser, main
 from bellent.entanglement import conc_closed_w2, gme_closed_w3_xstate
 from bellent.expdata import add_poisson_noise, save_cc, synth_basis_datasets, synth_cc_dataset
 from bellent.fits import g1, g2, g3, v3cr
@@ -742,9 +743,8 @@ def test_editing_a_sidecar_tag_changes_the_manifest_digest(tmp_path, manifest_in
 
 
 def test_in_process_commands_after_errors_match_a_fresh_process(tmp_path, capsys):
-    # the parser and the default orbits are shared by every main call in a
-    # process; failed calls before a command must leave its output as a
-    # fresh process writes it
+    # failed calls before a command must leave its output as a fresh
+    # process writes it
     state = tmp_path / "w.json"
     save_density_matrix(werner_like(np.pi / 4, 0.9, 2), state)
     out = tmp_path / "pv.json"
@@ -763,3 +763,48 @@ def test_in_process_commands_after_errors_match_a_fresh_process(tmp_path, capsys
     assert out.read_bytes() == fresh[0]
     assert {k: v for k, v in manifest.items() if k != "timestamp"} == \
         {k: v for k, v in fresh[1].items() if k != "timestamp"}
+
+
+@pytest.mark.parametrize("case", ["pv", "pv --ineq-dir", "dist", "conc", "fit refit",
+                                  "fit estimate-theta-v0"])
+def test_a_stray_json_beside_an_input_whose_loader_reads_none_is_not_an_input(
+        tmp_path, manifest_inputs, case):
+    argv, inputs, _ = MANIFEST_CASES[case]
+    d = tmp_path / "inputs"
+    shutil.copytree(manifest_inputs, d)
+    out = tmp_path / "result"
+    argv = [a.format(d=d) for a in argv] + ["--out", str(out)]
+
+    def manifest():
+        assert main(argv) == 0
+        return json.loads((tmp_path / "result.manifest.json").read_text())
+
+    before = manifest()
+    for f in inputs:
+        (d / f"{f}.json").write_text('{"tag": "stray"}\n')
+    after = manifest()
+    assert list(after["input_digests"]) == [str(d / f) for f in inputs]
+    assert after["manifest_digest"] == before["manifest_digest"]
+
+
+# a command's own parser must read, help and fail as the full parser does
+_PARSER_ARGVS = [[], ["-h"], ["nosuch"], ["exp"], ["exp", "nosuch"], ["fit", "-h"]]
+for _path in (["state", "make"], ["pv"], ["sweep"], ["dist"], ["rescale"], ["conc"],
+              ["fit", "eval"], ["fit", "refit"], ["fit", "estimate-theta-v0"],
+              ["exp", "mix"], ["exp", "pv"], ["exp", "resample"]):
+    _PARSER_ARGVS += [_path + ["-h"], _path, _path + ["in.json", "extra", "--no-such-flag"]]
+# valid argvs, and the same with an unknown flag, which the top-level parser reports
+_PARSER_ARGVS += [[a.format(d="d") for a in argv] + ["--out", "o"] + extra
+                  for argv, _, _ in MANIFEST_CASES.values() for extra in ([], ["--no-such-flag"])]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+def test_a_command_parser_matches_the_full_parser(argv, capsys):
+    def parse(parser):
+        try:
+            ns = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr()
+        return vars(ns), capsys.readouterr()
+
+    assert parse(_parser(_command_path(argv))) == parse(build_parser())
