@@ -384,19 +384,14 @@ def load_inequality_file(path) -> BellInequality:
         raise type(exc)(f"{path.name}: {exc}") from None
 
 
-def inequality_files(path) -> list:
-    """The *.bellineq files directly in a directory, sorted; none if it is missing."""
-    path = Path(path)
-    return sorted(path.glob("*.bellineq")) if path.is_dir() else []
-
-
 def load_inequality_dir(path) -> InequalitySet:
-    """Orbit of all `inequality_files` of a directory."""
-    files = inequality_files(path)
+    """Orbit of the *.bellineq files directly in a directory, read in name order."""
+    path = Path(path)
+    files = sorted(path.glob("*.bellineq")) if path.is_dir() else []
     if not files:
         raise MissingDataError(f"no .bellineq files in {path}")
     ineqs = [load_inequality_file(f) for f in files]
-    return expand_relabelings(ineqs, tag=f"dir:{Path(path).name}")
+    return expand_relabelings(ineqs, tag=f"dir:{path.name}")
 
 
 _BUNDLED = ("chsh", "mermin", "svetlichny")

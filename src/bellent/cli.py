@@ -3,12 +3,14 @@
 A command either writes its own --out file or returns a JSON object;
 `main` alone writes the object, to --out or stdout, and, whenever --out is
 given, the companion `<out>.manifest.json` recording the command, flags,
-seed, library versions, and input digests.  JSON outputs embed the manifest
-digest (computed without the timestamp, so identical runs produce
-identical output bytes).  Angles cross this boundary in degrees and are
-converted to radians exactly once.
+seed, library versions, and input digests.  The inputs are the files the
+command read, in read order, each hashed as read (`qstate.recording_reads`).
+JSON outputs embed the manifest digest (computed without the timestamp, so
+identical runs produce identical output bytes).  Angles cross this
+boundary in degrees and are converted to radians exactly once.
 
-Exit codes: 0 success, 2 parameter error, 3 missing data, 4 domain error.
+Exit codes: 0 success, 2 parameter error, 3 missing data (an input that
+cannot be read or parsed, an output that cannot be written), 4 domain error.
 """
 
 from __future__ import annotations
@@ -24,41 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bell, entanglement, expdata, fits, nlfrac, qstate
+from . import __version__, bell, entanglement, expdata, fits, nlfrac, qstate
 from .errors import (BellentError, DomainError, FitError, MissingDataError,
                      ParameterError, ParseError)
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("bellent")
-    except Exception:
-        return "unknown"
-
-
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _basis_files(path) -> list:
-    """The *.csv files directly in a directory, sorted; none if it is missing."""
-    path = Path(path)
-    return sorted(path.glob("*.csv")) if path.is_dir() else []
-
-
-# the arguments that name input files, and those that name input directories
-# with the listing of their input files, in the order the manifest lists them
-_INPUT_FILES = ("state", "samples_file", "infile", "state_cc")
-_INPUT_DIRS = (("basis_dir", _basis_files), ("ineq_dir", bell.inequality_files))
-# by command, the arguments whose loader also reads each file's sidecar
-# (`qstate.sidecar_path`): samples files and count tables
-_SIDECAR_INPUTS = {"rescale": ("samples_file",), "exp mix": ("state_cc", "basis_dir"),
-                   "exp pv": ("infile",), "exp resample": ("infile",)}
 
 
 def _command(ns) -> str:
@@ -67,23 +37,11 @@ def _command(ns) -> str:
     return f"{ns.command} {sub}" if sub else ns.command
 
 
-def _inputs(ns) -> list:
-    """The input files, each followed by its sidecar when its loader reads one.
+def _manifest(ns, inputs: dict) -> dict:
+    """The manifest of this invocation; its `manifest_digest` skips the timestamp.
 
-    A sidecar holds the tag, seed or normalization that the loader takes, so
-    it is an input too; `_manifest` digests only the paths that are files.
+    `inputs` is the command's `qstate.recording_reads` log.
     """
-    keyed = [(key, getattr(ns, key)) for key in _INPUT_FILES if hasattr(ns, key)]
-    for key, listing in _INPUT_DIRS:
-        if getattr(ns, key, None):
-            keyed += [(key, f) for f in listing(getattr(ns, key))]
-    sidecars = _SIDECAR_INPUTS.get(_command(ns), ())
-    return [p for key, f in keyed
-            for p in ((f, qstate.sidecar_path(f)) if key in sidecars else (f,))]
-
-
-def _manifest(ns) -> dict:
-    """The manifest of this invocation; its `manifest_digest` skips the timestamp."""
     args = {}
     for k, v in sorted(vars(ns).items()):
         if k in ("func", "command", "subcommand"):
@@ -94,12 +52,12 @@ def _manifest(ns) -> dict:
         "args": args,
         "seed": args.get("seed"),
         "versions": {
-            "bellent": _version(),
+            "bellent": __version__,
             "numpy": np.__version__,
             "scipy": __import__("scipy").__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
         },
-        "input_digests": {str(p): _sha256(p) for p in _inputs(ns) if Path(p).is_file()},
+        "input_digests": inputs,
     }
     digest = hashlib.sha256(
         json.dumps(core, sort_keys=True).encode("utf-8")).hexdigest()
@@ -300,10 +258,11 @@ def cmd_fit_estimate(ns) -> dict:
 
 def cmd_exp_mix(ns) -> None:
     state_cc = expdata.normalize_cc(expdata.load_cc(ns.state_cc))
-    files = _basis_files(ns.basis_dir)
+    basis_dir = Path(ns.basis_dir)
+    files = sorted(basis_dir.glob("*.csv")) if basis_dir.is_dir() else []
     if len(files) != 8:
         raise MissingDataError(
-            f"need exactly 8 basis CSV files in {Path(ns.basis_dir)}, found {len(files)}")
+            f"need exactly 8 basis CSV files in {basis_dir}, found {len(files)}")
     basis = [expdata.normalize_cc(expdata.load_cc(f)) for f in files]
     mixed = expdata.mix_counts(state_cc, basis, ns.vc)
     expdata.save_cc(mixed, ns.out)
@@ -524,15 +483,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = _parser(_command_path(argv)).parse_args(argv)
     try:
-        obj = ns.func(ns)
-        manifest = _manifest(ns)
+        with qstate.recording_reads() as inputs:
+            obj = ns.func(ns)
+        manifest = _manifest(ns, inputs)
+        if obj is not None:
+            qstate.write_json(ns.out, dict(obj, manifest_digest=manifest["manifest_digest"]))
+        if ns.out:
+            qstate.write_json(f"{ns.out}.manifest.json", manifest)
     except BellentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    if obj is not None:
-        qstate.write_json(ns.out, dict(obj, manifest_digest=manifest["manifest_digest"]))
-    if ns.out:
-        qstate.write_json(f"{ns.out}.manifest.json", manifest)
     return 0
 
 

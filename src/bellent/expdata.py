@@ -28,7 +28,7 @@ from .bell import InequalitySet, batch_behaviors, i_max, pauli_tensor
 from .errors import ParameterError, ParseError
 from .nlfrac import PvEstimate
 from .qstate import (DensityMatrix, basis_state, data_lines, format_float, json_field,
-                     read_json_object, read_text, sidecar_path, write_json)
+                     read_json_object, read_text, sidecar_path, write_json, writing)
 
 CC_HEADER = ("setting_id,u1x,u1y,u1z,u2x,u2y,u2z,u3x,u3y,u3z,"
              "r1,r2,r3,counts,duration_s")
@@ -125,7 +125,8 @@ def save_cc(dataset: CCDataset, path) -> None:
         for r, count in enumerate(counts):
             lines.append(f"{head}{r >> 2 & 1},{r >> 1 & 1},{r & 1},"
                          f"{format_float(count)}{tail}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with writing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     write_json(sidecar_path(path), {"tag": dataset.tag, "normalization": dataset.normalization})
 
 
@@ -181,8 +182,9 @@ def load_cc(path) -> CCDataset:
     directions and one duration: its rows must agree on both (directions
     within DIR_TOL).
     """
-    path = Path(path)
+    # the path as given: it is the file's key in the read log
     lines = read_text(path, "coincidence-count file").splitlines()
+    path = Path(path)
     if not lines or lines[0] != CC_HEADER:
         raise ParseError(f"{path}: bad or missing header", line=1)
     # rows (non-blank lines) before `stop` parse; row `stop` is the first that does not

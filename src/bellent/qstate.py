@@ -12,14 +12,18 @@ marked read-only), so they can be shared freely across workers.
 The parameter checks shared by several modules (`check_theta`,
 `check_visibility`, `check_gsms2`, `check_gsms3`) live here, and the file IO
 section holds the helpers every writer and loader of the package shares
-(`format_float`, `write_table`, `write_json`, `read_text`, `data_lines`,
-`read_json_object`, `json_field`), since every other module already
-imports this one.  Each
-check is written as `not lo <= x <= hi`, so NaN fails it.
+(`format_float`, `writing`, `write_table`, `write_json`, `read_text`,
+`data_lines`, `read_json_object`, `json_field`), since every other module
+already imports this one.  Every output file is opened by `writing`, and
+every input file read by `read_text`, which logs it in `recording_reads`.
+Each check is written as `not lo <= x <= hi`, so NaN fails it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import hashlib
 import json
 import math
 import sys
@@ -279,6 +283,16 @@ def format_float(x: float) -> str:
     return format(float(x), _FLOAT_SPEC)
 
 
+@contextlib.contextmanager
+def writing(path):
+    """The file at path open for UTF-8 text; an OSError raises MissingDataError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise MissingDataError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_table(path, header: str, columns) -> None:
     """A CSV file: the header line, then row i of the equal-length columns per line.
 
@@ -288,7 +302,7 @@ def write_table(path, header: str, columns) -> None:
     """
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     line = ",".join(["%" + _FLOAT_SPEC] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         fh.write(header + "\n")
         for lo in range(0, len(table), _LINES_PER_PASS):
             chunk = table[lo:lo + _LINES_PER_PASS]
@@ -301,7 +315,8 @@ def write_json(path, obj) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with writing(path) as fh:
+            fh.write(text)
 
 
 def sidecar_path(path) -> Path:
@@ -309,15 +324,36 @@ def sidecar_path(path) -> Path:
     return Path(f"{path}.json")
 
 
+# the open log of `recording_reads`: path -> sha256 of the bytes read
+_read_log = contextvars.ContextVar("bellent_read_log", default=None)
+
+
+@contextlib.contextmanager
+def recording_reads():
+    """Log, for the block, each file that `read_text` reads, in read order.
+
+    Yields a dict of path, as the loader gave it, -> hex sha256 of the
+    bytes read.  Outside the block nothing is recorded.
+    """
+    token = _read_log.set({})
+    try:
+        yield _read_log.get()
+    finally:
+        _read_log.reset(token)
+
+
 def read_text(path, what: str) -> str:
     """The UTF-8 text of a file the package reads; `what` names it in errors.
 
+    The bytes are read once, their newlines translated as text mode does,
+    and within `recording_reads` their digest is logged under `str(path)`.
     MissingDataError when there is no such file or it cannot be read;
     ParseError, with the line, when its bytes are not UTF-8.
     """
-    path = Path(path)
+    key, path = str(path), Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: {what} is not UTF-8 text", line=line) from None
@@ -325,6 +361,12 @@ def read_text(path, what: str) -> str:
         raise MissingDataError(f"no such {what}: {path}") from None
     except OSError as exc:
         raise MissingDataError(f"cannot read {what} {path}: {exc.strerror}") from None
+    log = _read_log.get()
+    if log is not None:
+        log[key] = hashlib.sha256(data).hexdigest()
+    if "\r" in text:  # a two-character replace scans slowly even when nothing matches
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def data_lines(lines) -> list:
@@ -368,7 +410,7 @@ def _write_state(path, n_qubits: int, key: str, values) -> None:
     rows = ",\n    ".join(
         "[%s, %s]" % (format_float(z.real), format_float(z.imag)) for z in values)
     text = '{\n  "n_qubits": %d,\n  "%s": [\n    %s\n  ]\n}\n' % (n_qubits, key, rows)
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         fh.write(text)
 
 

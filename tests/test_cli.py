@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from bellent.cli import _command_path, _parser, build_parser, main
 from bellent.entanglement import conc_closed_w2, gme_closed_w3_xstate
 from bellent.expdata import add_poisson_noise, save_cc, synth_basis_datasets, synth_cc_dataset
 from bellent.fits import g1, g2, g3, v3cr
-from bellent.qstate import DensityMatrix, format_float, save_density_matrix, werner_like
+from bellent.qstate import (DensityMatrix, format_float, load_state, save_density_matrix,
+                            werner_like)
 
 
 def run_cli(args):
@@ -644,46 +646,67 @@ def manifest_inputs(tmp_path_factory):
     for name in ("svetlichny", "mermin"):
         text = resources.files("bellent").joinpath(f"data/{name}.bellineq").read_text()
         (d / "ineqs" / f"{name}.bellineq").write_text(text)
+    (d / "crlf.csv").write_bytes((d / "cc.csv").read_bytes().replace(b"\n", b"\r\n"))
     return d
 
 
-# case -> (argv without --out, input files in manifest order, sorted args keys);
-# a file's `<file>.json` sidecar, which its loader reads, follows it
+# case -> (argv, the keys of its input digests in read order, sorted args keys);
+# "{d}" is the inputs directory, also the working directory; a case without
+# --out writes to "result" beside it.  A file's `<file>.json` sidecar, which
+# its loader reads, follows it, keyed by its normalized path
 _SAMPLING_KEYS = ["ineq_dir", "out", "samples", "seed", "state", "workers"]
+_MIX_INPUTS = ["{d}/cc.csv", "{d}/cc.csv.json"] + [
+    f"{{d}}/basis/basis{k:03b}.csv{ext}" for k in range(8) for ext in ("", ".json")]
 MANIFEST_CASES = {
     "state make": (["state", "make", "--family", "werner", "--theta-deg", "45",
                     "--v", "0.9", "--n", "2"], [],
                    ["bits", "family", "gamma", "n", "out", "theta_deg", "v", "x", "y"]),
-    "pv": (["pv", "{d}/w2.json", "--samples", "100"], ["w2.json"], _SAMPLING_KEYS),
+    "pv": (["pv", "{d}/w2.json", "--samples", "100"], ["{d}/w2.json"], _SAMPLING_KEYS),
     "pv --ineq-dir": (["pv", "{d}/w3.json", "--samples", "100", "--ineq-dir", "{d}/ineqs"],
-                      ["w3.json", "ineqs/mermin.bellineq", "ineqs/svetlichny.bellineq"],
-                      _SAMPLING_KEYS),
+                      ["{d}/w3.json", "{d}/ineqs/mermin.bellineq",
+                       "{d}/ineqs/svetlichny.bellineq"], _SAMPLING_KEYS),
     "sweep": (["sweep", "--theta-deg", "45", "--n", "2", "--v-from", "0.8",
                "--v-to", "1.0", "--v-step", "0.1", "--samples", "100"], [],
               ["closed_form", "family", "ineq_dir", "n", "out", "samples", "seed",
                "theta_deg", "v_from", "v_step", "v_to", "workers"]),
-    "dist": (["dist", "{d}/w2.json", "--samples", "100"], ["w2.json"], _SAMPLING_KEYS),
+    "dist": (["dist", "{d}/w2.json", "--samples", "100"], ["{d}/w2.json"], _SAMPLING_KEYS),
     "rescale": (["rescale", "{d}/samples.csv", "--v-from", "0.8", "--v-to", "1.0"],
-                ["samples.csv", "samples.csv.json"],
+                ["{d}/samples.csv", "{d}/samples.csv.json"],
                 ["out", "samples_file", "v_from", "v_step", "v_to"]),
-    "conc": (["conc", "{d}/w2.json", "--method", "wootters"], ["w2.json"],
+    # the digests are of the bytes read, not of the output written over them
+    "rescale --out its input": (
+        ["rescale", "{d}/samples.csv", "--v-from", "0.8", "--v-to", "1.0",
+         "--out", "{d}/samples.csv"], ["{d}/samples.csv", "{d}/samples.csv.json"],
+        ["out", "samples_file", "v_from", "v_step", "v_to"]),
+    "conc": (["conc", "{d}/w2.json", "--method", "wootters"], ["{d}/w2.json"],
              ["method", "out", "state"]),
     "fit eval": (["fit", "eval", "--name", "c-lower-2q", "--pv", "5"], [],
                  ["name", "out", "pv", "theta_deg"]),
-    "fit refit": (["fit", "refit", "--in", "{d}/pts.csv", "--basis", "2q"], ["pts.csv"],
+    "fit refit": (["fit", "refit", "--in", "{d}/pts.csv", "--basis", "2q"], ["{d}/pts.csv"],
                   ["basis", "infile", "out"]),
     "fit estimate-theta-v0": (["fit", "estimate-theta-v0", "--in", "{d}/curve.csv"],
-                              ["curve.csv"], ["infile", "out"]),
+                              ["{d}/curve.csv"], ["infile", "out"]),
     "exp mix": (["exp", "mix", "--state", "{d}/cc.csv", "--basis-dir", "{d}/basis",
-                 "--vc", "0.9"],
-                ["cc.csv", "cc.csv.json"] + [f"basis/basis{k:03b}.csv{ext}" for k in range(8)
-                                             for ext in ("", ".json")],
-                ["basis_dir", "out", "state_cc", "vc"]),
-    "exp pv": (["exp", "pv", "--in", "{d}/cc.csv"], ["cc.csv", "cc.csv.json"],
+                 "--vc", "0.9"], _MIX_INPUTS, ["basis_dir", "out", "state_cc", "vc"]),
+    "exp mix --out its input": (
+        ["exp", "mix", "--state", "{d}/cc.csv", "--basis-dir", "{d}/basis", "--vc", "0.9",
+         "--out", "{d}/cc.csv"], _MIX_INPUTS, ["basis_dir", "out", "state_cc", "vc"]),
+    "exp pv": (["exp", "pv", "--in", "{d}/cc.csv"], ["{d}/cc.csv", "{d}/cc.csv.json"],
                ["ineq_dir", "infile", "margin", "out"]),
+    # an input keeps the path it was given; its sidecar's path is normalized
+    "exp pv ./": (["exp", "pv", "--in", "./cc.csv"], ["./cc.csv", "cc.csv.json"],
+                  ["ineq_dir", "infile", "margin", "out"]),
+    # its digest is of the file's bytes, though the loader reads \n newlines
+    "exp pv CRLF": (["exp", "pv", "--in", "{d}/crlf.csv"], ["{d}/crlf.csv"],
+                    ["ineq_dir", "infile", "margin", "out"]),
     "exp resample": (["exp", "resample", "--in", "{d}/cc.csv", "--statistic", "pv_cc",
-                      "--trials", "2"], ["cc.csv", "cc.csv.json"],
+                      "--trials", "2"], ["{d}/cc.csv", "{d}/cc.csv.json"],
                      ["ineq_dir", "infile", "out", "seed", "statistic", "trials"]),
+    # total_counts needs no inequality, so the directory's files are never read
+    "exp resample total_counts": (
+        ["exp", "resample", "--in", "{d}/cc.csv", "--statistic", "total_counts",
+         "--trials", "2", "--ineq-dir", "{d}/ineqs"], ["{d}/cc.csv", "{d}/cc.csv.json"],
+        ["ineq_dir", "infile", "out", "seed", "statistic", "trials"]),
 }
 # the commands that print their result when run without --out
 _JSON_COMMANDS = ["pv", "pv --ineq-dir", "conc", "fit eval", "fit refit",
@@ -691,21 +714,30 @@ _JSON_COMMANDS = ["pv", "pv --ineq-dir", "conc", "fit eval", "fit refit",
 
 
 @pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
-def test_manifest_lists_args_and_input_digests_in_order(tmp_path, manifest_inputs, case):
+def test_manifest_lists_args_and_input_digests_in_order(
+        tmp_path, manifest_inputs, monkeypatch, case):
     argv, inputs, arg_keys = MANIFEST_CASES[case]
-    d = manifest_inputs
-    out = tmp_path / "result"
-    assert main([a.format(d=d) for a in argv] + ["--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "result.manifest.json").read_text())
+    d = tmp_path / "inputs"
+    shutil.copytree(manifest_inputs, d)
+    monkeypatch.chdir(d)
+    argv = [a.format(d=d) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "result")]
+    out = argv[argv.index("--out") + 1]
+    # digested before the run, which may write over an input
+    digests = [(key, hashlib.sha256(Path(key).read_bytes()).hexdigest())
+               for key in (f.format(d=d) for f in inputs)]
+    assert main(argv) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     assert manifest["command"] == " ".join(argv[:2] if argv[0] in ("state", "fit", "exp")
                                            else argv[:1])
     assert list(manifest["args"]) == arg_keys
-    assert list(manifest["input_digests"].items()) == [
-        (str(d / f), hashlib.sha256((d / f).read_bytes()).hexdigest()) for f in inputs]
+    assert list(manifest["input_digests"].items()) == digests
     assert list(manifest) == ["command", "args", "seed", "versions", "input_digests",
                               "manifest_digest", "timestamp"]
     if case in _JSON_COMMANDS:
-        assert json.loads(out.read_text())["manifest_digest"] == manifest["manifest_digest"]
+        assert json.loads(Path(out).read_text())["manifest_digest"] == \
+            manifest["manifest_digest"]
 
 
 @pytest.mark.parametrize("case", _JSON_COMMANDS)
@@ -757,12 +789,28 @@ def test_in_process_commands_after_errors_match_a_fresh_process(tmp_path, capsys
         main(["pv", str(state), "--samples", "many"])
     assert exc.value.code == 2
     assert main(["pv", str(tmp_path / "missing.json"), "--samples", "10"]) == 3
+    # a command that read its input and failed, and a read outside any command
+    assert main(["conc", str(state), "--method", "gme-pure"]) == 2
+    other = tmp_path / "other.json"
+    save_density_matrix(werner_like(np.pi / 4, 0.5, 2), other)
+    load_state(other)
     capsys.readouterr()
     assert main(argv) == 0
     manifest = json.loads((tmp_path / "pv.json.manifest.json").read_text())
     assert out.read_bytes() == fresh[0]
     assert {k: v for k, v in manifest.items() if k != "timestamp"} == \
         {k: v for k, v in fresh[1].items() if k != "timestamp"}
+
+
+@pytest.mark.parametrize("case", ["pv", "state make", "dist", "exp mix"])
+def test_an_out_that_cannot_be_written_exits_3_with_one_line(
+        tmp_path, manifest_inputs, capsys, case):
+    out = tmp_path / "missing" / "result"
+    argv = [a.format(d=manifest_inputs) for a in MANIFEST_CASES[case][0]]
+    assert main(argv + ["--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"error: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", ["pv", "pv --ineq-dir", "dist", "conc", "fit refit",
@@ -780,10 +828,11 @@ def test_a_stray_json_beside_an_input_whose_loader_reads_none_is_not_an_input(
         return json.loads((tmp_path / "result.manifest.json").read_text())
 
     before = manifest()
-    for f in inputs:
-        (d / f"{f}.json").write_text('{"tag": "stray"}\n')
+    keys = [f.format(d=d) for f in inputs]
+    for key in keys:
+        Path(f"{key}.json").write_text('{"tag": "stray"}\n')
     after = manifest()
-    assert list(after["input_digests"]) == [str(d / f) for f in inputs]
+    assert list(after["input_digests"]) == keys
     assert after["manifest_digest"] == before["manifest_digest"]
 
 

@@ -38,12 +38,16 @@ def test_csv_round_trip(tmp_path):
     ds = small_dataset(10)
     p = tmp_path / "cc.csv"
     save_cc(ds, p)
-    back = load_cc(p)
-    assert back.tag == ds.tag
-    assert back.normalization == ds.normalization
-    assert len(back.records) == len(ds.records)
-    for name in ("setting_id", "counts", "directions", "duration_s"):
-        np.testing.assert_array_equal(back.records[name], ds.records[name])
+    # a CRLF copy, with its sidecar, loads the same records
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+    (tmp_path / "crlf.csv.json").write_bytes((tmp_path / "cc.csv.json").read_bytes())
+    for back in (load_cc(p), load_cc(crlf)):
+        assert back.tag == ds.tag
+        assert back.normalization == ds.normalization
+        assert len(back.records) == len(ds.records)
+        for name in ("setting_id", "counts", "directions", "duration_s"):
+            np.testing.assert_array_equal(back.records[name], ds.records[name])
 
 
 def test_loader_rejects_bad_rows(tmp_path):

@@ -214,11 +214,14 @@ def test_read_text_errors_name_the_file(tmp_path, monkeypatch):
         read_text(p, "samples file")
     p.write_bytes("i_max\n\u00ff\n".encode("utf-8"))
     assert read_text(p, "samples file") == "i_max\n\u00ff\n"
+    # newlines read as in text mode
+    p.write_bytes(b"i_max\r\n0.5\r1.5\n")
+    assert read_text(p, "samples file") == "i_max\n0.5\n1.5\n"
 
     def denied(*args, **kwargs):
         raise PermissionError(13, "Permission denied")
 
-    monkeypatch.setattr(type(p), "read_text", denied)
+    monkeypatch.setattr(type(p), "read_bytes", denied)
     with pytest.raises(MissingDataError, match="cannot read samples file .*: Permission denied"):
         read_text(p, "samples file")
 
