@@ -380,8 +380,10 @@ def load_inequality_file(path) -> BellInequality:
     text = read_text(path, "inequality file")
     try:
         return parse_inequality(text, name=path.stem)
-    except (ParseError, ParameterError) as exc:
-        raise type(exc)(f"{path.name}: {exc}") from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc.args[0]}", line=exc.line) from None
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def load_inequality_dir(path) -> InequalitySet:

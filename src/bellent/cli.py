@@ -1,21 +1,25 @@
 """Command-line front end emitting machine-readable JSON/CSV tables.
 
-A command either writes its own --out file or returns a JSON object;
+Each command is one `_COMMANDS` row: help, function, whether that writes
+its own --out file or returns a JSON object, and its other arguments.
 `main` alone writes the object, to --out or stdout, and, whenever --out is
 given, the companion `<out>.manifest.json` recording the command, flags,
 seed, library versions, and input digests.  The inputs are the files the
-command read, in read order, each hashed as read (`qstate.recording_reads`).
+command read, in read order, each hashed as read (`qstate.recording_reads`);
+an --out naming one is refused, and a failed command removes what it wrote.
 JSON outputs embed the manifest digest (computed without the timestamp, so
 identical runs produce identical output bytes).  Angles cross this
 boundary in degrees and are converted to radians exactly once.
 
-Exit codes: 0 success, 2 parameter error, 3 missing data (an input that
-cannot be read or parsed, an output that cannot be written), 4 domain error.
+Exit codes: 0 success, 2 parameter error (an --out naming an input too),
+3 missing data (an input that cannot be read or parsed, an output that
+cannot be written), 4 domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -31,24 +35,19 @@ from .errors import (BellentError, DomainError, FitError, MissingDataError,
                      ParameterError, ParseError)
 
 
-def _command(ns) -> str:
-    """The command as the manifest names it, such as `pv` or `exp mix`."""
-    sub = getattr(ns, "subcommand", None)
-    return f"{ns.command} {sub}" if sub else ns.command
-
-
 def _manifest(ns, inputs: dict) -> dict:
     """The manifest of this invocation; its `manifest_digest` skips the timestamp.
 
     `inputs` is the command's `qstate.recording_reads` log.
     """
+    sub = getattr(ns, "subcommand", None)
     args = {}
     for k, v in sorted(vars(ns).items()):
         if k in ("func", "command", "subcommand"):
             continue
         args[k] = str(v) if isinstance(v, Path) else v
     core = {
-        "command": _command(ns),
+        "command": f"{ns.command} {sub}" if sub else ns.command,
         "args": args,
         "seed": args.get("seed"),
         "versions": {
@@ -212,9 +211,6 @@ _FIT_EVALS = {
 
 
 def cmd_fit_eval(ns) -> dict:
-    if ns.name not in _FIT_EVALS:
-        raise ParameterError(
-            f"unknown fit {ns.name!r}; expected one of {sorted(_FIT_EVALS)}")
     fit, takes_theta = _FIT_EVALS[ns.name]
     args = (_theta(ns, f"fit eval --name {ns.name}"),) if takes_theta else ()
     obj = {"name": ns.name, "pv_percent": ns.pv, "value": fit(*args, ns.pv),
@@ -307,15 +303,11 @@ def _state_make_args(p):
     p.add_argument("--y", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--bits", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_state_make)
 
 
 def _pv_args(p):
     p.add_argument("state")
     _add_common(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pv)
 
 
 def _sweep_args(p):
@@ -328,15 +320,11 @@ def _sweep_args(p):
     p.add_argument("--closed-form", default="auto",
                    choices=["auto", "w2", "w3-xstate", "w3-printed"])
     _add_common(p, samples_default=100_000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
 
 def _dist_args(p):
     p.add_argument("state")
     _add_common(p, samples_default=100_000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_dist)
 
 
 def _rescale_args(p):
@@ -344,84 +332,72 @@ def _rescale_args(p):
     p.add_argument("--v-from", type=float, required=True)
     p.add_argument("--v-to", type=float, required=True)
     p.add_argument("--v-step", type=float, default=0.01)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rescale)
 
 
 def _conc_args(p):
     p.add_argument("state")
     p.add_argument("--method", required=True,
                    choices=["wootters", "gme-xstate", "gme-pure"])
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_conc)
 
 
 def _fit_eval_args(p):
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", required=True, choices=list(_FIT_EVALS))
     p.add_argument("--pv", type=float, required=True, help="p_V in percent")
     p.add_argument("--theta-deg", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fit_eval)
 
 
 def _fit_refit_args(p):
     p.add_argument("--in", dest="infile", required=True, help="CSV with header pv,value")
     p.add_argument("--basis", required=True, choices=["2q", "3q"])
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fit_refit)
 
 
 def _fit_estimate_args(p):
     p.add_argument("--in", dest="infile", required=True, help="CSV with header v,pv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fit_estimate)
 
 
 def _exp_mix_args(p):
     p.add_argument("--state", dest="state_cc", required=True)
     p.add_argument("--basis-dir", required=True)
     p.add_argument("--vc", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_exp_mix)
 
 
 def _exp_pv_args(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--margin", type=float, default=expdata.DEFAULT_MARGIN)
     p.add_argument("--ineq-dir", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_exp_pv)
 
 
 def _exp_resample_args(p):
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--statistic", required=True)
+    p.add_argument("--statistic", required=True, choices=expdata.STATISTICS)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ineq-dir", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_exp_resample)
 
 
-# command -> (help, function adding its arguments), or, for a group,
-# (help, {subcommand: (help, function)}); in the order the help lists them
+# command -> (help, its cmd_* function, whether that writes its own --out
+# file, the function adding its other arguments), or, for a group, (help,
+# {subcommand: row}), in the order the help lists them.  --out is required
+# of a command writing its own file, and optional (stdout) for a JSON object
 _COMMANDS = {
     "state": ("state construction", {
-        "make": ("write a state JSON file", _state_make_args)}),
-    "pv": ("estimate the nonlocal fraction", _pv_args),
-    "sweep": ("p_V and concurrence over a visibility grid", _sweep_args),
-    "dist": ("violation-strength samples", _dist_args),
-    "rescale": ("p_V(v) by threshold shifting", _rescale_args),
-    "conc": ("concurrence of a state file", _conc_args),
+        "make": ("write a state JSON file", cmd_state_make, True, _state_make_args)}),
+    "pv": ("estimate the nonlocal fraction", cmd_pv, False, _pv_args),
+    "sweep": ("p_V and concurrence over a visibility grid", cmd_sweep, True, _sweep_args),
+    "dist": ("violation-strength samples", cmd_dist, True, _dist_args),
+    "rescale": ("p_V(v) by threshold shifting", cmd_rescale, True, _rescale_args),
+    "conc": ("concurrence of a state file", cmd_conc, False, _conc_args),
     "fit": ("fit curves", {
-        "eval": ("evaluate a named fit", _fit_eval_args),
-        "refit": ("least squares on a fractional-power basis", _fit_refit_args),
-        "estimate-theta-v0": ("recover (theta, v0) from a curve", _fit_estimate_args)}),
+        "eval": ("evaluate a named fit", cmd_fit_eval, False, _fit_eval_args),
+        "refit": ("least squares on a fractional-power basis", cmd_fit_refit, False,
+                  _fit_refit_args),
+        "estimate-theta-v0": ("recover (theta, v0) from a curve", cmd_fit_estimate, False,
+                              _fit_estimate_args)}),
     "exp": ("coincidence-count analysis", {
-        "mix": ("white-noise admixture of normalized counts", _exp_mix_args),
-        "pv": ("nonlocal fraction from counts", _exp_pv_args),
+        "mix": ("white-noise admixture of normalized counts", cmd_exp_mix, True, _exp_mix_args),
+        "pv": ("nonlocal fraction from counts", cmd_exp_pv, False, _exp_pv_args),
         "resample": ("uncertainty of a statistic: count noise, plus block sampling "
-                     "for pv_cc", _exp_resample_args)}),
+                     "for pv_cc", cmd_exp_resample, False, _exp_resample_args)}),
 }
 
 
@@ -444,34 +420,33 @@ def _add_commands(parser, dest, table, path) -> None:
     # argparse makes of the full choices, so usage lines read the same
     sub = parser.add_subparsers(dest=dest, required=True,
                                 metavar="{%s}" % ",".join(table) if path else None)
-    for name, (help_text, spec) in table.items():
+    for name, (help_text, spec, *command) in table.items():
         if path and name != path[0]:
             continue
         p = sub.add_parser(name, help=help_text)
         if isinstance(spec, dict):
             _add_commands(p, "subcommand", spec, path[1:])
-        else:
-            spec(p)
+            continue
+        writes_file, add_args = command
+        add_args(p)
+        # last, as each command's help lists it
+        p.add_argument("--out", required=writes_file)
+        p.set_defaults(func=spec)
 
 
 def _parser(path) -> argparse.ArgumentParser:
-    """The `bellent` parser with the subparsers on `path` only, or all for ()."""
+    """The `bellent` parser with the subparsers on `path` only, or all for ().
+
+    `main` builds only the subparser of the command its arguments name,
+    which saves most of the parser's cost and parses, helps and fails with
+    the same output.  Arguments that name no command (none, `-h`, an
+    unknown command) get the full parser, whose help and errors list them all.
+    """
     parser = argparse.ArgumentParser(
         prog="bellent",
         description="Entanglement estimation from Bell-violation statistics.")
     _add_commands(parser, "command", _COMMANDS, path)
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The full `bellent` parser: every command with its arguments.
-
-    `main` builds only the subparser of the command its arguments name,
-    which saves most of the parser's cost and parses, helps and fails with
-    the same output.  Arguments that name no command (none, `-h`, an
-    unknown command) get this parser, whose help and errors list them all.
-    """
-    return _parser(())
 
 
 # error type -> exit code
@@ -482,17 +457,21 @@ _EXIT_CODES = ((ParameterError, 2), (MissingDataError, 3), (ParseError, 3),
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = _parser(_command_path(argv)).parse_args(argv)
-    try:
-        with qstate.recording_reads() as inputs:
+    with qstate.recording_reads() as (inputs, written):
+        try:
             obj = ns.func(ns)
-        manifest = _manifest(ns, inputs)
-        if obj is not None:
-            qstate.write_json(ns.out, dict(obj, manifest_digest=manifest["manifest_digest"]))
-        if ns.out:
-            qstate.write_json(f"{ns.out}.manifest.json", manifest)
-    except BellentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+            manifest = _manifest(ns, inputs)
+            if obj is not None:
+                qstate.write_json(ns.out, dict(obj, manifest_digest=manifest["manifest_digest"]))
+            if ns.out:
+                qstate.write_json(f"{ns.out}.manifest.json", manifest)
+        except BellentError as exc:
+            # a failed command leaves none of its output behind
+            for path in written:
+                with contextlib.suppress(OSError):
+                    Path(path).unlink()
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     return 0
 
 

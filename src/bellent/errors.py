@@ -31,13 +31,15 @@ class MissingDataError(BellentError):
 
 
 class ParseError(BellentError):
-    """A data file is malformed; carries the offending line number."""
+    """A data file is malformed; `args[0]` is the message, `line` the offending line."""
 
     def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
+        self.line = line
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.line is None else f"line {self.line}: {text}"
 
 
 class FitError(BellentError):

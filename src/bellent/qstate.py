@@ -14,8 +14,8 @@ The parameter checks shared by several modules (`check_theta`,
 section holds the helpers every writer and loader of the package shares
 (`format_float`, `writing`, `write_table`, `write_json`, `read_text`,
 `data_lines`, `read_json_object`, `json_field`), since every other module
-already imports this one.  Every output file is opened by `writing`, and
-every input file read by `read_text`, which logs it in `recording_reads`.
+already imports this one.  Every output file is opened by `writing` and
+every input file read by `read_text`; `recording_reads` logs both.
 Each check is written as `not lo <= x <= hi`, so NaN fails it.
 """
 
@@ -26,6 +26,7 @@ import contextvars
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,10 +69,6 @@ class PureState:
         if abs(norm - 1.0) > 1e-12:
             raise ParameterError(f"state vector norm {norm!r} is not 1 within 1e-12")
         self.amplitudes = _readonly(amp)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
 
     def projector(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -285,9 +282,18 @@ def format_float(x: float) -> str:
 
 @contextlib.contextmanager
 def writing(path):
-    """The file at path open for UTF-8 text; an OSError raises MissingDataError."""
+    """The file at path open for UTF-8 text; an OSError raises MissingDataError.
+
+    Within `recording_reads`, a path naming a file already read raises
+    ParameterError before anything is opened, and each opened path is logged.
+    """
+    log = _io_log.get()
+    if log is not None and any(_same_file(path, read) for read in log[0]):
+        raise ParameterError(f"refusing to write {path}: this command read it")
     try:
         with open(path, "w", encoding="utf-8") as fh:
+            if log is not None:
+                log[1].append(path)
             yield fh
     except OSError as exc:
         raise MissingDataError(f"cannot write {path}: {exc.strerror}") from None
@@ -324,22 +330,31 @@ def sidecar_path(path) -> Path:
     return Path(f"{path}.json")
 
 
-# the open log of `recording_reads`: path -> sha256 of the bytes read
-_read_log = contextvars.ContextVar("bellent_read_log", default=None)
+# the open log of `recording_reads`: (path -> sha256 of the bytes read,
+# the paths `writing` opened)
+_io_log = contextvars.ContextVar("bellent_io_log", default=None)
+
+
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return False
 
 
 @contextlib.contextmanager
 def recording_reads():
-    """Log, for the block, each file that `read_text` reads, in read order.
+    """Log, for the block, each file that `read_text` reads and `writing` opens.
 
-    Yields a dict of path, as the loader gave it, -> hex sha256 of the
-    bytes read.  Outside the block nothing is recorded.
+    Yields the dict of path, as the loader gave it, -> hex sha256 of the
+    bytes read, in read order, and the list of paths written, in open
+    order.  Outside the block nothing is recorded.
     """
-    token = _read_log.set({})
+    token = _io_log.set(({}, []))
     try:
-        yield _read_log.get()
+        yield _io_log.get()
     finally:
-        _read_log.reset(token)
+        _io_log.reset(token)
 
 
 def read_text(path, what: str) -> str:
@@ -361,9 +376,9 @@ def read_text(path, what: str) -> str:
         raise MissingDataError(f"no such {what}: {path}") from None
     except OSError as exc:
         raise MissingDataError(f"cannot read {what} {path}: {exc.strerror}") from None
-    log = _read_log.get()
+    log = _io_log.get()
     if log is not None:
-        log[key] = hashlib.sha256(data).hexdigest()
+        log[0][key] = hashlib.sha256(data).hexdigest()
     if "\r" in text:  # a two-character replace scans slowly even when nothing matches
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

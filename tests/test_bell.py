@@ -190,6 +190,15 @@ def test_inequality_file_and_dir_loading(tmp_path):
         load_inequality_file(p)
 
 
+def test_inequality_file_error_keeps_its_line_and_names_the_file(tmp_path):
+    p = tmp_path / "bad.bellineq"
+    p.write_text(_packaged_text("chsh").replace("c 00 00 1\n", "c 00 00 nan\n"))
+    with pytest.raises(ParseError) as exc:
+        load_inequality_file(p)
+    assert exc.value.line == 6
+    assert str(exc.value) == f"line 6: {p}: coefficient value must be finite, got 'nan'"
+
+
 def test_dedup_collapses_equivalent_members():
     # the same inequality twice expands to the same 8-member orbit
     iset = expand_relabelings([chsh(), chsh()])

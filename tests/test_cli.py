@@ -15,8 +15,8 @@ import pytest
 
 from bellent import nlfrac
 from bellent.bell import default_set
-from bellent.cli import _command_path, _parser, build_parser, main
-from bellent.entanglement import conc_closed_w2, gme_closed_w3_xstate
+from bellent.cli import _command_path, _parser, main
+from bellent.entanglement import conc_closed_w2, gme_closed_w3_xstate, gme_concurrence_pure
 from bellent.expdata import add_poisson_noise, save_cc, synth_basis_datasets, synth_cc_dataset
 from bellent.fits import g1, g2, g3, v3cr
 from bellent.qstate import (DensityMatrix, format_float, load_state, save_density_matrix,
@@ -50,6 +50,11 @@ def test_state_make_and_conc(tmp_path):
                  "--v", "0.9", "--n", "3", "--out", str(state3)]) == 0
     obj = json.loads(main_capture(["conc", "--method", "gme-xstate", str(state3)]))
     assert abs(obj["value"] - 0.825) < 1e-12
+    pure3 = tmp_path / "gghz3.json"
+    assert main(["state", "make", "--family", "gghz", "--theta-deg", "30",
+                 "--n", "3", "--out", str(pure3)]) == 0
+    obj = json.loads(main_capture(["conc", "--method", "gme-pure", str(pure3)]))
+    assert obj["value"] == gme_concurrence_pure(load_state(pure3))
 
 
 def test_pv_output_and_manifest_reproducibility(tmp_path):
@@ -111,6 +116,25 @@ def _cc_with_sidecar(tmp_path, text):
     return ["exp", "pv", "--in", str(cc)]
 
 
+def _cc_head(tmp_path, n_rows):
+    """A count file cut to its header and first `n_rows` rows (8 per setting)."""
+    args = _cc_with_sidecar(tmp_path, '{"tag": "cc"}')
+    cc = tmp_path / "cc.csv"
+    cc.write_text("\n".join(cc.read_text().splitlines()[:1 + n_rows]) + "\n")
+    return args
+
+
+def _mix_of_7_basis_files(tmp_path):
+    cc = tmp_path / "cc.csv"
+    save_cc(synth_cc_dataset(werner_like(np.pi / 4, 0.9, 3), 2, seed=1), cc)
+    basis = tmp_path / "basis"
+    basis.mkdir()
+    for k, ds in enumerate(synth_basis_datasets(2, seed=1)[:7]):
+        save_cc(ds, basis / f"basis{k:03b}.csv")
+    return ["exp", "mix", "--state", str(cc), "--basis-dir", str(basis), "--vc", "0.9",
+            "--out", str(tmp_path / "curve.csv")]
+
+
 def _cc_with_fields(tmp_path, column, texts):
     """A count file whose field `column` of rows {row: text} is edited."""
     args = _cc_with_sidecar(tmp_path, '{"tag": "cc"}')
@@ -148,13 +172,13 @@ def _fit_table(tmp_path, command, text):
     return args + ["--basis", "2q"] if command == "refit" else args
 
 
-def _ineq_dir(tmp_path, text):
-    """`pv` of a 3-qubit state against a directory holding one .bellineq file."""
+def _ineq_dir(tmp_path, text, n=3):
+    """`pv` of an n-qubit state against a directory holding one .bellineq file."""
     ineq_dir = tmp_path / "ineqs"
     ineq_dir.mkdir()
     (ineq_dir / "ineq.bellineq").write_text(text, encoding="latin-1")
-    state = tmp_path / "w3.json"
-    save_density_matrix(werner_like(np.pi / 4, 0.9, 3), state)
+    state = tmp_path / f"w{n}.json"
+    save_density_matrix(werner_like(np.pi / 4, 0.9, n), state)
     return ["pv", str(state), "--samples", "10", "--ineq-dir", str(ineq_dir),
             "--out", str(tmp_path / "curve.csv")]
 
@@ -184,6 +208,7 @@ MALFORMED_INPUTS = {
     "cc durations differ": lambda d: _cc_with_fields(d, 14, {3: "2"}),
     "cc setting id outside int64": lambda d: _cc_with_fields(
         d, 0, dict.fromkeys(range(1, 9), "9223372036854775808")),
+    "exp mix of 7 basis files": _mix_of_7_basis_files,
     "samples sidecar missing": lambda d: _samples(d, ["0.5", "1.2"], sidecar=False),
     "samples row not a float": lambda d: _samples(d, ["0.5", "1.2.3"]),
     "samples row nan": lambda d: _samples(d, ["0.5", "nan"]),
@@ -215,6 +240,11 @@ def test_malformed_input_exits_3_with_one_line(tmp_path, capsys, case):
     assert not (tmp_path / "curve.csv").exists()
 
 
+def test_a_count_file_of_a_header_alone_has_no_data_rows(tmp_path, capsys):
+    assert main(_cc_head(tmp_path, 0)) == 3
+    assert capsys.readouterr().err == f"error: {tmp_path / 'cc.csv'}: no data rows\n"
+
+
 def _nan_state(tmp_path, key, text):
     state = tmp_path / "state.json"
     state.write_text('{"n_qubits": 2, "%s": %s}' % (key, text))
@@ -230,10 +260,10 @@ def _make(family, *flags):
 
 def _sweep(*flags):
     def args(tmp_path):
-        grid = {"--v-from": "0.8", "--v-to": "1.0", "--v-step": "0.1"}
-        grid.update(zip(flags[::2], flags[1::2]))
-        return ["sweep", "--theta-deg", "45", "--n", "2", "--samples", "10",
-                *[x for kv in grid.items() for x in kv], "--out", str(tmp_path / "curve.csv")]
+        given = {"--n": "2", "--v-from": "0.8", "--v-to": "1.0", "--v-step": "0.1"}
+        given.update(zip(flags[::2], flags[1::2]))
+        return ["sweep", "--theta-deg", "45", "--samples", "10",
+                *[x for kv in given.items() for x in kv], "--out", str(tmp_path / "curve.csv")]
     return args
 
 
@@ -262,6 +292,15 @@ NON_FINITE_INPUTS = {
     "rescale --v-step 1e-9": lambda d: _samples(d, ["0.5", "1.2"]) + ["--v-step", "1e-9"],
     "sweep --v-from 0": _sweep("--v-from", "0"),
     "sweep --v-step 5e-324": _sweep("--v-step", "5e-324"),
+    # other parameter errors: arguments or inputs that do not fit together
+    "sweep --n 3 --closed-form w2": _sweep("--n", "3", "--closed-form", "w2"),
+    "pv of 2 qubits against 3-party inequalities": lambda d: _ineq_dir(d, SVETLICHNY_TEXT, n=2),
+    "exp pv without a complete block": lambda d: _cc_head(d, 8),
+    "exp pv on a setting of zero counts": lambda d: _cc_with_fields(
+        d, 13, dict.fromkeys(range(1, 9), "0")),
+    "state without entries or amplitudes": lambda d: _state(d, '{"n_qubits": 2}'),
+    "state entries of the wrong length": lambda d: _state(
+        d, '{"n_qubits": 2, "entries": [[1, 0]]}'),
     "state make gsms2 --x nan": _make("gsms2", "--x", "nan", "--y", "0.1"),
     "state make gsms3 --y nan": _make("gsms3", "--x", "0", "--y", "nan"),
     "state make phn --x nan": _make("phn", "--x", "nan", "--n", "2"),
@@ -673,11 +712,6 @@ MANIFEST_CASES = {
     "rescale": (["rescale", "{d}/samples.csv", "--v-from", "0.8", "--v-to", "1.0"],
                 ["{d}/samples.csv", "{d}/samples.csv.json"],
                 ["out", "samples_file", "v_from", "v_step", "v_to"]),
-    # the digests are of the bytes read, not of the output written over them
-    "rescale --out its input": (
-        ["rescale", "{d}/samples.csv", "--v-from", "0.8", "--v-to", "1.0",
-         "--out", "{d}/samples.csv"], ["{d}/samples.csv", "{d}/samples.csv.json"],
-        ["out", "samples_file", "v_from", "v_step", "v_to"]),
     "conc": (["conc", "{d}/w2.json", "--method", "wootters"], ["{d}/w2.json"],
              ["method", "out", "state"]),
     "fit eval": (["fit", "eval", "--name", "c-lower-2q", "--pv", "5"], [],
@@ -688,9 +722,6 @@ MANIFEST_CASES = {
                               ["{d}/curve.csv"], ["infile", "out"]),
     "exp mix": (["exp", "mix", "--state", "{d}/cc.csv", "--basis-dir", "{d}/basis",
                  "--vc", "0.9"], _MIX_INPUTS, ["basis_dir", "out", "state_cc", "vc"]),
-    "exp mix --out its input": (
-        ["exp", "mix", "--state", "{d}/cc.csv", "--basis-dir", "{d}/basis", "--vc", "0.9",
-         "--out", "{d}/cc.csv"], _MIX_INPUTS, ["basis_dir", "out", "state_cc", "vc"]),
     "exp pv": (["exp", "pv", "--in", "{d}/cc.csv"], ["{d}/cc.csv", "{d}/cc.csv.json"],
                ["ineq_dir", "infile", "margin", "out"]),
     # an input keeps the path it was given; its sidecar's path is normalized
@@ -707,6 +738,18 @@ MANIFEST_CASES = {
         ["exp", "resample", "--in", "{d}/cc.csv", "--statistic", "total_counts",
          "--trials", "2", "--ineq-dir", "{d}/ineqs"], ["{d}/cc.csv", "{d}/cc.csv.json"],
         ["ineq_dir", "infile", "out", "seed", "statistic", "trials"]),
+}
+# case -> argv whose --out names a file the command reads, in the inputs directory
+OVERWRITE_CASES = {
+    "rescale --out its input": ["rescale", "{d}/samples.csv", "--v-from", "0.8",
+                                "--v-to", "1.0", "--out", "{d}/samples.csv"],
+    "rescale --out ./its input": ["rescale", "samples.csv", "--v-from", "0.8",
+                                  "--v-to", "1.0", "--out", "./samples.csv"],
+    "rescale --out its sidecar": ["rescale", "{d}/samples.csv", "--v-from", "0.8",
+                                  "--v-to", "1.0", "--out", "{d}/samples.csv.json"],
+    "exp mix --out its input": ["exp", "mix", "--state", "{d}/cc.csv", "--basis-dir",
+                                "{d}/basis", "--vc", "0.9", "--out", "{d}/cc.csv"],
+    "pv --out its input": ["pv", "{d}/w2.json", "--samples", "100", "--out", "{d}/w2.json"],
 }
 # the commands that print their result when run without --out
 _JSON_COMMANDS = ["pv", "pv --ineq-dir", "conc", "fit eval", "fit refit",
@@ -750,6 +793,40 @@ def test_json_command_without_out_prints_only_its_result(
     out, err = capsys.readouterr()
     assert err == "" and out.endswith("}\n") and "manifest_digest" in json.loads(out)
     assert list(tmp_path.iterdir()) == [] and sorted(manifest_inputs.rglob("*")) == before
+
+
+def _files(d) -> dict:
+    return {p: p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("case", sorted(OVERWRITE_CASES))
+def test_an_out_that_names_an_input_exits_2_and_writes_nothing(
+        tmp_path, manifest_inputs, monkeypatch, capsys, case):
+    d = tmp_path / "inputs"
+    shutil.copytree(manifest_inputs, d)
+    monkeypatch.chdir(d)
+    argv = [a.format(d=d) for a in OVERWRITE_CASES[case]]
+    out = argv[argv.index("--out") + 1]
+    before = _files(d)
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"error: refusing to write {out}: this command read it\n"
+    # the inputs are left as they were, and no manifest is written
+    assert _files(d) == before
+
+
+@pytest.mark.parametrize("case, out, blocker", [("pv", "r", "r.manifest.json"),
+                                                ("dist", "s.csv", "s.csv.json")])
+def test_a_command_that_fails_after_writing_leaves_no_output(
+        tmp_path, manifest_inputs, capsys, case, out, blocker):
+    # a directory where the command's last file goes makes it fail there
+    (tmp_path / blocker).mkdir()
+    argv = [a.format(d=manifest_inputs) for a in MANIFEST_CASES[case][0]]
+    assert main(argv + ["--out", str(tmp_path / out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith(f"error: cannot write {tmp_path / blocker}: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [blocker]
 
 
 def test_editing_a_sidecar_tag_changes_the_manifest_digest(tmp_path, manifest_inputs):
@@ -836,6 +913,22 @@ def test_a_stray_json_beside_an_input_whose_loader_reads_none_is_not_an_input(
     assert after["manifest_digest"] == before["manifest_digest"]
 
 
+# argv naming a value outside a flag's choices, and a choice the error lists
+UNKNOWN_CHOICES = [(["fit", "eval", "--name", "nosuch", "--pv", "5"], "c-lower-2q"),
+                   (["exp", "resample", "--in", "cc.csv", "--statistic", "nosuch"],
+                    "total_counts")]
+
+
+@pytest.mark.parametrize("argv, choice", UNKNOWN_CHOICES,
+                         ids=[" ".join(argv[:2]) for argv, _ in UNKNOWN_CHOICES])
+def test_an_unknown_name_is_a_usage_error_listing_the_choices(capsys, argv, choice):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err and choice in err
+
+
 # a command's own parser must read, help and fail as the full parser does
 _PARSER_ARGVS = [[], ["-h"], ["nosuch"], ["exp"], ["exp", "nosuch"], ["fit", "-h"]]
 for _path in (["state", "make"], ["pv"], ["sweep"], ["dist"], ["rescale"], ["conc"],
@@ -844,7 +937,10 @@ for _path in (["state", "make"], ["pv"], ["sweep"], ["dist"], ["rescale"], ["con
     _PARSER_ARGVS += [_path + ["-h"], _path, _path + ["in.json", "extra", "--no-such-flag"]]
 # valid argvs, and the same with an unknown flag, which the top-level parser reports
 _PARSER_ARGVS += [[a.format(d="d") for a in argv] + ["--out", "o"] + extra
-                  for argv, _, _ in MANIFEST_CASES.values() for extra in ([], ["--no-such-flag"])]
+                  for argv in [case[0] for case in MANIFEST_CASES.values()]
+                  + list(OVERWRITE_CASES.values())
+                  for extra in ([], ["--no-such-flag"])]
+_PARSER_ARGVS += [argv for argv, _ in UNKNOWN_CHOICES]
 
 
 @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
@@ -856,4 +952,4 @@ def test_a_command_parser_matches_the_full_parser(argv, capsys):
             return exc.code, capsys.readouterr()
         return vars(ns), capsys.readouterr()
 
-    assert parse(_parser(_command_path(argv))) == parse(build_parser())
+    assert parse(_parser(_command_path(argv))) == parse(_parser(()))

@@ -2,19 +2,23 @@
 
 `rescale` reads a one-column samples file (header `i_max`); `fit refit`
 and `fit estimate-theta-v0` read a two-column pairs table (headers
-`pv,value` and `v,pv`).  Whatever lines such a file holds, the command
-ends in a documented exit code (0, 2, 3 or 4) with at most one line on
-stderr; any other exception, a warning included, fails the test.
+`pv,value` and `v,pv`); `exp pv` reads a 15-column count file.  Whatever
+lines such a file holds, the command ends in a documented exit code (0, 2,
+3 or 4) with at most one line on stderr; any other exception, a warning
+included, fails the test.
 """
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellent.cli import main
+from bellent.expdata import save_cc, synth_cc_dataset
+from bellent.qstate import werner_like
 
 # a cell that the commands accept, and one that may fail: any float text,
 # a non-finite or overflowing value, or a token that is not a number
@@ -94,3 +98,53 @@ def test_fit_estimate_table_exits_with_a_documented_code(table_dir, text):
     table = table_dir / "pairs.csv"
     table.write_text(text)
     _check_exit(["fit", "estimate-theta-v0", "--in", str(table)])
+
+
+# cells a count-file row may get in place of its own, by column: the
+# setting id, a direction component, an outcome bit, the count, the duration
+_CC_BAD_CELLS = {
+    0: ["9223372036854775808", "-9223372036854775809", "1.5", "x", ""],
+    1: ["2", "0.5", "nan", "inf", "1e400", "x"],
+    11: ["2", "-1", "0.5", "x"],
+    13: ["nan", "-1", "inf", "-0", "1e400", "x"],
+    14: ["2", "0", "-1", "nan", "x"],
+}
+
+
+@pytest.fixture(scope="module")
+def cc_lines(table_dir):
+    """The lines of a one-block count file: a header, then 8 rows per setting."""
+    cc = table_dir / "cc.csv"
+    save_cc(synth_cc_dataset(werner_like(np.pi / 4, 0.9, 3), 1, seed=1, scale=100.0), cc)
+    return cc.read_text().splitlines()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_exp_pv_count_file_exits_with_a_documented_code(table_dir, cc_lines, data):
+    # one to three rows are faulted once each: a bad cell, a wrong field
+    # count, or the copy of another outcome row of its setting; then blank
+    # lines go in
+    lines = list(cc_lines)
+    for row in data.draw(st.lists(st.integers(1, len(lines) - 1), min_size=1, max_size=3,
+                                  unique=True)):
+        fields = lines[row].split(",")
+        kind = data.draw(st.sampled_from(["cell", "extra field", "missing field",
+                                          "duplicate outcome"]))
+        if kind == "cell":
+            column = data.draw(st.sampled_from(sorted(_CC_BAD_CELLS)))
+            fields[column] = data.draw(st.sampled_from(_CC_BAD_CELLS[column]))
+        elif kind == "extra field":
+            fields.append("1")
+        elif kind == "missing field":
+            fields.pop()
+        else:
+            first = (row - 1) // 8 * 8 + 1
+            fields = lines[data.draw(st.integers(first, first + 7))].split(",")
+        lines[row] = ",".join(fields)
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(1, len(lines))),
+                     data.draw(st.sampled_from(["", "  ", "\t"])))
+    cc = table_dir / "faulted.csv"
+    cc.write_text("\n".join(lines) + "\n")
+    _check_exit(["exp", "pv", "--in", str(cc)])
