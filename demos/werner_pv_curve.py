@@ -12,8 +12,8 @@ settings, so the three routes can be eyeballed against each other.
 import math
 
 from bellent.bell import default_set
-from bellent.nlfrac import (estimate_pvs, pv_werner2_closed,
-                            pv_werner2_quadrature)
+from bellent.nlfrac import (PvEstimate, pv_werner2_closed,
+                            pv_werner2_quadrature, violation_distribution)
 from bellent.qstate import werner_like
 
 M = 200_000
@@ -23,9 +23,11 @@ iset = default_set(2)
 print(f"inequality set: {iset.tag} ({len(iset)} relabelings)")
 print(f"{'v':>6} {'closed':>10} {'quadrature':>10} {'monte carlo':>12}")
 vs = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00)
-# every visibility on the same M settings, drawn once
-ests = estimate_pvs([werner_like(math.pi / 4, v, 2) for v in vs], iset, M, seed=SEED)
-for v, est in zip(vs, ests):
+# M settings drawn once for the noiseless state; a sample violates at v
+# when its value is above 1/v
+samples = violation_distribution(werner_like(math.pi / 4, 1.0, 2), iset, M, seed=SEED)
+for v in vs:
+    est = PvEstimate.of_count(samples.violations(v), M, iset.tag)
     closed = pv_werner2_closed(v)
     quad = pv_werner2_quadrature(v)
     print(f"{v:6.2f} {closed:10.5f} {quad:10.5f} "

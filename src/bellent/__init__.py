@@ -15,7 +15,7 @@ from .entanglement import (concurrence2, concurrence_pure,
                            xstate_decompose)
 from .errors import (BellentError, DomainError, FitError, MissingDataError,
                      NotAnXStateError, ParameterError, ParseError)
-from .nlfrac import (PvEstimate, ViolationSamples, estimate_pv, estimate_pvs,
+from .nlfrac import (PvEstimate, ViolationSamples, estimate_pv,
                      pv_from_distribution, pv_werner2_closed,
                      pv_werner2_quadrature, sample_chsh_reduced,
                      violation_distribution)

@@ -134,6 +134,21 @@ class InequalitySet:
     def __len__(self) -> int:
         return len(self.w_matrix)
 
+    def replay_rows(self) -> np.ndarray:
+        """`c_matrix` with its constant column a_k zeroed and each row divided by
+        1 - a_k (`c_matrix` itself if every a_k is 0): white noise at visibility v
+        scales the rest by v, so a_k + v b_k > 1 exactly when the replay row is > 1/v."""
+        a = self.c_matrix[:, 0]
+        if not np.any(a):
+            return self.c_matrix
+        if not np.all(a < 1.0):
+            raise ParameterError(f"inequality set {self.tag!r} has a row that white noise "
+                                 "reaches (constant term >= 1), so it has no replay rows")
+        rows = self.c_matrix / (1.0 - a)[:, None]
+        rows[:, 0] = 0.0
+        rows.setflags(write=False)
+        return rows
+
     def digest(self) -> str:
         """SHA-256 over the sorted rows, rounded to 1e-9."""
         rows = np.round(self.w_matrix, 9) + 0.0  # kill -0.0

@@ -155,9 +155,10 @@ def cmd_sweep(ns) -> None:
     if (form == "w2") != (n == 2):
         raise ParameterError(f"closed form {form!r} does not fit n = {n}")
     grid = _v_grid(ns)
-    # one pass over the settings for the whole grid
-    ests = nlfrac.estimate_pvs([qstate.werner_like(theta, v, n) for v in grid],
-                               iset, ns.samples, ns.seed, ns.workers)
+    # one pass on the noiseless state, thresholded at 1/v for the whole grid
+    samples = nlfrac.violation_distribution(qstate.werner_like(theta, 1.0, n), iset,
+                                            ns.samples, ns.seed, ns.workers)
+    ests = [nlfrac.PvEstimate.of_count(samples.violations(v), ns.samples, iset.tag) for v in grid]
     qstate.write_table(ns.out, "v,p_v,std_err,concurrence",
                        [grid, [e.p_v for e in ests], [e.std_err for e in ests],
                         [closed(theta, v) for v in grid]])

@@ -54,7 +54,7 @@ class PvEstimate:
 
 @dataclass
 class ViolationSamples:
-    """Per-sample maximal violation strengths I_max for one state and seed."""
+    """Per-sample maximal values over a set's replay rows, for one state and seed."""
 
     values: np.ndarray
     state_tag: str
@@ -71,6 +71,11 @@ class ViolationSamples:
     @property
     def m(self) -> int:
         return self.values.size
+
+    def violations(self, v: float) -> int:
+        """Samples at which the white-noise mixture at visibility v violates: value > 1/v."""
+        check_visibility(v)
+        return int(np.count_nonzero(self.values > 1.0 / v))
 
 
 def _chunk_ranges(m: int):
@@ -115,49 +120,32 @@ def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work):
         return list(pool.map(one, _chunk_ranges(m)))
 
 
-def estimate_pvs(rhos, iset: InequalitySet, m: int, seed: int,
-                 workers: int = 1) -> list[PvEstimate]:
-    """For each state, the fraction of m Haar-sampled settings whose behavior
-    violates the set, all states on the same settings.
-
-    Each chunk draws its directions once and evaluates every state on them,
-    so a state's count does not depend on the other states, and the draws
-    are paid once for all of them.  Deterministic for fixed (seed, m)
-    regardless of workers: every sample's directions come from its own
-    counter range and each state's total is a sum of integer counts.
-    """
-    rhos = list(rhos)
-    if not rhos:
-        raise ParameterError("no states to estimate")
-    for rho in rhos:
-        _check_request(rho, iset, m, workers)
-    lams = [pauli_tensor(rho) for rho in rhos]
-    c = iset.c_matrix
-
-    def work(start, dirs, ws):
-        return [int(np.count_nonzero(batch_i_max(lam, dirs, c, ws) > 1.0)) for lam in lams]
-
-    chunks = _run_chunks(iset.n_parties, seed, m, workers, work)
-    return [PvEstimate.of_count(violations, m, iset.tag)
-            for violations in map(sum, zip(*chunks))]
-
-
 def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
                 workers: int = 1) -> PvEstimate:
     """Fraction of m Haar-sampled settings whose behavior violates the set.
 
-    The one-state case of `estimate_pvs`: deterministic for fixed (seed, m)
-    regardless of workers.
+    Deterministic for fixed (seed, m) regardless of workers: every sample's
+    directions come from its own counter range and the total is a sum of
+    integer counts.
     """
-    return estimate_pvs([rho], iset, m, seed, workers)[0]
+    _check_request(rho, iset, m, workers)
+    lam = pauli_tensor(rho)
+    c = iset.c_matrix
+
+    def work(start, dirs, ws):
+        return int(np.count_nonzero(batch_i_max(lam, dirs, c, ws) > 1.0))
+
+    return PvEstimate.of_count(sum(_run_chunks(rho.n_qubits, seed, m, workers, work)),
+                               m, iset.tag)
 
 
 def violation_distribution(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
                            workers: int = 1, state_tag: str = "rho") -> ViolationSamples:
-    """All m values of I_max; the fraction above 1 recovers estimate_pv."""
+    """All m values of I_max over `iset.replay_rows()`: rho's mixture with white
+    noise at visibility v violates at a sample exactly when its value is > 1/v."""
     _check_request(rho, iset, m, workers)
     lam = pauli_tensor(rho)
-    c = iset.c_matrix
+    c = iset.replay_rows()
     values = np.empty(m)
 
     def work(start, dirs, ws):
@@ -168,14 +156,9 @@ def violation_distribution(rho: DensityMatrix, iset: InequalitySet, m: int, seed
 
 
 def pv_from_distribution(samples: ViolationSamples, v: float) -> float:
-    """Nonlocal fraction of the white-noise mixture at visibility v.
-
-    Valid when the sampled reference state is mixed with white noise and the
-    inequality set has full-correlation form, so I scales linearly with v and
-    thresholding at 1/v replays the whole family from one sample set.
-    """
-    check_visibility(v)
-    return int(np.count_nonzero(samples.values > 1.0 / v)) / samples.m
+    """Nonlocal fraction of the sampled state's white-noise mixture at
+    visibility v: the fraction of replay-row values above 1/v."""
+    return samples.violations(v) / samples.m
 
 
 # ---------------------------------------------------------------- analytic

@@ -174,6 +174,23 @@ def test_default_set_is_frozen_and_compares_by_identity(n):
         iset.w_matrix[0, 0] = 0.0
 
 
+def test_replay_rows_divide_out_the_constant_term():
+    # the bundled sets have no constant term: their replay rows are c_matrix
+    for iset in (default_set(2), default_set(3), expand_relabelings([mermin(), svetlichny()])):
+        assert iset.replay_rows() is iset.c_matrix
+    ch = load_inequality_dir(Path(__file__).resolve().parent / "data" / "ch_form")
+    rows = ch.replay_rows()
+    assert not rows.flags.writeable
+    np.testing.assert_array_equal(rows[:, 0], 0.0)
+    np.testing.assert_array_equal(rows[:, 1:], 2.0 * ch.c_matrix[:, 1:])
+    # sum_r P(r|00) <= 1 has the constant term 1: white noise is on its bound
+    norm = np.zeros((2,) * 4)
+    norm[0, 0] = 1.0
+    bad = expand_relabelings([BellInequality(2, norm, 1.0)], tag="norm")
+    with pytest.raises(ParameterError, match="'norm'.*no replay rows"):
+        bad.replay_rows()
+
+
 def test_inequality_file_and_dir_loading(tmp_path):
     p = tmp_path / "my.bellineq"
     p.write_text(_packaged_text("chsh"))

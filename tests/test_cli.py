@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bellent import nlfrac
-from bellent.bell import default_set
+from bellent.bell import default_set, load_inequality_dir
 from bellent.cli import _command_path, _parser, main
 from bellent.entanglement import conc_closed_w2, gme_closed_w3_xstate, gme_concurrence_pure
 from bellent.expdata import add_poisson_noise, save_cc, synth_basis_datasets, synth_cc_dataset
@@ -184,6 +184,9 @@ def _ineq_dir(tmp_path, text, n=3):
 
 
 SVETLICHNY_TEXT = resources.files("bellent").joinpath("data/svetlichny.bellineq").read_text()
+# sum_r P(r|00) <= 1: white noise sits on its bound, so it has no replay rows
+NORMALIZATION_TEXT = "bellineq 1\nparties 2\ninputs 2\noutputs 2\nbound 1\n" + "".join(
+    f"c 00 {r} 1\n" for r in ("00", "01", "10", "11"))
 
 
 def _pairs_text(header, rows):
@@ -267,6 +270,15 @@ def _sweep(*flags):
     return args
 
 
+def _without_replay_rows(command):
+    def args(tmp_path):
+        pv = _ineq_dir(tmp_path, NORMALIZATION_TEXT, n=2)
+        if command == "dist":
+            return ["dist", *pv[1:]]
+        return _sweep("--ineq-dir", str(tmp_path / "ineqs"))(tmp_path)
+    return args
+
+
 def _exp_pv_margin(tmp_path):
     cc = tmp_path / "cc.csv"
     save_cc(synth_cc_dataset(werner_like(np.pi / 4, 0.9, 3), 2, seed=1), cc)
@@ -295,6 +307,8 @@ NON_FINITE_INPUTS = {
     # other parameter errors: arguments or inputs that do not fit together
     "sweep --n 3 --closed-form w2": _sweep("--n", "3", "--closed-form", "w2"),
     "pv of 2 qubits against 3-party inequalities": lambda d: _ineq_dir(d, SVETLICHNY_TEXT, n=2),
+    "dist against a set without replay rows": _without_replay_rows("dist"),
+    "sweep against a set without replay rows": _without_replay_rows("sweep"),
     "exp pv without a complete block": lambda d: _cc_head(d, 8),
     "exp pv on a setting of zero counts": lambda d: _cc_with_fields(
         d, 13, dict.fromkeys(range(1, 9), "0")),
@@ -487,6 +501,44 @@ def test_dist_rescale_pipeline(tmp_path):
     assert len(rows) == 4
     ps = [float(r[1]) for r in rows[1:]]
     assert all(b >= a for a, b in zip(ps, ps[1:]))
+
+
+CH_FORM = Path(__file__).resolve().parent / "data" / "ch_form"
+# estimate_pv's counts on the CH form at theta = 45 degrees, m = 200000, seed 3
+CH_FORM_COUNTS = {0.75: 956, 0.85: 13911, 0.95: 40322, 1.0: 56698}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ch_form_counts_agree_on_every_route(tmp_path, workers):
+    # every CH-form row has the constant term 0.5, so a sample's I_max at v
+    # is not v times its I_max at 1; on the replay rows, sweep and dist +
+    # rescale still count what estimate_pv counts at each v
+    iset = load_inequality_dir(CH_FORM)
+    assert set(iset.c_matrix[:, 0]) == {0.5}
+    m = 200_000
+    common = ["--samples", str(m), "--seed", "3", "--workers", str(workers),
+              "--ineq-dir", str(CH_FORM)]
+    grid = ["--v-from", "0.75", "--v-to", "1.0", "--v-step", "0.05"]
+    state, samples = tmp_path / "w.json", tmp_path / "dist.csv"
+    assert main(["state", "make", "--family", "werner", "--theta-deg", "45", "--v", "1",
+                 "--n", "2", "--out", str(state)]) == 0
+    assert main(["dist", str(state), *common, "--out", str(samples)]) == 0
+    assert main(["rescale", str(samples), *grid, "--out", str(tmp_path / "r.csv")]) == 0
+    assert main(["sweep", "--theta-deg", "45", "--n", "2", *grid, *common,
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    rescaled = list(csv.reader((tmp_path / "r.csv").read_text().splitlines()[1:]))
+    swept = list(csv.reader((tmp_path / "s.csv").read_text().splitlines()[1:]))
+    assert [r[:2] for r in swept] == rescaled and len(rescaled) == 6
+    checked = []
+    for v_text, p_text in rescaled:
+        v = float(v_text)
+        want = CH_FORM_COUNTS.get(round(v, 9))
+        if want is None:
+            continue
+        est = nlfrac.estimate_pv(werner_like(np.pi / 4, v, 2), iset, m, 3, workers)
+        assert est.violations == want and float(p_text) == est.p_v
+        checked.append(v)
+    assert len(checked) == len(CH_FORM_COUNTS)
 
 
 def test_fit_eval_and_refit(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellent.entanglement import conc_closed_w2
 from bellent.errors import FitError, ParameterError
 from bellent.fits import (
     BASIS_2Q,
@@ -111,6 +112,11 @@ def test_concurrence_from_pv_families():
     b = concurrence_from_pv(th, 8.0, "werner3_xstate")
     assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
     assert a != b  # the two published forms disagree away from v=1
+    # two qubits: p_V = 0 is the critical visibility 1/sqrt(2), where the
+    # closed form (v (2 sin 2t + 1) - 1) / 2 reads (3/sqrt(2) - 1) / 2
+    assert abs(concurrence_from_pv(th, 0.0, "werner2") - (3 / math.sqrt(2) - 1) / 2) < 1e-12
+    c = concurrence_from_pv(th, 8.0, "werner2")
+    assert c == conc_closed_w2(th, v_from_pv_2q(th, 8.0)) and 0.0 <= c <= 1.0
     with pytest.raises(ParameterError):
         concurrence_from_pv(th, 8.0, "nosuch")
 

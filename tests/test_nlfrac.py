@@ -9,12 +9,12 @@ import pytest
 
 from bellent.bell import default_set, expand_relabelings, mermin, svetlichny
 from bellent import nlfrac
+from bellent.cli import main
 from bellent.errors import MissingDataError, ParameterError, ParseError
 from bellent.nlfrac import (
     CHUNK,
     ViolationSamples,
     estimate_pv,
-    estimate_pvs,
     load_violation_samples,
     pv_from_distribution,
     pv_werner2_closed,
@@ -69,6 +69,11 @@ def test_quadrature_matches_closed_form():
         assert abs(pv_werner2_quadrature(v) - pv_werner2_closed(v)) < 1e-9
 
 
+def test_quadrature_zero_region():
+    for v in (0.1, 0.5, 0.7, 1 / math.sqrt(2)):
+        assert pv_werner2_quadrature(v) == 0.0
+
+
 def test_estimate_pv_against_analytic():
     iset = default_set(2)
     for v in (0.8, 0.9):
@@ -96,19 +101,27 @@ def test_worker_determinism():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_estimate_pvs_counts_equal_one_state_estimates(n):
-    # each state's count on the shared draws is the one it gets alone, and
-    # the one its I_max samples give, for every worker count
+def test_sweep_counts_equal_one_state_estimates(tmp_path, n):
+    # sweep thresholds one pass on the noiseless state at 1/v; each count is
+    # the one estimate_pv gives the state at v alone, and the one that
+    # state's own samples give above 1, for every worker count
     iset = default_set(n)
     m = 2 * CHUNK + 77
-    rhos = [werner_like(np.pi / 5, v, n) for v in (0.8, 0.9, 1.0)]
-    want = [estimate_pv(rho, iset, m, seed=31) for rho in rhos]
-    for rho, est in zip(rhos, want):
-        values = violation_distribution(rho, iset, m, seed=31).values
-        assert est.violations == int(np.count_nonzero(values > 1.0))
-    assert len({est.violations for est in want}) == 3
+    grid = (0.8, 0.9, 1.0)
+    rhos = [werner_like(np.pi / 5, v, n) for v in grid]
+    want = [estimate_pv(rho, iset, m, seed=31).violations for rho in rhos]
+    for rho, count in zip(rhos, want):
+        assert violation_distribution(rho, iset, m, seed=31).violations(1.0) == count
+    assert len(set(want)) == 3
+    out = tmp_path / "sweep.csv"
     for workers in (1, 2, 3):
-        assert estimate_pvs(rhos, iset, m, seed=31, workers=workers) == want
+        # 36 degrees is pi/5 to the bit once the CLI converts it
+        assert main(["sweep", "--theta-deg", "36", "--n", str(n), "--v-from", "0.8",
+                     "--v-to", "1.0", "--v-step", "0.1", "--samples", str(m), "--seed", "31",
+                     "--workers", str(workers), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == pytest.approx(grid, abs=1e-12)
+        assert [float(r[1]) for r in rows] == [count / m for count in want]
 
 
 def test_violation_distribution_bits_independent_of_workers():
@@ -251,16 +264,13 @@ def test_samples_file_is_the_per_value_text(tmp_path):
 def test_parameter_checks():
     iset = default_set(2)
     rho = werner_like(0.5, 0.9, 2)
-    with pytest.raises(ParameterError):
-        estimate_pv(rho, iset, 0, seed=1)
-    with pytest.raises(ParameterError):
-        estimate_pv(werner_like(0.5, 0.9, 3), iset, 10, seed=1)
-    with pytest.raises(ParameterError, match="no states"):
-        estimate_pvs([], iset, 10, seed=1)
-    with pytest.raises(ParameterError, match="party count"):
-        estimate_pvs([rho, werner_like(0.5, 0.9, 3)], iset, 10, seed=1)
-    with pytest.raises(ParameterError, match="worker count"):
-        estimate_pvs([rho, rho], iset, 10, seed=1, workers=0)
+    for estimate in (estimate_pv, violation_distribution):
+        with pytest.raises(ParameterError, match="sample count"):
+            estimate(rho, iset, 0, seed=1)
+        with pytest.raises(ParameterError, match="party count"):
+            estimate(werner_like(0.5, 0.9, 3), iset, 10, seed=1)
+        with pytest.raises(ParameterError, match="worker count"):
+            estimate(rho, iset, 10, seed=1, workers=0)
     samples = violation_distribution(gghz(0.5, 2).projector(), iset, 100, seed=1)
     with pytest.raises(ParameterError):
         pv_from_distribution(samples, 0.0)
