@@ -100,6 +100,11 @@ def uniforms(seed: int, tag: str, start: int, count: int, words: int,
     return out[:, :words]
 
 
+def bloch_tag(n_parties: int) -> str:
+    """The substream tag of n parties' Haar settings, on every route that replays them."""
+    return f"bloch{n_parties}"
+
+
 def bloch_directions(seed: int, tag: str, start: int, count: int, n_parties: int,
                      ws: Workspace | None = None) -> np.ndarray:
     """Uniform unit vectors on the sphere, shape (count, n_parties, 2, 3).

@@ -34,7 +34,8 @@ import numpy as np
 
 from ._rng import Workspace
 from .errors import MissingDataError, ParameterError, ParseError
-from .qstate import DensityMatrix, read_text
+from .files import read_text
+from .qstate import DensityMatrix
 
 # Columns of every Bell-value product in i_max.  BLAS picks its kernel, and
 # with it the summation order, by the shape of a product, so a fixed column

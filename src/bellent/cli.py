@@ -5,7 +5,7 @@ its own --out file or returns a JSON object, and its other arguments.
 `main` alone writes the object, to --out or stdout, and, whenever --out is
 given, the companion `<out>.manifest.json` recording the command, flags,
 seed, library versions, and input digests.  The inputs are the files the
-command read, in read order, each hashed as read (`qstate.recording_reads`);
+command read, in read order, each hashed as read (`files.recording_reads`);
 an --out naming one is refused, and a failed command removes what it wrote.
 JSON outputs embed the manifest digest (computed without the timestamp, so
 identical runs produce identical output bytes).  Angles cross this
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bell, entanglement, expdata, fits, nlfrac, qstate
+from . import __version__, bell, entanglement, expdata, files, fits, nlfrac, qstate
 from .errors import (BellentError, DomainError, FitError, MissingDataError,
                      ParameterError, ParseError)
 
@@ -38,7 +38,7 @@ from .errors import (BellentError, DomainError, FitError, MissingDataError,
 def _manifest(ns, inputs: dict) -> dict:
     """The manifest of this invocation; its `manifest_digest` skips the timestamp.
 
-    `inputs` is the command's `qstate.recording_reads` log.
+    `inputs` is the command's `files.recording_reads` log.
     """
     sub = getattr(ns, "subcommand", None)
     args = {}
@@ -98,7 +98,7 @@ def _v_grid(ns):
             f"is over the {MAX_V_POINTS}-point limit")
     n = int(round(steps))
     grid = [ns.v_from + k * ns.v_step for k in range(n + 1)]
-    grid = [v for v in grid if v <= ns.v_to + 1e-12]
+    grid = [min(v, ns.v_to) for v in grid if v <= ns.v_to + 1e-12]  # rounding past --v-to
     if not grid:
         raise ParameterError(f"empty visibility range [{ns.v_from}, {ns.v_to}]")
     return grid
@@ -159,9 +159,9 @@ def cmd_sweep(ns) -> None:
     samples = nlfrac.violation_distribution(qstate.werner_like(theta, 1.0, n), iset,
                                             ns.samples, ns.seed, ns.workers)
     ests = [nlfrac.PvEstimate.of_count(samples.violations(v), ns.samples, iset.tag) for v in grid]
-    qstate.write_table(ns.out, "v,p_v,std_err,concurrence",
-                       [grid, [e.p_v for e in ests], [e.std_err for e in ests],
-                        [closed(theta, v) for v in grid]])
+    files.write_table(ns.out, "v,p_v,std_err,concurrence",
+                      [grid, [e.p_v for e in ests], [e.std_err for e in ests],
+                       [closed(theta, v) for v in grid]])
 
 
 def cmd_dist(ns) -> None:
@@ -175,8 +175,8 @@ def cmd_dist(ns) -> None:
 def cmd_rescale(ns) -> None:
     samples = nlfrac.load_violation_samples(ns.samples_file)
     grid = _v_grid(ns)
-    qstate.write_table(ns.out, "v,p_v",
-                       [grid, [nlfrac.pv_from_distribution(samples, v) for v in grid]])
+    files.write_table(ns.out, "v,p_v",
+                      [grid, [nlfrac.pv_from_distribution(samples, v) for v in grid]])
 
 
 # ------------------------------------------------------------------ conc
@@ -221,33 +221,15 @@ def cmd_fit_eval(ns) -> dict:
     return obj
 
 
-def _read_pairs(path, expected_header):
-    lines = qstate.read_text(path, "file").splitlines()
-    if not lines or lines[0] != expected_header:
-        raise ParseError(f"{path}: expected header {expected_header!r}")
-    pairs = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{path}: expected 2 fields", line=lineno)
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ParseError(f"{path}: bad number", line=lineno) from None
-    return pairs
-
-
 def cmd_fit_refit(ns) -> dict:
-    pairs = _read_pairs(ns.infile, "pv,value")
+    pairs = files.read_table(ns.infile, "pv,value", "fit table")
     basis = fits.BASIS_2Q if ns.basis == "2q" else fits.BASIS_3Q
     curve, rms = fits.refit(pairs, basis, provenance=f"refit:{Path(ns.infile).stem}")
     return dict(dataclasses.asdict(curve), rms=rms)
 
 
 def cmd_fit_estimate(ns) -> dict:
-    theta, v0, rms = fits.estimate_theta_v0(_read_pairs(ns.infile, "v,pv"))
+    theta, v0, rms = fits.estimate_theta_v0(files.read_table(ns.infile, "v,pv", "fit table"))
     return {"theta_deg": theta * 180.0 / math.pi, "v0": v0, "rms": rms}
 
 
@@ -458,14 +440,14 @@ _EXIT_CODES = ((ParameterError, 2), (MissingDataError, 3), (ParseError, 3),
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = _parser(_command_path(argv)).parse_args(argv)
-    with qstate.recording_reads() as (inputs, written):
+    with files.recording_reads() as (inputs, written):
         try:
             obj = ns.func(ns)
             manifest = _manifest(ns, inputs)
             if obj is not None:
-                qstate.write_json(ns.out, dict(obj, manifest_digest=manifest["manifest_digest"]))
+                files.write_json(ns.out, dict(obj, manifest_digest=manifest["manifest_digest"]))
             if ns.out:
-                qstate.write_json(f"{ns.out}.manifest.json", manifest)
+                files.write_json(f"{ns.out}.manifest.json", manifest)
         except BellentError as exc:
             # a failed command leaves none of its output behind
             for path in written:

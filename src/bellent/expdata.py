@@ -26,9 +26,10 @@ import numpy as np
 from . import _rng
 from .bell import InequalitySet, batch_behaviors, i_max, pauli_tensor
 from .errors import ParameterError, ParseError
+from .files import (data_lines, format_float, json_field, read_json_object, read_text,
+                    sidecar_path, write_json, writing)
 from .nlfrac import PvEstimate
-from .qstate import (DensityMatrix, basis_state, data_lines, format_float, json_field,
-                     read_json_object, read_text, sidecar_path, write_json, writing)
+from .qstate import DensityMatrix, basis_state
 
 CC_HEADER = ("setting_id,u1x,u1y,u1z,u2x,u2y,u2z,u3x,u3y,u3z,"
              "r1,r2,r3,counts,duration_s")
@@ -464,7 +465,7 @@ def synth_cc_dataset(rho: DensityMatrix, n_blocks: int, seed: int,
         raise ParameterError("synthetic coincidence data is three-qubit only")
     if n_blocks < 1:
         raise ParameterError(f"need at least 1 block, got {n_blocks}")
-    dirs = _rng.bloch_directions(seed, "bloch3", 0, n_blocks, 3)
+    dirs = _rng.bloch_directions(seed, _rng.bloch_tag(3), 0, n_blocks, 3)
     tables = batch_behaviors(pauli_tensor(rho), dirs)
     s = np.arange(8)
     # party i's direction at setting s is dirs[:, i, S_i], S_i = bit (2 - i) of s

@@ -18,10 +18,9 @@ import numpy as np
 
 from . import _rng
 from .bell import InequalitySet, batch_i_max, pauli_tensor
-from .errors import ParameterError, ParseError
-from .qstate import (DensityMatrix, check_visibility, data_lines, json_field,
-                     read_json_object, read_text, sidecar_path, write_json,
-                     write_table)
+from .errors import ParameterError
+from .files import json_field, read_json_object, read_table, sidecar_path, write_json, write_table
+from .qstate import DensityMatrix, check_visibility
 
 CHUNK = 1 << 14
 
@@ -99,7 +98,7 @@ def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work):
     directions and runs its kernel in it, and puts it back, so no chunk
     allocates its arrays anew.
     """
-    tag = f"bloch{n_parties}"
+    tag = _rng.bloch_tag(n_parties)
 
     def one(span):
         start, count = span
@@ -243,26 +242,7 @@ def save_violation_samples(samples: ViolationSamples, path) -> None:
 
 
 def load_violation_samples(path) -> ViolationSamples:
-    lines = read_text(path, "samples file").splitlines()
-    if not lines or lines[0] != "i_max":
-        raise ParseError(f"{path}: expected header 'i_max'", line=1)
-
-    try:  # one pass over every row; blank rows, which are skipped, are rare
-        values = np.fromiter(map(float, lines[1:]), float, len(lines) - 1)
-    except ValueError:  # a blank or a bad row: skip the one, name the other
-        numbers = []
-        for lineno, x in enumerate(lines[1:], start=2):
-            if x.strip():
-                try:
-                    numbers.append(float(x))
-                except ValueError:
-                    raise ParseError(f"{path}: bad number {x!r}", line=lineno) from None
-        values = np.array(numbers)
-    if not values.size:
-        raise ParseError(f"{path}: no data rows")
-    finite = np.isfinite(values)
-    if not finite.all():  # the line is looked up on this path only
-        raise ParseError(f"{path}: non-finite sample", line=data_lines(lines)[finite.argmin()])
+    values = read_table(path, "i_max", "samples file")[:, 0]
     meta_path = sidecar_path(path)
     meta = read_json_object(meta_path, "file")
     return ViolationSamples(values,

@@ -19,8 +19,8 @@ from bellent.cli import _command_path, _parser, main
 from bellent.entanglement import conc_closed_w2, gme_closed_w3_xstate, gme_concurrence_pure
 from bellent.expdata import add_poisson_noise, save_cc, synth_basis_datasets, synth_cc_dataset
 from bellent.fits import g1, g2, g3, v3cr
-from bellent.qstate import (DensityMatrix, format_float, load_state, save_density_matrix,
-                            werner_like)
+from bellent.files import format_float
+from bellent.qstate import DensityMatrix, load_state, save_density_matrix, werner_like
 
 
 def run_cli(args):
@@ -225,6 +225,17 @@ MALFORMED_INPUTS = {
     "state not utf-8": lambda d: _state(d, '{"n_qubits": 2, "entries": "\xff"}'),
     "refit table not utf-8": lambda d: _fit_table(
         d, "refit", _pairs_text("pv,value", _PV_VALUE_ROWS + [("\xff", "1")])),
+    # a non-finite cell is refused on its line, as in every other input file
+    "fit refit nan p_V": lambda d: _fit_table(
+        d, "refit", _pairs_text("pv,value", _PV_VALUE_ROWS + [("nan", "0.5")])),
+    "fit refit nan value": lambda d: _fit_table(
+        d, "refit", _pairs_text("pv,value", _PV_VALUE_ROWS + [("1", "nan")])),
+    "fit estimate nan v": lambda d: _fit_table(
+        d, "estimate-theta-v0", _pairs_text("v,pv", _V_PV_ROWS + [("nan", "1")])),
+    "fit estimate nan p_V": lambda d: _fit_table(
+        d, "estimate-theta-v0", _pairs_text("v,pv", _V_PV_ROWS + [("0.9", "nan")])),
+    # a table's fault, not the fit's (FitError, exit 4, for too few points)
+    "fit table without rows": lambda d: _fit_table(d, "refit", "pv,value\n\n"),
     "bellineq not utf-8": lambda d: _ineq_dir(d, "bellineq 1\nparties \xff\n"),
     "bellineq coefficient nan": lambda d: _ineq_dir(
         d, SVETLICHNY_TEXT.replace("c 000 000 1\n", "c 000 000 nan\n")),
@@ -328,14 +339,6 @@ NON_FINITE_INPUTS = {
         _nan_state(d, "amplitudes", "[[1, 0], [0, 0], [0, 0], [NaN, 0]]"),
         "--out", str(d / "curve.csv")],
     "exp pv --margin nan": _exp_pv_margin,
-    "fit refit nan p_V": lambda d: _fit_table(
-        d, "refit", _pairs_text("pv,value", _PV_VALUE_ROWS + [("nan", "0.5")])),
-    "fit refit nan value": lambda d: _fit_table(
-        d, "refit", _pairs_text("pv,value", _PV_VALUE_ROWS + [("1", "nan")])),
-    "fit estimate nan v": lambda d: _fit_table(
-        d, "estimate-theta-v0", _pairs_text("v,pv", _V_PV_ROWS + [("nan", "1")])),
-    "fit estimate nan p_V": lambda d: _fit_table(
-        d, "estimate-theta-v0", _pairs_text("v,pv", _V_PV_ROWS + [("0.9", "nan")])),
 }
 
 
@@ -373,7 +376,7 @@ def test_state_make_names_each_missing_flag(tmp_path, capsys, family):
 
 
 def test_valid_fit_tables_of_the_non_finite_cases_pass(tmp_path):
-    # the tables above fail by their nan row alone
+    # the fit tables of MALFORMED_INPUTS fail by their nan row alone
     for command, text in (("refit", _pairs_text("pv,value", _PV_VALUE_ROWS)),
                           ("estimate-theta-v0", _pairs_text("v,pv", _V_PV_ROWS))):
         assert main(_fit_table(tmp_path, command, text)) == 0
@@ -451,6 +454,20 @@ def test_workers_below_one_rejected(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == "error: worker count must be >= 1, got 0\n"
     assert not list(tmp_path.glob("d.csv*")) and not list(tmp_path.glob("s.csv*"))
+
+
+@pytest.mark.parametrize("command", ["rescale", "sweep"])
+def test_a_grid_point_rounded_past_v_to_is_v_to(tmp_path, command):
+    # 0.116 + 52 * 0.017 is 1.0000000000000002, past every visibility check
+    if command == "rescale":
+        args = _samples(tmp_path, ["0.5", "1.2"])[:2]
+    else:
+        args = ["sweep", "--theta-deg", "45", "--n", "2", "--samples", "10"]
+    out = tmp_path / "curve.csv"
+    assert main(args + ["--v-from", "0.116", "--v-to", "1", "--v-step", "0.017",
+                        "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 53 and rows[-1].split(",")[0] == "1"
 
 
 def test_sweep_csv(tmp_path):

@@ -23,8 +23,9 @@ from bellent.expdata import (
     synth_basis_datasets,
     synth_cc_dataset,
 )
+from bellent.files import format_float
 from bellent.nlfrac import estimate_pv
-from bellent.qstate import format_float, werner_like
+from bellent.qstate import werner_like
 
 RHO = werner_like(np.pi / 4, 0.986, 3)
 ISET = default_set(3)

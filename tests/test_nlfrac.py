@@ -23,7 +23,8 @@ from bellent.nlfrac import (
     save_violation_samples,
     violation_distribution,
 )
-from bellent.qstate import format_float, gghz, werner_like
+from bellent.files import format_float, read_table
+from bellent.qstate import gghz, werner_like
 from local_unitaries import apply_local_unitaries, haar_unitary
 
 # analytic curve, frozen from an independent quadrature run
@@ -239,13 +240,18 @@ def test_samples_round_trip(tmp_path):
         load_violation_samples(tmp_path / "missing.csv")
 
 
-def test_non_finite_sample_is_refused_on_its_line(tmp_path):
+@pytest.mark.parametrize("header", ["i_max", "pv,value", "v,pv"])
+def test_non_finite_sample_is_refused_on_its_line(tmp_path, header):
+    # a samples file, and the two tables that `fit` reads, in one reader
     p = tmp_path / "samples.csv"
     save_violation_samples(ViolationSamples([0.5, 1.2], "s", 1, "set"), p)
-    for text, line in (("i_max\n0.5\n\n-inf\nnan\n", 4), ("i_max\nnan\n", 2)):
-        p.write_text(text)
+    read = (load_violation_samples if header == "i_max"
+            else lambda path: read_table(path, header, "fit table"))
+    lead = "0.5," * header.count(",")
+    for rows, line in ((["0.5", "", "-inf", "nan"], 4), (["nan"], 2)):
+        p.write_text(header + "\n" + "".join(f"{lead}{r}\n" if r else "\n" for r in rows))
         with pytest.raises(ParseError) as exc:
-            load_violation_samples(p)
+            read(p)
         assert exc.value.line == line and str(p) in str(exc.value)
 
 

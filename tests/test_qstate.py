@@ -5,6 +5,7 @@ import pytest
 
 from bellent._rng import bloch_directions
 from bellent.errors import MissingDataError, ParameterError, ParseError
+from bellent.files import read_text
 from bellent.qstate import (
     DensityMatrix,
     PureState,
@@ -21,7 +22,6 @@ from bellent.qstate import (
     partial_trace,
     phn,
     purity,
-    read_text,
     save_density_matrix,
     save_pure_state,
     werner_like,
