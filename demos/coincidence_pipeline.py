@@ -37,7 +37,7 @@ print(f"p_v = {res.estimate.p_v:.5f} "
 direct = estimate_pv(rho, iset, n_blocks, seed)
 print(f"noise-free direct estimate at the same settings: {direct.p_v:.5f}")
 
-res = poisson_resample(noisy, "pv_cc", 40, seed, iset=iset)
+res = poisson_resample(noisy, iset, 40, seed)
 print(f"resampled over 40 trials: {res.mean:.5f} +- {res.std:.5f} "
       f"(counts {res.std_poisson:.5f}, block sampling {res.std_sampling:.5f})")
 

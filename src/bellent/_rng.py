@@ -18,6 +18,8 @@ import math
 import numpy as np
 from numpy.random import Philox
 
+from .errors import ParameterError
+
 _WORDS_PER_BLOCK = 4
 # half the 2^-53 spacing of the doubles that Generator.random draws
 _HALF_STEP = 2.0 ** -54
@@ -46,11 +48,14 @@ class Workspace:
 
 
 def substream_key(seed: int, tag: str) -> int:
-    """128-bit Philox key for (seed, tag), via blake2b."""
+    """128-bit Philox key for (seed, tag), via blake2b; the seed is in [0, 2**128)."""
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 128:  # it is hashed as 16 unsigned bytes
+        raise ParameterError(f"seed must be in [0, 2**128), got {seed}")
     h = hashlib.blake2b(digest_size=16)
     h.update(tag.encode("utf-8"))
     h.update(b"\x00")
-    h.update(int(seed).to_bytes(16, "little", signed=False))
+    h.update(seed.to_bytes(16, "little", signed=False))
     return int.from_bytes(h.digest(), "little")
 
 

@@ -114,7 +114,9 @@ class InequalitySet:
     `w_matrix` is the (n_ineqs, 4^N) stack of
     flattened coefficient tables, for behaviors given as tables;
     `c_matrix` = w_matrix @ feature_map(N).T is the (n_ineqs, 3^N) same set on
-    the correlator features of `correlators`, for quantum behaviors.
+    the correlator features of `correlators`, for quantum behaviors.  Its
+    column 0 holds each row's constant term a_k, the row's value on white
+    noise, which is below 1 in every set.
     """
 
     n_parties: int
@@ -127,6 +129,11 @@ class InequalitySet:
         if w.ndim != 2 or not len(w) or w.shape[1] != 4 ** self.n_parties:
             raise ParameterError(f"bad inequality rows {w.shape} for {self.n_parties} parties")
         c = w @ feature_map(self.n_parties).T
+        # white noise is local: a row it reaches (constant term a_k >= 1) is
+        # invalid, or no no-signalling behavior violates it
+        if not np.all(c[:, 0] < 1.0):
+            raise ParameterError(f"inequality set {self.tag!r} has a row that white noise "
+                                 "reaches (constant term >= 1)")
         w.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "w_matrix", w)
@@ -142,9 +149,6 @@ class InequalitySet:
         a = self.c_matrix[:, 0]
         if not np.any(a):
             return self.c_matrix
-        if not np.all(a < 1.0):
-            raise ParameterError(f"inequality set {self.tag!r} has a row that white noise "
-                                 "reaches (constant term >= 1), so it has no replay rows")
         rows = self.c_matrix / (1.0 - a)[:, None]
         rows[:, 0] = 0.0
         rows.setflags(write=False)

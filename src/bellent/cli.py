@@ -257,14 +257,10 @@ def cmd_exp_pv(ns) -> dict:
 
 
 def cmd_exp_resample(ns) -> dict:
-    dataset = expdata.load_cc(ns.infile)
-    iset = _resolve_set(ns, 3) if ns.statistic == "pv_cc" else None
-    res = expdata.poisson_resample(dataset, ns.statistic, ns.trials, ns.seed, iset=iset)
-    obj = {"statistic": ns.statistic, "trials": ns.trials,
-           "mean": res.mean, "std": res.std}
-    if res.std_sampling is not None:
-        obj.update(std_poisson=res.std_poisson, std_sampling=res.std_sampling)
-    return obj
+    res = expdata.poisson_resample(expdata.load_cc(ns.infile), _resolve_set(ns, 3),
+                                   ns.trials, ns.seed)
+    return {"statistic": ns.statistic, "trials": ns.trials, "mean": res.mean,
+            "std": res.std, "std_poisson": res.std_poisson, "std_sampling": res.std_sampling}
 
 
 # ------------------------------------------------------------------ parser
@@ -352,7 +348,8 @@ def _exp_pv_args(p):
 
 def _exp_resample_args(p):
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--statistic", required=True, choices=expdata.STATISTICS)
+    # p_V is the one statistic; the flag stays accepted for scripts that name it
+    p.add_argument("--statistic", default="pv_cc", choices=["pv_cc"])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ineq-dir", default=None)
@@ -379,8 +376,8 @@ _COMMANDS = {
     "exp": ("coincidence-count analysis", {
         "mix": ("white-noise admixture of normalized counts", cmd_exp_mix, True, _exp_mix_args),
         "pv": ("nonlocal fraction from counts", cmd_exp_pv, False, _exp_pv_args),
-        "resample": ("uncertainty of a statistic: count noise, plus block sampling "
-                     "for pv_cc", cmd_exp_resample, False, _exp_resample_args)}),
+        "resample": ("uncertainty of p_V from counts: count noise plus block sampling",
+                     cmd_exp_resample, False, _exp_resample_args)}),
 }
 
 

@@ -1,4 +1,4 @@
-"""Coincidence-count datasets: ingestion, mixing, Bell tests, resampling.
+"""Coincidence-count datasets: ingestion, mixing, Bell tests, resampling of p_V.
 
 A dataset holds one record table: a numpy structured array (dtype
 `RECORD`) with one row per setting, whose columns are the setting id, the
@@ -12,6 +12,8 @@ of value checks (`_value_faults`), so a file that loads makes a dataset.
 Nonlocal fractions computed here use the sampling module's binomial
 estimator (`PvEstimate.of_count`); with exact synthetic counts the two
 pipelines see the same settings and produce the same violation flags.
+p_V is also the one statistic that `poisson_resample` redraws counts for:
+its uncertainty is the only one on the route from counts to concurrence.
 """
 
 from __future__ import annotations
@@ -367,66 +369,45 @@ def mix_counts(state_cc: CCDataset, basis_cc, v_c: float) -> CCDataset:
 
 # ----------------------------------------------------------- resampling
 
-STATISTICS = ("pv_cc", "total_counts")
+@dataclass(frozen=True)
+class Resampled:
+    """Mean and uncertainty of the resampled block fraction.
 
-
-class Resampled(tuple):
-    """(mean, std) of a resampled statistic, with the parts of std attached.
-
-    Unpacks and compares as the pair (mean, std).  `std_poisson` is the
-    spread of the statistic over the count redraws; `std_sampling` is the
-    block-sampling error, present for "pv_cc" only (None otherwise), and
-    std**2 == std_poisson**2 + std_sampling**2.
+    `std_poisson` is the spread of p_V over the count redraws and
+    `std_sampling` the block-sampling error; `std` is their root sum of squares.
     """
 
-    def __new__(cls, mean: float, std_poisson: float, std_sampling=None):
-        std = std_poisson if std_sampling is None else math.hypot(
-            std_poisson, std_sampling)
-        obj = super().__new__(cls, (mean, std))
-        obj.std_poisson = std_poisson
-        obj.std_sampling = std_sampling
-        return obj
-
-    @property
-    def mean(self) -> float:
-        return self[0]
+    mean: float
+    std_poisson: float
+    std_sampling: float
 
     @property
     def std(self) -> float:
-        return self[1]
+        return math.hypot(self.std_poisson, self.std_sampling)
 
 
-def poisson_resample(dataset: CCDataset, statistic, trials: int, seed: int,
-                     iset: InequalitySet = None) -> Resampled:
-    """Mean and uncertainty of a statistic from Poisson count redraws.
+def poisson_resample(dataset: CCDataset, iset: InequalitySet, trials: int,
+                     seed: int) -> Resampled:
+    """Mean and uncertainty of the block fraction p_V from Poisson count redraws.
 
-    Each trial redraws every count as Poisson(count) and recomputes the
-    statistic, one of `STATISTICS`: "pv_cc" or "total_counts".  Counts must
-    be raw integers (resampling after mixing normalized data is not
-    meaningful).  Redraws never change the settings, so "pv_cc" groups the
-    blocks once and reuses them in every trial.
+    Each trial redraws every count as Poisson(count) and recomputes p_V over
+    the dataset's complete blocks.  Counts must be raw integers (resampling
+    after mixing normalized data is not meaningful).  Redraws never change
+    the settings, so the blocks are grouped once and reused in every trial.
 
     The mean is taken over redraws of counts that already carry Poisson
     noise, which doubles the count noise: blocks near the threshold cross
     it more often than in the data, so the mean is biased against
     `pv_cc(dataset)` and is not an estimate of p_V.
 
-    For "pv_cc" the returned std is the total uncertainty of the block
-    fraction, count noise plus the sampling noise of a finite set of Haar
-    blocks, by the law of total variance:
-    std**2 = Var_t(p_t) + mean_t(p_t (1 - p_t) / n_t), where the second
-    term is each trial's `estimate.std_err**2`.  Redrawing counts alone
-    keeps every block's settings fixed, so it never sees the second part.
-    For "total_counts" the std is the Poisson-only spread, which for
-    "pv_cc" is `std_poisson`.
+    The std is the total uncertainty of the block fraction, count noise
+    plus the sampling noise of a finite set of Haar blocks, by the law of
+    total variance: std**2 = Var_t(p_t) + mean_t(p_t (1 - p_t) / n_t), where
+    the second term is each trial's `estimate.std_err**2`.  Redrawing counts
+    alone keeps every block's settings fixed, so it never sees the second part.
     """
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
-    if statistic not in STATISTICS:
-        raise ParameterError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
-    blocked = statistic == "pv_cc"
-    if blocked and iset is None:
-        raise ParameterError("statistic 'pv_cc' needs an inequality set")
     recs = dataset.records
     counts = recs["counts"]
     fractional = np.max(np.abs(counts - np.round(counts)), axis=1) > 1e-9
@@ -434,21 +415,16 @@ def poisson_resample(dataset: CCDataset, statistic, trials: int, seed: int,
         raise ParameterError(
             "Poisson resampling needs raw integer counts "
             f"(setting {recs['setting_id'][fractional.argmax()]} has fractional values)")
-    if blocked:
-        blocks, _ = _blocks_for_pv(dataset, iset)
+    blocks, _ = _blocks_for_pv(dataset, iset)
     values = np.empty(trials)
     sampling_var = np.empty(trials)
     for t in range(trials):
         gen = _rng.generator(seed, "poisson", t)
         redrawn = _with_counts(recs, gen.poisson(counts).astype(float))
-        if blocked:
-            est = _pv_of_blocks(redrawn, blocks, iset)[0]
-            values[t], sampling_var[t] = est.p_v, est.std_err ** 2
-        else:
-            values[t] = CCDataset(redrawn).total_counts()
-    std_sampling = math.sqrt(sampling_var.mean()) if blocked else None
+        est = _pv_of_blocks(redrawn, blocks, iset)[0]
+        values[t], sampling_var[t] = est.p_v, est.std_err ** 2
     return Resampled(float(values.mean()), float(values.std(ddof=1)),
-                     std_sampling)
+                     math.sqrt(sampling_var.mean()))
 
 
 # ----------------------------------------------------------- synthesis

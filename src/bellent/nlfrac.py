@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _rng
 from .bell import InequalitySet, batch_i_max, pauli_tensor
-from .errors import ParameterError
+from .errors import ParameterError, ParseError
 from .files import json_field, read_json_object, read_table, sidecar_path, write_json, write_table
 from .qstate import DensityMatrix, check_visibility
 
@@ -242,9 +242,14 @@ def save_violation_samples(samples: ViolationSamples, path) -> None:
 
 
 def load_violation_samples(path) -> ViolationSamples:
+    """The samples of a `save_violation_samples` file; its sidecar's "m" must
+    equal the row count, so a file that lost rows is refused (ParseError)."""
     values = read_table(path, "i_max", "samples file")[:, 0]
     meta_path = sidecar_path(path)
     meta = read_json_object(meta_path, "file")
+    m = json_field(meta, "m", int, meta_path)
+    if m != values.size:
+        raise ParseError(f"{meta_path}: 'm' is {m}, but {path} holds {values.size} samples")
     return ViolationSamples(values,
                             json_field(meta, "state_tag", str, meta_path),
                             json_field(meta, "seed", int, meta_path),

@@ -181,7 +181,7 @@ def test_10a_pipeline_closure_and_poisson_shift():
 def test_10b_resample_std_vs_binomial():
     """Resampled uncertainty of the block fraction against binomial.
 
-    The std reported for pv_cc is the total uncertainty of p_V: the spread
+    The reported std is the total uncertainty of p_V: the spread
     over Poisson count redraws (settings frozen, so only blocks near the
     threshold can flip) plus the block-sampling variance of a finite set
     of Haar blocks.  At these count rates the sampling part dominates, so
@@ -194,7 +194,7 @@ def test_10b_resample_std_vs_binomial():
         synth_cc_dataset(rho, C10_BLOCKS, C10_SEED, scale=4000.0), C10_SEED)
     p0 = pv_cc(synth_cc_dataset(rho, C10_BLOCKS, C10_SEED, scale=1.0),
                iset).estimate.p_v
-    _, std = poisson_resample(noisy, "pv_cc", 60, C10_SEED, iset=iset)
+    std = poisson_resample(noisy, iset, 60, C10_SEED).std
     binom = math.sqrt(p0 * (1 - p0) / C10_BLOCKS)
     assert 0.8 * binom <= std <= 1.2 * binom
 

@@ -183,12 +183,12 @@ def test_replay_rows_divide_out_the_constant_term():
     assert not rows.flags.writeable
     np.testing.assert_array_equal(rows[:, 0], 0.0)
     np.testing.assert_array_equal(rows[:, 1:], 2.0 * ch.c_matrix[:, 1:])
-    # sum_r P(r|00) <= 1 has the constant term 1: white noise is on its bound
+    # sum_r P(r|00) <= 1 has the constant term 1: white noise is on its bound,
+    # so the set is refused when it is made, on every route
     norm = np.zeros((2,) * 4)
     norm[0, 0] = 1.0
-    bad = expand_relabelings([BellInequality(2, norm, 1.0)], tag="norm")
-    with pytest.raises(ParameterError, match="'norm'.*no replay rows"):
-        bad.replay_rows()
+    with pytest.raises(ParameterError, match="'norm'.*constant term >= 1"):
+        expand_relabelings([BellInequality(2, norm, 1.0)], tag="norm")
 
 
 def test_inequality_file_and_dir_loading(tmp_path):

@@ -6,12 +6,14 @@ import math
 import shutil
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellent import nlfrac
 from bellent.bell import default_set, load_inequality_dir
@@ -185,8 +187,11 @@ def _ineq_dir(tmp_path, text, n=3):
 
 SVETLICHNY_TEXT = resources.files("bellent").joinpath("data/svetlichny.bellineq").read_text()
 # sum_r P(r|00) <= 1: white noise sits on its bound, so it has no replay rows
+# and every command refuses it; NORMALIZATION3_TEXT is sum_r P(r|000) <= 1
 NORMALIZATION_TEXT = "bellineq 1\nparties 2\ninputs 2\noutputs 2\nbound 1\n" + "".join(
     f"c 00 {r} 1\n" for r in ("00", "01", "10", "11"))
+NORMALIZATION3_TEXT = "bellineq 1\nparties 3\ninputs 2\noutputs 2\nbound 1\n" + "".join(
+    f"c 000 {r:03b} 1\n" for r in range(8))
 
 
 def _pairs_text(header, rows):
@@ -218,6 +223,8 @@ MALFORMED_INPUTS = {
     "samples row inf": lambda d: _samples(d, ["inf", "1.2"]),
     "samples bad header": lambda d: _samples(d, ["0.5", "1.2"], header="imax"),
     "samples without rows": lambda d: _samples(d, ["", " "]),
+    # the sidecar says 2 samples
+    "samples file that lost a row": lambda d: _samples(d, ["0.5"]),
     "state bad json": lambda d: _state(d, '{"n_qubits": 2, "entries": [[1, 0],'),
     "state without n_qubits": lambda d: _state(d, '{"entries": [[1, 0]]}'),
     "cc not utf-8": lambda d: _cc_with_fields(d, 13, {3: "\xff"}),
@@ -283,10 +290,35 @@ def _sweep(*flags):
 
 def _without_replay_rows(command):
     def args(tmp_path):
+        if command == "exp pv":
+            _ineq_dir(tmp_path, NORMALIZATION3_TEXT)
+            return _cc_with_sidecar(tmp_path, '{"tag": "cc"}') + [
+                "--ineq-dir", str(tmp_path / "ineqs"), "--out", str(tmp_path / "curve.csv")]
         pv = _ineq_dir(tmp_path, NORMALIZATION_TEXT, n=2)
+        if command == "pv":
+            return pv
         if command == "dist":
             return ["dist", *pv[1:]]
         return _sweep("--ineq-dir", str(tmp_path / "ineqs"))(tmp_path)
+    return args
+
+
+def _seed(command, seed):
+    """`command` run with --seed `seed`; every command that samples takes one."""
+    def args(tmp_path):
+        if command == "sweep":
+            argv = _sweep()(tmp_path)
+        elif command == "exp resample":
+            cc = tmp_path / "cc.csv"
+            save_cc(add_poisson_noise(synth_cc_dataset(werner_like(np.pi / 4, 0.9, 3), 2,
+                                                       seed=1, scale=100.0), seed=2), cc)
+            argv = ["exp", "resample", "--in", str(cc), "--trials", "2",
+                    "--out", str(tmp_path / "curve.csv")]
+        else:
+            state = tmp_path / "w2.json"
+            save_density_matrix(werner_like(np.pi / 4, 0.9, 2), state)
+            argv = [command, str(state), "--samples", "10", "--out", str(tmp_path / "curve.csv")]
+        return argv + ["--seed", str(seed)]
     return args
 
 
@@ -320,6 +352,8 @@ NON_FINITE_INPUTS = {
     "pv of 2 qubits against 3-party inequalities": lambda d: _ineq_dir(d, SVETLICHNY_TEXT, n=2),
     "dist against a set without replay rows": _without_replay_rows("dist"),
     "sweep against a set without replay rows": _without_replay_rows("sweep"),
+    "pv against a set without replay rows": _without_replay_rows("pv"),
+    "exp pv against a set without replay rows": _without_replay_rows("exp pv"),
     "exp pv without a complete block": lambda d: _cc_head(d, 8),
     "exp pv on a setting of zero counts": lambda d: _cc_with_fields(
         d, 13, dict.fromkeys(range(1, 9), "0")),
@@ -339,6 +373,10 @@ NON_FINITE_INPUTS = {
         _nan_state(d, "amplitudes", "[[1, 0], [0, 0], [0, 0], [NaN, 0]]"),
         "--out", str(d / "curve.csv")],
     "exp pv --margin nan": _exp_pv_margin,
+    # a seed is hashed as 16 unsigned bytes: one outside [0, 2**128) is refused
+    **{f"{command} --seed {text}": _seed(command, seed)
+       for command in ("pv", "dist", "sweep", "exp resample")
+       for text, seed in (("-1", -1), ("2**128", 2 ** 128))},
 }
 
 
@@ -349,6 +387,23 @@ def test_non_finite_input_exits_2_with_one_line(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     assert not list(tmp_path.glob("curve.csv*"))
+
+
+@pytest.fixture(scope="module")
+def w2_state(tmp_path_factory):
+    state = tmp_path_factory.mktemp("state") / "w2.json"
+    save_density_matrix(werner_like(np.pi / 4, 0.9, 2), state)
+    return state
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(-2 ** 130, 2 ** 130) | st.sampled_from([-1, 0, 2 ** 128 - 1, 2 ** 128]))
+def test_pv_takes_a_seed_in_range_and_refuses_any_other_with_one_line(w2_state, seed):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["pv", str(w2_state), "--samples", "10", "--seed", str(seed)])
+    assert code == (0 if 0 <= seed < 2 ** 128 else 2)
+    assert err.getvalue().count("\n") <= 1 and (code == 0) == (err.getvalue() == "")
 
 
 # each family's flags, with values it accepts
@@ -691,17 +746,25 @@ def test_exp_pipeline(tmp_path):
     noisy = tmp_path / "noisy.csv"
     save_cc(add_poisson_noise(ds, seed=13), noisy)
     res = json.loads(main_capture(["exp", "resample", "--in", str(noisy),
-                                   "--statistic", "total_counts",
-                                   "--trials", "200", "--seed", "3"]))
-    want = np.sqrt(res["mean"])
-    assert abs(res["std"] - want) < 0.15 * want
-    assert "std_sampling" not in res
-    res = json.loads(main_capture(["exp", "resample", "--in", str(noisy),
                                    "--statistic", "pv_cc",
                                    "--trials", "3", "--seed", "3"]))
     assert np.isclose(res["std"] ** 2,
                       res["std_poisson"] ** 2 + res["std_sampling"] ** 2,
                       rtol=1e-12, atol=0.0)
+
+
+def test_exp_resample_without_statistic_writes_the_pv_cc_bytes(tmp_path, manifest_inputs):
+    # pv_cc is the one statistic: naming it or not makes the same result and manifest
+    out = tmp_path / "r.json"
+    argv = ["exp", "resample", "--in", str(manifest_inputs / "cc.csv"), "--trials", "3",
+            "--seed", "5", "--out", str(out)]
+
+    def result(extra):
+        assert main(argv + extra) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        return out.read_bytes(), dict(manifest, timestamp=None)
+
+    assert result([]) == result(["--statistic", "pv_cc"])
 
 
 def test_ineq_dir_flag_and_manifest(tmp_path):
@@ -802,11 +865,6 @@ MANIFEST_CASES = {
     "exp resample": (["exp", "resample", "--in", "{d}/cc.csv", "--statistic", "pv_cc",
                       "--trials", "2"], ["{d}/cc.csv", "{d}/cc.csv.json"],
                      ["ineq_dir", "infile", "out", "seed", "statistic", "trials"]),
-    # total_counts needs no inequality, so the directory's files are never read
-    "exp resample total_counts": (
-        ["exp", "resample", "--in", "{d}/cc.csv", "--statistic", "total_counts",
-         "--trials", "2", "--ineq-dir", "{d}/ineqs"], ["{d}/cc.csv", "{d}/cc.csv.json"],
-        ["ineq_dir", "infile", "out", "seed", "statistic", "trials"]),
 }
 # case -> argv whose --out names a file the command reads, in the inputs directory
 OVERWRITE_CASES = {
@@ -985,7 +1043,7 @@ def test_a_stray_json_beside_an_input_whose_loader_reads_none_is_not_an_input(
 # argv naming a value outside a flag's choices, and a choice the error lists
 UNKNOWN_CHOICES = [(["fit", "eval", "--name", "nosuch", "--pv", "5"], "c-lower-2q"),
                    (["exp", "resample", "--in", "cc.csv", "--statistic", "nosuch"],
-                    "total_counts")]
+                    "pv_cc")]
 
 
 @pytest.mark.parametrize("argv, choice", UNKNOWN_CHOICES,

@@ -434,34 +434,21 @@ def test_mix_rejects_misaligned_bases():
         mix_counts(state, basis, 1.5)
 
 
-def test_poisson_resample_total_counts():
-    """Poisson spread of a single 100-count record: std 10 within 0.5."""
-    u = np.eye(3)[None]
-    rec = cc_records([0], u, np.full((1, 8), 12.5))
-    with pytest.raises(ParameterError):
-        poisson_resample(CCDataset(rec), "total_counts", 100, 1)
-    rec = cc_records([0], u, [[13, 12, 13, 12, 13, 12, 13, 12]])
-    mean, std = poisson_resample(CCDataset(rec), "total_counts", 10_000, 1)
-    assert abs(mean - 100.0) < 0.5
-    assert abs(std - 10.0) < 0.5
-
-
 def test_poisson_resample_is_seeded():
     ds = add_poisson_noise(small_dataset(10, scale=500.0), seed=3)
-    a = poisson_resample(ds, "pv_cc", 5, 11, iset=ISET)
-    b = poisson_resample(ds, "pv_cc", 5, 11, iset=ISET)
+    a = poisson_resample(ds, ISET, 5, 11)
+    b = poisson_resample(ds, ISET, 5, 11)
     assert a == b
-    c = poisson_resample(ds, "pv_cc", 5, 12, iset=ISET)
-    assert a != c or a[1] == c[1] == 0.0
+    c = poisson_resample(ds, ISET, 5, 12)
+    assert a != c or a.std == c.std == 0.0
 
 
 def test_poisson_resample_pv_cc_adds_block_sampling():
-    """pv_cc std is count noise plus block sampling, in quadrature."""
+    """The std of p_V is count noise plus block sampling, in quadrature."""
     iset = expand_relabelings([mermin()])  # violations on a handful of blocks
     ds = add_poisson_noise(small_dataset(10, scale=500.0), seed=3)
     assert pv_cc(ds, iset).estimate.violations > 0
-    res = poisson_resample(ds, "pv_cc", 8, 11, iset=iset)
-    assert res == (res.mean, res.std)
+    res = poisson_resample(ds, iset, 8, 11)
     assert res.std_poisson > 0 and res.std_sampling > 0
     assert math.isclose(res.std ** 2, res.std_poisson ** 2 + res.std_sampling ** 2,
                         rel_tol=1e-12)
@@ -482,22 +469,13 @@ def _poisson_only_reference(ds, fn, trials, seed):
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def test_poisson_resample_without_blocks_is_poisson_only():
+def test_poisson_resample_refuses_one_trial_and_fractional_counts():
     ds = add_poisson_noise(small_dataset(4, scale=1000.0), seed=9)
-    res = poisson_resample(ds, "total_counts", 50, 4)
-    assert res.std_sampling is None and res.std == res.std_poisson
-    assert res == _poisson_only_reference(ds, CCDataset.total_counts, 50, 4)
-
-
-def test_poisson_resample_custom_statistic():
-    """Only the named statistics are resampled: a callable is refused."""
-    ds = add_poisson_noise(small_dataset(4, scale=1000.0), seed=9)
-    with pytest.raises(ParameterError, match="unknown statistic"):
-        poisson_resample(ds, lambda d: d.records["counts"][0, 0], 10, 2)
-    with pytest.raises(ParameterError):
-        poisson_resample(ds, "pv_cc", 1, 2, iset=ISET)
-    with pytest.raises(ParameterError, match="unknown statistic 'nosuch'"):
-        poisson_resample(ds, "nosuch", 10, 2)
+    with pytest.raises(ParameterError, match="at least 2 trials"):
+        poisson_resample(ds, ISET, 1, 2)
+    # mixed, normalized counts are not Poisson counts
+    with pytest.raises(ParameterError, match="raw integer counts"):
+        poisson_resample(small_dataset(4, scale=12.5), ISET, 10, 2)
 
 
 def test_add_poisson_noise_preserves_structure():

@@ -240,6 +240,15 @@ def test_samples_round_trip(tmp_path):
         load_violation_samples(tmp_path / "missing.csv")
 
 
+def test_a_samples_file_that_lost_rows_is_refused(tmp_path):
+    p = tmp_path / "samples.csv"
+    save_violation_samples(ViolationSamples(np.linspace(0.5, 1.5, 1000), "s", 1, "set"), p)
+    p.write_text("\n".join(p.read_text().splitlines()[:101]) + "\n")
+    with pytest.raises(ParseError, match="'m' is 1000, but .* holds 100 samples") as exc:
+        load_violation_samples(p)
+    assert str(exc.value).startswith(f"{p}.json: ")
+
+
 @pytest.mark.parametrize("header", ["i_max", "pv,value", "v,pv"])
 def test_non_finite_sample_is_refused_on_its_line(tmp_path, header):
     # a samples file, and the two tables that `fit` reads, in one reader

@@ -9,6 +9,7 @@ included, fails the test.
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -60,10 +61,7 @@ def _table(draw, header, width):
 
 @pytest.fixture(scope="module")
 def table_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("tables")
-    (d / "samples.csv.json").write_text(
-        '{"state_tag": "s", "seed": 1, "m": 2, "set_tag": "chsh"}\n')
-    return d
+    return tmp_path_factory.mktemp("tables")
 
 
 def _check_exit(argv) -> None:
@@ -80,6 +78,11 @@ def _check_exit(argv) -> None:
 def test_rescale_samples_file_exits_with_a_documented_code(table_dir, text):
     samples = table_dir / "samples.csv"
     samples.write_text(text)
+    # the sidecar's "m" is the table's count of non-blank rows, so a
+    # well-formed table loads
+    m = sum(1 for line in text.splitlines()[1:] if line.strip())
+    (table_dir / "samples.csv.json").write_text(
+        json.dumps({"state_tag": "s", "seed": 1, "m": m, "set_tag": "chsh"}))
     _check_exit(["rescale", str(samples), "--v-from", "0.8", "--v-to", "1.0",
            "--v-step", "0.1", "--out", str(table_dir / "curve.csv")])
 
