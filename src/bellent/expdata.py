@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import _rng
 from .bell import InequalitySet, batch_behaviors, i_max, pauli_tensor
 from .errors import ParameterError, ParseError
-from .files import (data_lines, format_float, json_field, read_json_object, read_text,
+from .files import (FLOAT_FIELD, data_lines, json_field, read_json_object, read_text,
                     sidecar_path, write_json, writing)
 from .nlfrac import PvEstimate
 from .qstate import DensityMatrix, basis_state
@@ -69,12 +70,13 @@ def _with_counts(records: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _value_faults(directions, counts, duration) -> tuple:
     """(mask, message) for each value check of a record, in the order a line is checked.
 
-    directions (L, 3, 3), counts (L, k) and duration (L,) hold L records or
-    file rows; each mask (L,) marks the ones that fail its check.  Rounded
+    counts (L, k) and duration (L,) hold L records or file rows, directions
+    (D, 3, 3) the directions of D records or file heads (D = L for a
+    record table); each mask marks the ones that fail its check.  Rounded
     directions pass: a projection direction is a unit vector within DIR_TOL.
     """
     with np.errstate(all="ignore"):
-        # einsum, not np.linalg.norm: load_cc runs this on every file row
+        # einsum, not np.linalg.norm: it runs on every record of a table
         norms = np.sqrt(np.einsum("lij,lij->li", directions, directions))
         return (
             (~np.isfinite(counts).all(axis=1), "non-finite count"),
@@ -116,33 +118,86 @@ class CCDataset:
 
 # ----------------------------------------------------------------- file IO
 
+# a setting's id and directions, the head of each of its 8 rows
+_HEAD = "%d" + f",{FLOAT_FIELD}" * 9
+# a record's 8 rows, outcome r1*4 + r2*2 + r3 in order: {0} is its head,
+# {1} its duration and each float field a count
+_RECORD_ROWS = "".join(f"{{0}},{r >> 2},{r >> 1 & 1},{r & 1},{FLOAT_FIELD},{{1}}\n"
+                       for r in range(8))
+# rows per pass of save_cc and _columns: the text and split fields of one
+# pass stay small (passes over whole 4096-row files raised peak RSS by 2 MiB)
+_ROWS_PER_PASS = 512
+
+
 def save_cc(dataset: CCDataset, path) -> None:
-    """One CSV row per (setting, outcome); sidecar JSON at <path>.json."""
+    """One CSV row per (setting, outcome); sidecar JSON at <path>.json.
+
+    Values are written in the text of `format_float`.  Per slice of records,
+    each head and each duration is formatted once, set into the record's 8
+    rows, and the counts are formatted into those rows in one `%` pass.
+    """
     recs = dataset.records
-    lines = [CC_HEADER]
-    for sid, u, counts, duration in zip(
-            recs["setting_id"].tolist(), recs["directions"].reshape(-1, 9).tolist(),
-            recs["counts"].tolist(), recs["duration_s"].tolist()):
-        head = f"{sid},{','.join(map(format_float, u))},"
-        tail = f",{format_float(duration)}"
-        for r, count in enumerate(counts):
-            lines.append(f"{head}{r >> 2 & 1},{r >> 1 & 1},{r & 1},"
-                         f"{format_float(count)}{tail}")
     with writing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CC_HEADER + "\n")
+        for lo in range(0, len(recs), _ROWS_PER_PASS // 8):
+            chunk = recs[lo:lo + _ROWS_PER_PASS // 8]
+            heads = map(_HEAD.__mod__, zip(chunk["setting_id"].tolist(),
+                                           *chunk["directions"].reshape(-1, 9).T.tolist()))
+            durations = map(FLOAT_FIELD.__mod__, chunk["duration_s"].tolist())
+            rows = "".join(map(_RECORD_ROWS.format, heads, durations))
+            fh.write(rows % tuple(chunk["counts"].ravel().tolist()))
     write_json(sidecar_path(path), {"tag": dataset.tag, "normalization": dataset.normalization})
 
 
+# the outcome index r1*4 + r2*2 + r3 of the bits as save_cc writes them
+_OUTCOME = {(f"{r >> 2}", f"{r >> 1 & 1}", f"{r & 1}"): r for r in range(8)}
+
+
+def _columns(rows) -> tuple:
+    """The numbers of 15-field CSV rows, converted a column at a time.
+
+    Returns what `_parse` returns for a file that parses, without the
+    message.  Each distinct head and each distinct duration text is
+    converted once.  Any row that the passes cannot take (another width,
+    bits not written "0" or "1", a number `int` or `float` rejects, an id
+    outside int64, a blank line) raises ValueError, KeyError or
+    OverflowError; `_parse` then reads the file and names that row.
+    """
+    head_of, duration_of, parts = {}, {}, []
+    for lo in range(0, len(rows), _ROWS_PER_PASS):
+        heads, r1, r2, r3, counts, durations = zip(
+            *map(str.rsplit, rows[lo:lo + _ROWS_PER_PASS], repeat(","), repeat(5)), strict=True)
+        # distinct heads, numbered in order of first appearance
+        for head in dict.fromkeys(heads):
+            head_of.setdefault(head, len(head_of))
+        for text in dict.fromkeys(durations):
+            if text not in duration_of:
+                duration_of[text] = float(text)
+        n = len(heads)
+        parts.append((np.fromiter(map(head_of.__getitem__, heads), np.intp, n),
+                      np.fromiter(map(_OUTCOME.__getitem__, zip(r1, r2, r3)), np.intp, n),
+                      np.fromiter(map(float, counts), float, n),
+                      np.fromiter(map(duration_of.__getitem__, durations), float, n)))
+    sid, *u = zip(*map(str.split, head_of, repeat(",")), strict=True)
+    if len(u) != 9:
+        raise ValueError("a head is not 10 fields")
+    ids = np.fromiter(map(int, sid), np.int64, len(sid))
+    dirs = np.fromiter(map(float, chain.from_iterable(u)), float, 9 * len(sid))
+    return (ids, np.ascontiguousarray(dirs.reshape(9, -1).T).reshape(-1, 3, 3),
+            *map(np.concatenate, zip(*parts)))
+
+
 def _parse(rows) -> tuple:
-    """The numbers of 15-field CSV rows, each distinct setting head converted once.
+    """The numbers of 15-field CSV rows, read one row at a time up to the first faulty one.
 
     A row is a head (setting id and 9 direction fields, as text) and a tail
     (r1, r2, r3, counts, duration_s).  A setting's rows repeat its head, so
     heads are looked up in a dict and only a new one is converted.  Returns
-    (ids (H,), directions (H, 3, 3), row_head (R,), tails (R, 5), message):
-    row r has head row_head[r].  Parsing stops at the first row that is not
-    15 numbers; R rows parsed, and `message` says what is wrong with the
-    next (None when every row parsed).
+    (ids (H,), directions (H, 3, 3), row_head (R,), outcome (R,), counts (R,),
+    durations (R,), message): row r has head row_head[r] and heads are
+    numbered in order of first appearance.  Parsing stops at the first row
+    that is not 15 numbers with bits 0 or 1; R rows parsed, and `message`
+    says what is wrong with the next (None when every row parsed).
     """
     head_of, ids, dirs, row_head, tails = {}, [], array("d"), array("q"), array("d")
     message = None
@@ -162,18 +217,26 @@ def _parse(rows) -> tuple:
                 if sid not in _SETTING_IDS:
                     message = f"setting_id {sid} is outside the int64 range"
                     break
-                dirs.extend(map(float, u))
-                ids.append(sid)
-                k = head_of[head] = len(head_of)
+                u = list(map(float, u))
             _, r1, r2, r3, count, duration = fields
-            tails.fromlist([float(r1), float(r2), float(r3), float(count), float(duration)])
+            bits = float(r1), float(r2), float(r3)
+            count, duration = float(count), float(duration)
         except ValueError as exc:
             message = str(exc)
             break
+        if not all(b in (0.0, 1.0) for b in bits):
+            message = "outcome bits must be 0 or 1"
+            break
+        if k is None:
+            k = head_of[head] = len(ids)
+            ids.append(sid)
+            dirs.extend(u)
         row_head.append(k)
-    h, r = len(ids), len(row_head)
-    return (np.array(ids, dtype=np.int64), np.array(dirs[:9 * h]).reshape(h, 3, 3),
-            np.array(row_head), np.array(tails[:5 * r]).reshape(r, 5), message)
+        tails.fromlist([bits[0] * 4 + bits[1] * 2 + bits[2], count, duration])
+    tails = np.array(tails).reshape(-1, 3)
+    return (np.array(ids, dtype=np.int64), np.array(dirs).reshape(-1, 3, 3),
+            np.array(row_head, dtype=np.intp), tails[:, 0].astype(np.intp),
+            tails[:, 1], tails[:, 2], message)
 
 
 def load_cc(path) -> CCDataset:
@@ -183,7 +246,9 @@ def load_cc(path) -> CCDataset:
     ParseError for its earliest offending line.  A row's values pass the
     checks of a record (`_value_faults`).  A setting has one set of
     directions and one duration: its rows must agree on both (directions
-    within DIR_TOL).
+    within DIR_TOL).  A file is parsed in column passes (`_columns`); a file
+    they cannot take is walked row by row (`_parse`), which names the
+    faulty row.
     """
     # the path as given: it is the file's key in the read log
     lines = read_text(path, "coincidence-count file").splitlines()
@@ -191,32 +256,40 @@ def load_cc(path) -> CCDataset:
     if not lines or lines[0] != CC_HEADER:
         raise ParseError(f"{path}: bad or missing header", line=1)
     # rows (non-blank lines) before `stop` parse; row `stop` is the first that does not
-    head_ids, head_dirs, row_head, tails, stop_msg = _parse(filter(str.strip, lines[1:]))
+    try:
+        parsed, stop_msg = _columns(lines[1:]), None
+    except (ValueError, KeyError, OverflowError):
+        *parsed, stop_msg = _parse(filter(str.strip, lines[1:]))
+    head_ids, head_dirs, row_head, outcome, count, duration = parsed
     stop = len(row_head)
-    sid, dirs = head_ids[row_head], head_dirs[row_head]
-    bits, count, duration = tails[:, :3], tails[:, 3], tails[:, 4]
-    outcome = (bits == 1) @ np.array([4, 2, 1])
-    ids, first, setting = np.unique(sid, return_index=True, return_inverse=True)
+    # settings in id order; a setting's first head holds its first row
+    ids, first_head, head_setting = np.unique(head_ids, return_index=True,
+                                              return_inverse=True)
+    setting = head_setting[row_head]
+    first_row = np.unique(row_head, return_index=True)[1][first_head]
     _, first_key, key = np.unique(setting * 8 + outcome, return_index=True,
                                   return_inverse=True)
     # each row's first failing check, in the order a line is checked; rows
-    # past the earliest bad one are never reported, so their inf/nan is silent
+    # past the earliest bad one are never reported, so their inf/nan is silent.
+    # Direction checks run once per head and read back by row.
     with np.errstate(all="ignore"):
+        *row_faults, (non_unit, unit_msg) = _value_faults(head_dirs, count[:, None], duration)
+        differ = np.max(np.abs(head_dirs[first_head[head_setting]] - head_dirs),
+                        axis=(1, 2)) > DIR_TOL
         checks = (
-            (~((bits == 0) | (bits == 1)).all(axis=1), "outcome bits must be 0 or 1"),
-            *_value_faults(dirs, count[:, None], duration),
-            (np.max(np.abs(dirs[first[setting]] - dirs), axis=(1, 2)) > DIR_TOL,
-             "directions differ within setting {}"),
-            (duration[first[setting]] != duration, "durations differ within setting {}"),
+            *row_faults,
+            (non_unit[row_head], unit_msg),
+            (differ[row_head], "directions differ within setting {}"),
+            (duration[first_row[setting]] != duration, "durations differ within setting {}"),
             (first_key[key] != np.arange(len(key)), "duplicate outcome for setting {}"),
         )
     for bad, message in checks:
         if bad.any() and bad.argmax() < stop:
             stop = int(bad.argmax())
-            stop_msg = message.format(sid[stop])
+            stop_msg = message.format(ids[setting[stop]])
     if stop_msg is not None:
         raise ParseError(f"{path}: {stop_msg}", line=data_lines(lines)[stop])
-    if not len(sid):
+    if not len(row_head):
         raise ParseError(f"{path}: no data rows")
     tag, norm = path.stem, 1.0
     meta_path = sidecar_path(path)
@@ -226,7 +299,8 @@ def load_cc(path) -> CCDataset:
         norm = json_field(meta, "normalization", float, meta_path, norm)
     counts = np.zeros((len(ids), 8))
     counts[setting, outcome] = count
-    return CCDataset(cc_records(ids, dirs[first], counts, duration[first]), norm, tag)
+    return CCDataset(cc_records(ids, head_dirs[first_head], counts, duration[first_row]),
+                     norm, tag)
 
 
 # ----------------------------------------------------------------- blocks

@@ -19,6 +19,8 @@ from .errors import MissingDataError, ParameterError, ParseError
 
 # 17 significant digits round-trips any double exactly
 _FLOAT_SPEC = ".17g"
+# the text of `format_float` as a %-format field
+FLOAT_FIELD = "%" + _FLOAT_SPEC
 # rows per %-formatting pass in write_table: its tuple and text stay small,
 # whatever the length of the table
 _LINES_PER_PASS = 4096
@@ -56,7 +58,7 @@ def write_table(path, header: str, columns) -> None:
     value and holds one slice's text at a time.
     """
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    line = ",".join(["%" + _FLOAT_SPEC] * table.shape[1]) + "\n"
+    line = ",".join([FLOAT_FIELD] * table.shape[1]) + "\n"
     with writing(path) as fh:
         fh.write(header + "\n")
         for lo in range(0, len(table), _LINES_PER_PASS):
@@ -186,13 +188,18 @@ def json_field(obj: dict, key: str, convert, path, default=None):
     """convert(obj[key]), or `default` when the key is absent and one is given.
 
     Raises ParseError for a missing key without default and for a value
-    `convert` rejects.
+    `convert` rejects.  With `int`, a JSON float must be integral (2.0 reads
+    as 2, 2.7 is refused rather than truncated) and a boolean is refused.
     """
     if key not in obj:
         if default is None:
             raise ParseError(f"{path}: missing {key!r}")
         return default
+    value = obj[key]
     try:
-        return convert(obj[key])
+        if convert is int and (isinstance(value, bool)
+                               or isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"expected an integer, got {json.dumps(value)}")
+        return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad {key!r}: {exc}") from None

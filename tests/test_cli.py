@@ -150,12 +150,13 @@ def _cc_with_fields(tmp_path, column, texts):
     return args
 
 
-def _samples(tmp_path, rows, sidecar=True, header="i_max"):
+def _samples(tmp_path, rows, sidecar=True, header="i_max", **meta):
+    """`rescale` of the rows; the sidecar says 2 samples unless `meta` changes it."""
     samples = tmp_path / "dist.csv"
     samples.write_text(f"{header}\n" + "".join(f"{r}\n" for r in rows), encoding="latin-1")
     if sidecar:
         (tmp_path / "dist.csv.json").write_text(
-            '{"state_tag": "s", "seed": 1, "m": 2, "set_tag": "chsh"}\n')
+            json.dumps({"state_tag": "s", "seed": 1, "m": 2, "set_tag": "chsh", **meta}) + "\n")
     return ["rescale", str(samples), "--v-from", "0.9", "--v-to", "1.0",
             "--out", str(tmp_path / "curve.csv")]
 
@@ -164,6 +165,13 @@ def _state(tmp_path, text):
     state = tmp_path / "state.json"
     state.write_text(text, encoding="latin-1")
     return ["conc", "--method", "wootters", str(state)]
+
+
+def _state_with(tmp_path, n_qubits_text):
+    """`_state` of a two-qubit Werner state file whose "n_qubits" reads n_qubits_text."""
+    save_density_matrix(werner_like(np.pi / 4, 0.9, 2), tmp_path / "w2.json")
+    text = (tmp_path / "w2.json").read_text().replace('"n_qubits": 2', n_qubits_text, 1)
+    return _state(tmp_path, text)
 
 
 def _fit_table(tmp_path, command, text):
@@ -225,6 +233,10 @@ MALFORMED_INPUTS = {
     "samples without rows": lambda d: _samples(d, ["", " "]),
     # the sidecar says 2 samples
     "samples file that lost a row": lambda d: _samples(d, ["0.5"]),
+    # an integer field takes an integral number only: 2.7 is not truncated to the 2 rows
+    "samples sidecar m 2.7": lambda d: _samples(d, ["0.5", "1.2"], m=2.7),
+    "samples sidecar seed true": lambda d: _samples(d, ["0.5", "1.2"], seed=True),
+    "state n_qubits 2.5": lambda d: _state_with(d, '"n_qubits": 2.5'),
     "state bad json": lambda d: _state(d, '{"n_qubits": 2, "entries": [[1, 0],'),
     "state without n_qubits": lambda d: _state(d, '{"entries": [[1, 0]]}'),
     "cc not utf-8": lambda d: _cc_with_fields(d, 13, {3: "\xff"}),
