@@ -6,8 +6,10 @@ worker that owns samples [lo, hi) draws exactly the same numbers for sample i
 as any other partitioning would, so results are independent of scheduling.
 
 Philox details that this module relies on (verified empirically): the
-generator emits 64-bit words in blocks of 4 per counter tick, and
-``Philox.advance(d)`` skips exactly d ticks, i.e. 4*d words.
+generator emits 64-bit words in blocks of 4 per counter tick, and a Philox
+whose state is set to key k and counter d, with an empty buffer, emits the
+words of ``Philox(key=k)`` after ``advance(d)``: it skips exactly d ticks,
+i.e. 4*d words.
 """
 
 from __future__ import annotations
@@ -21,23 +23,29 @@ from numpy.random import Philox
 from .errors import ParameterError
 
 _WORDS_PER_BLOCK = 4
+_WORD = (1 << 64) - 1
 # half the 2^-53 spacing of the doubles that Generator.random draws
 _HALF_STEP = 2.0 ** -54
 
 
 class Workspace:
-    """Named float64 arrays that the sampling hot path reuses from call to call.
+    """Named float64 arrays, and one Philox, that the sampling hot path reuses
+    from call to call.
 
-    A chunk that draws its directions (`bloch_directions`) and evaluates its
-    kernel (`bell.batch_i_max`) in one workspace allocates nothing anew, so
-    the hot loop takes no page faults.  An array is a view into a flat buffer
-    that only grows, so a shorter block, or the other party count, reuses the
-    buffer of a longer one.  Results built in a workspace are views into it,
-    valid until its next use; a workspace serves one thread at a time.
+    A piece of samples that draws its directions (`bloch_directions`) and
+    evaluates its kernel (`bell.batch_i_max`) in one workspace allocates
+    nothing anew, so the hot loop takes no page faults.  An array is a view
+    into a flat buffer that only grows, so a shorter block, or the other
+    party count, reuses the buffer of a longer one; its size is set by the
+    longest block drawn in it, which `nlfrac` keeps to one `bell._SUB_BLOCK`
+    piece.  The Philox is moved to each substream by setting its state, which
+    costs a third of building one.  Results built in a workspace are views
+    into it, valid until its next use; a workspace serves one thread at a time.
     """
 
     def __init__(self):
         self._flat = {}
+        self.philox = Philox(0)  # `_philox` sets its key and counter for each draw
 
     def array(self, name: str, shape) -> np.ndarray:
         size = math.prod(shape)
@@ -45,6 +53,11 @@ class Workspace:
         if flat is None or flat.size < size:
             flat = self._flat[name] = np.zeros(size)
         return flat[:size].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the arrays."""
+        return sum(flat.nbytes for flat in self._flat.values())
 
 
 def substream_key(seed: int, tag: str) -> int:
@@ -68,11 +81,24 @@ def draw_width(words: int) -> int:
     return blocks_per_sample(words) * _WORDS_PER_BLOCK
 
 
-def _philox(seed: int, tag: str, start: int, words: int) -> Philox:
-    """The substream for (seed, tag), positioned at sample `start`."""
-    ph = Philox(key=substream_key(seed, tag))
-    if start:
-        ph.advance(start * blocks_per_sample(words))
+def _philox(seed: int, tag: str, start: int, words: int, ph: Philox | None = None) -> Philox:
+    """The substream for (seed, tag), positioned at sample `start`: `ph`, or a
+    new Philox, with its state set.
+
+    Its words are those of `Philox(key=substream_key(seed, tag))` advanced by
+    start * blocks_per_sample(words) counter blocks (a 256-bit counter), with
+    an empty output buffer.
+    """
+    key = substream_key(seed, tag)
+    block = start * blocks_per_sample(words)
+    if ph is None:
+        ph = Philox(0)
+    ph.state = {"bit_generator": "Philox",
+                "state": {"counter": np.array([block >> s & _WORD for s in (0, 64, 128, 192)],
+                                              dtype=np.uint64),
+                          "key": np.array([key & _WORD, key >> 64], dtype=np.uint64)},
+                "buffer": np.zeros(_WORDS_PER_BLOCK, dtype=np.uint64),
+                "buffer_pos": _WORDS_PER_BLOCK, "has_uint32": 0, "uinteger": 0}
     return ph
 
 
@@ -92,15 +118,16 @@ def uniforms(seed: int, tag: str, start: int, count: int, words: int,
     """Uniform doubles strictly inside (0, 1), one per word: (k + 1/2) 2^-53
     for the top 53 bits k of the word, shape (count, words).
 
-    Drawn straight into `ws.array("draws")`, shape (count, draw_width(words)),
-    that the result is a view of; a fresh workspace when none is given.
+    Drawn by `ws.philox` straight into `ws.array("draws")`, shape
+    (count, draw_width(words)), that the result is a view of; a fresh
+    workspace when none is given.
     """
     if ws is None:
         ws = Workspace()
     out = ws.array("draws", (count, draw_width(words)))
     # Generator.random gives k 2^-53 from the same words as raw_words, one
     # word per double, so adding 2^-54 rounds exactly as (k + 1/2) 2^-53
-    np.random.Generator(_philox(seed, tag, start, words)).random(out=out)
+    np.random.Generator(_philox(seed, tag, start, words, ws.philox)).random(out=out)
     out += _HALF_STEP
     return out[:, :words]
 
@@ -145,5 +172,4 @@ def generator(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     resampling); index picks a fresh stream per trial rather than a counter
     offset within one stream.
     """
-    key = substream_key(seed, f"{tag}#{index}")
-    return np.random.Generator(Philox(key=key))
+    return np.random.Generator(_philox(seed, f"{tag}#{index}", 0, _WORDS_PER_BLOCK))

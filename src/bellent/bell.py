@@ -16,9 +16,11 @@ correlator basis (`c_matrix`), so `batch_i_max` never builds a table.
 Tables from counts need not be no-signalling; they are reduced as tables
 (`w_matrix`).  Every Bell value, in either basis, comes from one reduction,
 `i_max`, which runs in fixed `_SUB_BLOCK`-column products: a sample's or a
-block's value has the same bits however its batch was cut.  The kernel's
-intermediates live in the caller's `Workspace`, the one that
-`_rng.bloch_directions` draws the directions into.
+block's value has the same bits however its batch was cut.  It takes a
+set's rows in tiles of at most `_ROW_TILE`, so its product buffer does not
+grow with the set.  The kernel's intermediates live in the caller's
+`Workspace`, the one that `_rng.bloch_directions` draws the directions
+into; `nlfrac` hands it one `_SUB_BLOCK` piece at a time.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .qstate import DensityMatrix
 # also builds correlators in sub-blocks of this many samples, which keeps
 # their intermediates (at N=3, about 1 KiB a sample) cache-sized.
 _SUB_BLOCK = 2048
+# Most rows of one product in i_max: a set of more rows is reduced in tiles
+# of this many, so its product buffer stays (256, _SUB_BLOCK), 4 MiB.
+_ROW_TILE = 256
 
 PAULI = np.array([
     [[1, 0], [0, 1]],
@@ -299,18 +304,37 @@ def i_max(x: np.ndarray, coeffs: np.ndarray, ws: Workspace | None = None) -> np.
     `_SUB_BLOCK` rows is copied into the columns of one fixed-size buffer
     (columns past a short last run are left over and dropped), so every
     product has the same shape and a row's value has the same bits whatever
-    rows share its batch.  The buffer and the product live in `ws`.
+    rows share its batch.  The rows of coeffs are taken in tiles of
+    h = min(rows, `_ROW_TILE`), the last one padded with zero rows that the
+    max leaves out, so every product is (h, `_SUB_BLOCK`) however many rows
+    the set has.  The buffer and the product live in `ws`.
     """
     if ws is None:
         ws = Workspace()
+    rows, width = coeffs.shape
+    h = min(rows, _ROW_TILE)
+    full, tail = divmod(rows, h)
+    tiles = [coeffs[t * h:(t + 1) * h] for t in range(full)]
+    if tail:
+        last = ws.array("last tile", (h, width))
+        last[:tail] = coeffs[full * h:]
+        last[tail:] = 0.0
+        tiles.append(last)
     out = np.empty(x.shape[0])
-    buf = ws.array("columns", (coeffs.shape[1], _SUB_BLOCK))
-    prod = ws.array("product", (coeffs.shape[0], _SUB_BLOCK))
+    buf = ws.array("columns", (width, _SUB_BLOCK))
+    prod = ws.array("product", (h, _SUB_BLOCK))
+    tile_max = ws.array("tile max", (_SUB_BLOCK,))
     for lo in range(0, x.shape[0], _SUB_BLOCK):
         k = min(_SUB_BLOCK, x.shape[0] - lo)
         buf[:, :k] = x[lo:lo + k].T
-        np.matmul(coeffs, buf, out=prod)
-        np.max(prod[:, :k], axis=0, out=out[lo:lo + k])
+        best = out[lo:lo + k]
+        for t, tile in enumerate(tiles):
+            np.matmul(tile, buf, out=prod)
+            used = prod[:min(h, rows - t * h), :k]
+            if t == 0:
+                np.max(used, axis=0, out=best)
+            else:
+                np.maximum(best, np.max(used, axis=0, out=tile_max[:k]), out=best)
     return out
 
 

@@ -184,12 +184,20 @@ def read_json_object(path, what: str) -> dict:
     return obj
 
 
+# what json_field names and the Python types that JSON gives, per convert
+# that takes only its JSON type; a bool is an int in Python and is refused
+_JSON_TYPES = {int: ("an integer", (int, float)), float: ("a number", (int, float)),
+               str: ("a string", (str,))}
+
+
 def json_field(obj: dict, key: str, convert, path, default=None):
     """convert(obj[key]), or `default` when the key is absent and one is given.
 
     Raises ParseError for a missing key without default and for a value
-    `convert` rejects.  With `int`, a JSON float must be integral (2.0 reads
-    as 2, 2.7 is refused rather than truncated) and a boolean is refused.
+    `convert` rejects.  With `int`, `float` or `str`, the value must have the
+    JSON type: a number for `int` and `float` (never a boolean), a string for
+    `str`; with `int`, a JSON float must be integral (2.0 reads as 2, 2.7 is
+    refused rather than truncated).
     """
     if key not in obj:
         if default is None:
@@ -197,9 +205,11 @@ def json_field(obj: dict, key: str, convert, path, default=None):
         return default
     value = obj[key]
     try:
-        if convert is int and (isinstance(value, bool)
-                               or isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"expected an integer, got {json.dumps(value)}")
+        if convert in _JSON_TYPES:
+            expected, types = _JSON_TYPES[convert]
+            if (isinstance(value, bool) or not isinstance(value, types)
+                    or convert is int and isinstance(value, float) and not value.is_integer()):
+                raise ValueError(f"expected {expected}, got {json.dumps(value)}")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad {key!r}: {exc}") from None

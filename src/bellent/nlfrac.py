@@ -5,7 +5,9 @@ state produce a behavior violating at least one inequality of a given set.
 Sampling uses counter-addressed RNG substreams keyed by (seed, sample index),
 so results are bit-identical for any worker count and the same settings are
 replayed for different states under a shared seed.  Each chunk of samples
-is drawn and evaluated in one `_rng.Workspace`, borrowed from an idle list.
+is drawn and evaluated one `bell._SUB_BLOCK` piece at a time, in one
+`_rng.Workspace` borrowed from an idle list, so what a worker holds is
+sized by one piece, not by the chunk.
 """
 
 from __future__ import annotations
@@ -17,16 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .bell import InequalitySet, batch_i_max, pauli_tensor
+from .bell import _SUB_BLOCK, InequalitySet, batch_i_max, pauli_tensor
 from .errors import ParameterError, ParseError
 from .files import json_field, read_json_object, read_table, sidecar_path, write_json, write_table
 from .qstate import DensityMatrix, check_visibility
 
+# samples per unit of pool work; a multiple of _SUB_BLOCK
 CHUNK = 1 << 14
 
 # Workspaces not in use, for the next chunk: a process allocates as many as
-# it ever runs chunks at once, not one per chunk or per estimate.  Results
-# never depend on what a workspace held before.
+# it ever runs chunks at once, not one per chunk or per estimate, each the
+# size of one piece.  Results never depend on what a workspace held before.
 _IDLE_WORKSPACES: list[_rng.Workspace] = []
 
 
@@ -91,12 +94,18 @@ def _check_request(rho: DensityMatrix, iset: InequalitySet, m: int, workers: int
         raise ParameterError("inequality set and state disagree on party count")
 
 
-def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work):
-    """work(start, dirs, ws) over disjoint sample ranges, 1 or more threads.
+def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work) -> list:
+    """work(start, dirs, ws) over disjoint sample ranges, 1 or more threads;
+    the results in sample order.
 
-    Each chunk takes a workspace from `_IDLE_WORKSPACES`, draws its
-    directions and runs its kernel in it, and puts it back, so no chunk
-    allocates its arrays anew.
+    A chunk is the unit of pool work.  It takes a workspace from
+    `_IDLE_WORKSPACES`, and in it draws and evaluates its samples one
+    `_SUB_BLOCK` piece at a time: work runs on each piece's directions as
+    soon as they are drawn.  The workspace goes back when the chunk ends, so
+    no piece allocates its arrays anew, and a workspace holds one piece,
+    whatever CHUNK is.  CHUNK is a multiple of `_SUB_BLOCK`, so the pieces,
+    and with them the products of `bell.i_max`, fall where one whole-range
+    `batch_i_max` would cut them.
     """
     tag = _rng.bloch_tag(n_parties)
 
@@ -108,15 +117,20 @@ def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work):
         except IndexError:
             ws = _rng.Workspace()
         try:
-            dirs = _rng.bloch_directions(seed, tag, start, count, n_parties, ws)
-            return work(start, dirs, ws)
+            results = []
+            for lo in range(start, start + count, _SUB_BLOCK):
+                k = min(_SUB_BLOCK, start + count - lo)
+                results.append(work(lo, _rng.bloch_directions(seed, tag, lo, k, n_parties, ws), ws))
+            return results
         finally:
             _IDLE_WORKSPACES.append(ws)
 
     if workers == 1:
-        return [one(s) for s in _chunk_ranges(m)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, _chunk_ranges(m)))
+        chunks = [one(s) for s in _chunk_ranges(m)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(one, _chunk_ranges(m)))
+    return [result for chunk in chunks for result in chunk]
 
 
 def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,

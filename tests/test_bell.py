@@ -9,9 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Philox
 from scipy.special import ndtri
 
-from bellent._rng import bloch_directions, raw_words
+from bellent._rng import (
+    blocks_per_sample,
+    bloch_directions,
+    draw_width,
+    generator,
+    raw_words,
+    substream_key,
+    uniforms,
+)
 from bellent.bell import (
     PAULI,
     _relabel_index,
@@ -514,6 +523,21 @@ def test_max_violation_has_the_bits_of_a_batch():
         assert i_max(tables[b:b + 1], w)[0] == batch[b]
 
 
+def test_i_max_reduces_a_large_set_in_row_tiles():
+    # 600 rows go through products of 256 rows, the last tile padded with
+    # zero rows, so the workspace never holds a 600-row product
+    rng = np.random.default_rng(47)
+    coeffs = rng.normal(size=(600, 27))
+    x = rng.normal(size=(5000, 27))
+    ws = Workspace()
+    got = i_max(x, coeffs, ws)
+    # the product, the columns, the padded last tile and one row of tile maxima
+    assert ws.nbytes <= (256 * 2048 + 27 * 2048 + 256 * 27 + 2048) * 8
+    assert np.max(np.abs(got - (coeffs @ x.T).max(axis=0))) < 1e-12
+    tiles = [i_max(x, coeffs[r:r + 256]) for r in range(0, 600, 256)]
+    assert got.tobytes() == np.maximum.reduce(tiles).tobytes()
+
+
 def _reference_bloch_directions(seed, tag, start, count, n):
     raw = raw_words(seed, tag, start, count, 6 * n)
     z = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
@@ -532,6 +556,38 @@ def test_bloch_directions_into_buffers_bit_identical():
             got = bloch_directions(9, f"bloch{n}", start, count, n, ws)
             assert np.shares_memory(got, ws.array("dirs", (count, 6 * n)))
             assert got.tobytes() == want.tobytes()
+
+
+def _reference_philox(seed, tag, start, words):
+    ph = Philox(key=substream_key(seed, tag))
+    ph.advance(start * blocks_per_sample(words))
+    return ph
+
+
+def test_uniforms_in_a_reused_workspace_match_a_fresh_one():
+    # a workspace keeps one Philox and sets its state for every draw: seeds,
+    # tags and starts that go backwards, a counter past 2**64 blocks, and
+    # words left in its buffer must not leak from one draw into the next
+    ws = Workspace()
+    for seed, tag, start, count, words in ((9, "bloch3", 40_000, 2048, 18),
+                                           (9, "bloch3", 2048, 100, 18),
+                                           (2, "bloch2", 0, 3, 12),
+                                           (9, "chshcube", 5, 7, 3),
+                                           (2 ** 128 - 1, "bloch3", 3 << 66, 5, 18),
+                                           (9, "bloch3", 40_000, 2048, 18)):
+        ph = _reference_philox(seed, tag, start, words)
+        want = np.random.Generator(ph).random((count, draw_width(words)))[:, :words] + 2.0 ** -54
+        assert uniforms(seed, tag, start, count, words, Workspace()).tobytes() == want.tobytes()
+        assert uniforms(seed, tag, start, count, words, ws).tobytes() == want.tobytes()
+        ws.philox.random_raw(3)
+
+
+def test_trial_generators_draw_the_substream_of_their_index():
+    for index in (0, 1, 17):
+        want = np.random.Generator(_reference_philox(5, f"poisson#{index}", 0, 4))
+        got = generator(5, "poisson", index)
+        assert got.poisson(30.0, 50).tolist() == want.poisson(30.0, 50).tolist()
+        assert got.random(9).tobytes() == want.random(9).tobytes()
 
 
 def test_bloch_directions_bit_identical_to_reference():

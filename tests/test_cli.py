@@ -236,6 +236,12 @@ MALFORMED_INPUTS = {
     # an integer field takes an integral number only: 2.7 is not truncated to the 2 rows
     "samples sidecar m 2.7": lambda d: _samples(d, ["0.5", "1.2"], m=2.7),
     "samples sidecar seed true": lambda d: _samples(d, ["0.5", "1.2"], seed=True),
+    # each field takes only its JSON type: no number in a string, no number as text
+    "samples sidecar m string": lambda d: _samples(d, ["0.5", "1.2"], m="2"),
+    "samples sidecar seed string": lambda d: _samples(d, ["0.5", "1.2"], seed="1"),
+    "samples sidecar state_tag number": lambda d: _samples(d, ["0.5", "1.2"], state_tag=5),
+    "cc sidecar normalization string": lambda d: _cc_with_sidecar(
+        d, '{"tag": "cc", "normalization": "2.5"}'),
     "state n_qubits 2.5": lambda d: _state_with(d, '"n_qubits": 2.5'),
     "state bad json": lambda d: _state(d, '{"n_qubits": 2, "entries": [[1, 0],'),
     "state without n_qubits": lambda d: _state(d, '{"entries": [[1, 0]]}'),

@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellent.bell import default_set, expand_relabelings, mermin, svetlichny
+from bellent._rng import bloch_directions, bloch_tag
+from bellent.bell import (
+    batch_i_max,
+    default_set,
+    expand_relabelings,
+    mermin,
+    pauli_tensor,
+    svetlichny,
+)
 from bellent import nlfrac
 from bellent.cli import main
 from bellent.errors import MissingDataError, ParameterError, ParseError
@@ -133,6 +141,35 @@ def test_violation_distribution_bits_independent_of_workers():
     for workers in (2, 3):
         got = violation_distribution(rho, iset, 40_000, seed=12, workers=workers)
         assert got.values.tobytes() == base.values.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_violation_distribution_has_the_bits_of_one_whole_range_draw(n):
+    # a whole chunk, then a partial one that ends in a partial piece
+    m = CHUNK + 3617
+    rho = werner_like(np.pi / 5, 0.95, n)
+    iset = default_set(n)
+    want = batch_i_max(pauli_tensor(rho), bloch_directions(8, bloch_tag(n), 0, m, n),
+                       iset.replay_rows())
+    for workers in (1, 2):
+        got = violation_distribution(rho, iset, m, seed=8, workers=workers)
+        assert got.values.tobytes() == want.tobytes()
+
+
+def test_an_idle_workspace_holds_one_piece_whatever_the_chunk(monkeypatch):
+    rho = werner_like(np.pi / 4, 0.9, 3)
+    iset = default_set(3)
+    m = 2 * CHUNK + 5
+
+    def held():
+        monkeypatch.setattr(nlfrac, "_IDLE_WORKSPACES", [])
+        estimate_pv(rho, iset, m, seed=1, workers=2)
+        return {ws.nbytes for ws in nlfrac._IDLE_WORKSPACES}
+
+    sizes = held()
+    assert len(sizes) == 1 and max(sizes) <= 3.5 * 2 ** 20
+    monkeypatch.setattr(nlfrac, "CHUNK", 4 * CHUNK)
+    assert held() == sizes
 
 
 def test_concurrent_estimates_never_share_a_workspace():
