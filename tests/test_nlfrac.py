@@ -1,3 +1,4 @@
+import hashlib
 import math
 import runpy
 import sys
@@ -154,6 +155,28 @@ def test_violation_distribution_has_the_bits_of_one_whole_range_draw(n):
     for workers in (1, 2):
         got = violation_distribution(rho, iset, m, seed=8, workers=workers)
         assert got.values.tobytes() == want.tobytes()
+
+
+# Violation counts of the bundled N=3 set, frozen once, never re-seeded:
+# (theta in degrees, v) -> count at m = N3_PIN_M with seed 5, for 1 and 2
+# workers.  m ends in a partial piece of a partial chunk.
+N3_PIN_M = 20001
+N3_PINS = {(45, 1.0): 101, (45, 0.986): 86, (30, 1.0): 12, (30, 0.986): 11}
+# sha256 of the violation_distribution values of gGHZ at 30 degrees, same m and seed
+N3_DIST_SHA256 = "0c5c108285b7b6d4703c8767eeb4758eb4cf73d84a9141056abc94964903c86b"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_n3_output_bits_are_pinned(workers):
+    # the other N=3 tests compare two routes on the same draws; these pins
+    # catch a change to the draws or to the kernel's bits at N=3
+    iset = default_set(3)
+    for (deg, v), want in N3_PINS.items():
+        rho = werner_like(math.radians(deg), v, 3)
+        assert estimate_pv(rho, iset, N3_PIN_M, seed=5, workers=workers).violations == want
+    samples = violation_distribution(werner_like(math.radians(30), 1.0, 3), iset, N3_PIN_M,
+                                     seed=5, workers=workers)
+    assert hashlib.sha256(samples.values.tobytes()).hexdigest() == N3_DIST_SHA256
 
 
 def test_an_idle_workspace_holds_one_piece_whatever_the_chunk(monkeypatch):
