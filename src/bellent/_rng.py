@@ -29,8 +29,8 @@ _HALF_STEP = 2.0 ** -54
 
 
 class Workspace:
-    """Named float64 arrays, and one Philox, that the sampling hot path reuses
-    from call to call.
+    """Named float64 arrays, and one Philox with its Generator, that the
+    sampling hot path reuses from call to call.
 
     A piece of samples that draws its directions (`bloch_directions`) and
     evaluates its kernel (`bell.batch_i_max`) in one workspace allocates
@@ -39,13 +39,36 @@ class Workspace:
     party count, reuses the buffer of a longer one; its size is set by the
     longest block drawn in it, which `nlfrac` keeps to one `bell._SUB_BLOCK`
     piece.  The Philox is moved to each substream by setting its state, which
-    costs a third of building one.  Results built in a workspace are views
-    into it, valid until its next use; a workspace serves one thread at a time.
+    costs a third of building one.  A draw that starts where the last one
+    ended, as the next piece of a chunk does, takes the Philox as it stands:
+    every draw consumes whole counter blocks, so its buffer is empty there.
+    Results built in a workspace are views into it, valid until its next
+    use; a workspace serves one thread at a time.
     """
 
     def __init__(self):
         self._flat = {}
-        self.philox = Philox(0)  # `_philox` sets its key and counter for each draw
+        self._philox = Philox(0)
+        self._generator = np.random.Generator(self._philox)
+        # (seed, tag, counter block) where the Philox stands with an empty
+        # buffer, or None when that is not known
+        self._at = None
+
+    @property
+    def philox(self) -> Philox:
+        """The Philox that `random` draws with; after a caller draws from it,
+        the next `random` sets its state."""
+        self._at = None
+        return self._philox
+
+    def random(self, seed: int, tag: str, block: int, out: np.ndarray) -> None:
+        """Fill out with `Generator.random` doubles from counter block `block`
+        of the (seed, tag) substream; out.size is a whole number of blocks."""
+        if self._at != (seed, tag, block):
+            _philox(seed, tag, block, self._philox)
+        self._at = None
+        self._generator.random(out=out)
+        self._at = (seed, tag, block + out.size // _WORDS_PER_BLOCK)
 
     def array(self, name: str, shape) -> np.ndarray:
         size = math.prod(shape)
@@ -81,16 +104,14 @@ def draw_width(words: int) -> int:
     return blocks_per_sample(words) * _WORDS_PER_BLOCK
 
 
-def _philox(seed: int, tag: str, start: int, words: int, ph: Philox | None = None) -> Philox:
-    """The substream for (seed, tag), positioned at sample `start`: `ph`, or a
-    new Philox, with its state set.
+def _philox(seed: int, tag: str, block: int, ph: Philox | None = None) -> Philox:
+    """The substream for (seed, tag), positioned at counter block `block`:
+    `ph`, or a new Philox, with its state set.
 
     Its words are those of `Philox(key=substream_key(seed, tag))` advanced by
-    start * blocks_per_sample(words) counter blocks (a 256-bit counter), with
-    an empty output buffer.
+    `block` counter blocks (a 256-bit counter), with an empty output buffer.
     """
     key = substream_key(seed, tag)
-    block = start * blocks_per_sample(words)
     if ph is None:
         ph = Philox(0)
     ph.state = {"bit_generator": "Philox",
@@ -109,7 +130,7 @@ def raw_words(seed: int, tag: str, start: int, count: int, words: int) -> np.nda
     block are discarded so consumption per sample is fixed.
     """
     width = draw_width(words)
-    raw = _philox(seed, tag, start, words).random_raw(count * width)
+    raw = _philox(seed, tag, start * blocks_per_sample(words)).random_raw(count * width)
     return raw.reshape(count, width)[:, :words]
 
 
@@ -118,7 +139,7 @@ def uniforms(seed: int, tag: str, start: int, count: int, words: int,
     """Uniform doubles strictly inside (0, 1), one per word: (k + 1/2) 2^-53
     for the top 53 bits k of the word, shape (count, words).
 
-    Drawn by `ws.philox` straight into `ws.array("draws")`, shape
+    Drawn by `ws.random` straight into `ws.array("draws")`, shape
     (count, draw_width(words)), that the result is a view of; a fresh
     workspace when none is given.
     """
@@ -127,7 +148,7 @@ def uniforms(seed: int, tag: str, start: int, count: int, words: int,
     out = ws.array("draws", (count, draw_width(words)))
     # Generator.random gives k 2^-53 from the same words as raw_words, one
     # word per double, so adding 2^-54 rounds exactly as (k + 1/2) 2^-53
-    np.random.Generator(_philox(seed, tag, start, words, ws.philox)).random(out=out)
+    ws.random(seed, tag, start * blocks_per_sample(words), out)
     out += _HALF_STEP
     return out[:, :words]
 
@@ -144,8 +165,11 @@ def bloch_directions(seed: int, tag: str, start: int, count: int, n_parties: int
     Two measurement directions per party, 3 standard normals per direction
     by inverse CDF, one word per normal, so each sample consumes 6*n_parties
     words (rounded up to whole counter blocks).  The uniforms are drawn into
-    `ws` (see `uniforms`) and the result is `ws.array("dirs")`, so a loop
-    that passes one workspace allocates nothing per call.
+    `ws` (see `uniforms`); the normals are written, and normalized, sample
+    innermost into `ws.array("dirs")`, shape (n_parties, 2, 3, count), and the
+    result is that array seen with the sample axis first (`np.moveaxis`), the
+    layout that `bell.correlators` reads.  A loop that passes one workspace
+    allocates nothing per call.
     """
     if ws is None:
         ws = Workspace()
@@ -153,16 +177,17 @@ def bloch_directions(seed: int, tag: str, start: int, count: int, n_parties: int
     from scipy.special import ndtri
     words = n_parties * 2 * 3
     u = uniforms(seed, tag, start, count, words, ws)
-    z = ndtri(u, out=ws.array("dirs", (count, words))).reshape(count, n_parties, 2, 3)
+    z = ws.array("dirs", (n_parties, 2, 3, count))
+    ndtri(u.T, out=z.reshape(words, count))
     # ndtri has consumed the draws, so their buffer holds the squared norms
-    norm, term = ws.array("draws", (2, count, n_parties, 2))
-    # the same sum, in the same order, as np.linalg.norm over the last axis;
+    norm, term = ws.array("draws", (2, n_parties, 2, count))
+    # the same sum, in the same order, as np.linalg.norm over the components;
     # ndtri never returns exactly 0 on (0,1) grid points, so it is positive
-    np.multiply(z[..., 0], z[..., 0], out=norm)
-    norm += np.multiply(z[..., 1], z[..., 1], out=term)
-    norm += np.multiply(z[..., 2], z[..., 2], out=term)
-    z /= np.sqrt(norm, out=norm)[..., None]
-    return z
+    np.multiply(z[:, :, 0], z[:, :, 0], out=norm)
+    norm += np.multiply(z[:, :, 1], z[:, :, 1], out=term)
+    norm += np.multiply(z[:, :, 2], z[:, :, 2], out=term)
+    z /= np.sqrt(norm, out=norm)[:, :, None]
+    return np.moveaxis(z, -1, 0)
 
 
 def generator(seed: int, tag: str, index: int = 0) -> np.random.Generator:
@@ -172,4 +197,4 @@ def generator(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     resampling); index picks a fresh stream per trial rather than a counter
     offset within one stream.
     """
-    return np.random.Generator(_philox(seed, f"{tag}#{index}", 0, _WORDS_PER_BLOCK))
+    return np.random.Generator(_philox(seed, f"{tag}#{index}", 0))

@@ -9,10 +9,14 @@ Behaviors are arrays, never objects: `pauli_tensor` converts a state once,
 `batch_i_max` turns batches of Bloch directions into normalized violation
 strengths.  A quantum behavior is no-signalling, so its 4^N table entries
 are fixed by 3^N full and marginal correlators; `correlators` computes
-those, one party at a time with the sample axis innermost, and the fixed
-matrix `feature_map(N)` turns them into tables.  `batch_behaviors` is that
+those, one party at a time with the sample axis innermost, as
+`_rng.bloch_directions` lays the directions out, and the fixed matrix
+`feature_map(N)` turns them into tables.  `batch_behaviors` is that
 product, and each `InequalitySet` carries its functionals in the same
-correlator basis (`c_matrix`), so `batch_i_max` never builds a table.
+correlator basis (`c_matrix`), so `batch_i_max` never builds a table.  When
+no row of the set reads a marginal feature, as in every bundled set,
+`batch_i_max` builds only the 2^N full correlators (8 of 27 at N=3), in
+about half the multiply-adds, and leaves the marginal features at 0.
 Tables from counts need not be no-signalling; they are reduced as tables
 (`w_matrix`).  Every Bell value, in either basis, comes from one reduction,
 `i_max`, which runs in fixed `_SUB_BLOCK`-column products: a sample's or a
@@ -251,7 +255,8 @@ def feature_map(n: int) -> np.ndarray:
     return m
 
 
-def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
+                marginals: bool = True) -> np.ndarray:
     """Full and marginal correlators of a batch of settings, shape (B, 3^N).
 
     Feature c (digits as in `feature_map`) of sample b is lam contracted
@@ -259,31 +264,58 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None) 
     otherwise.  Parties are contracted one at a time, each as three
     multiply-adds over its Bloch axis, with samples on the innermost axis:
     no BLAS call, so a sample's bits do not depend on the batch size.  The
-    result is the transpose of a C-contiguous (3^N, B) array, in `ws` when
-    one is given.
+    directions are read in place, as the sample-innermost rows that
+    `_rng.bloch_directions` writes.  With marginals False only the 2^N full
+    correlators (every digit >= 1) are built, from lam's Bloch block
+    lam[1:, ..., 1:] with two branches a party instead of three, and the
+    marginal features are 0; the full correlators have the bits of the full
+    build.  The result is the transpose of a C-contiguous (3^N, B) array, in
+    `ws` when one is given.
     """
     n = lam.ndim
     b = dirs.shape[0]
     if ws is None:
         ws = Workspace()
     # u[i, s, k] is the (B,) row of component k of party i's direction s
-    u = ws.array("u", (n, 2, 3, b))
-    np.copyto(u, np.moveaxis(dirs, 0, -1))
-    # t[c, k, b]: features c of the parties done, lam indices k of the rest;
+    u = np.moveaxis(dirs, 0, -1)
+    # the first lam index and feature digit of each party that enter: 0, or
+    # 1 to leave out the identity (lam index 0, digit 0)
+    skip = 0 if marginals else 1
+    first = 1 - skip  # index of the x component on a party's lam axis
+    # t: digits of the parties done, then lam indices of the rest, then samples;
     # parties alternate between two output buffers and share one product
-    t = lam.reshape(1, -1, 1)
+    t = lam[(slice(skip, None),) * n + (None,)]
     for i in range(n):
-        rest = 4 ** (n - 1 - i)
-        t = t.reshape(-1, 4, rest, t.shape[-1])
-        out = ws.array(f"party{i % 2}", (t.shape[0], 3, rest, b))
-        term = ws.array("term", (t.shape[0], 2, rest, b))
-        out[:, 0] = t[:, 0]
-        bloch = out[:, 1:]
-        np.multiply(u[i, :, 0, None], t[:, None, 1], out=bloch)
-        bloch += np.multiply(u[i, :, 1, None], t[:, None, 2], out=term)
-        bloch += np.multiply(u[i, :, 2, None], t[:, None, 3], out=term)
+        at = (slice(None),) * i  # the axes of the parties done
+        if i < n - 1:
+            shape = (3 - skip,) * (i + 1) + (4 - skip,) * (n - 1 - i) + (b,)
+            out = ws.array(f"party{i % 2}", shape)
+        else:  # the features, less the identity branch of every party when skip
+            features = ws.array(f"party{i % 2}", (3,) * n + (b,))
+            out = features[(slice(skip, None),) * n]
+        if marginals:
+            out[at + (0,)] = t[at + (0,)]
+        bloch = out[at + (slice(first, None),)]
+        term = ws.array("term", bloch.shape)
+        rows = (2,) + (1,) * (n - 1 - i) + (b,)
+        np.multiply(u[i, :, 0].reshape(rows), t[at + (None, first)], out=bloch)
+        bloch += np.multiply(u[i, :, 1].reshape(rows), t[at + (None, first + 1)], out=term)
+        bloch += np.multiply(u[i, :, 2].reshape(rows), t[at + (None, first + 2)], out=term)
         t = out
-    return t.reshape(3 ** n, b).T
+    features = features.reshape(3 ** n, b)
+    if not marginals:
+        features[_marginal_features(n)] = 0.0
+    return features.T
+
+
+@functools.cache
+def _marginal_features(n: int) -> np.ndarray:
+    """Read-only mask of the marginal features: those with a digit 0, all
+    3^N - 2^N features but the full correlators."""
+    c = np.arange(3 ** n)
+    mask = np.any([c // 3 ** i % 3 == 0 for i in range(n)], axis=0)
+    mask.setflags(write=False)
+    return mask
 
 
 def batch_behaviors(lam: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -342,15 +374,19 @@ def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray,
                 ws: Workspace | None = None) -> np.ndarray:
     """Max normalized functional value per settings sample, shape (B,).
 
-    c_matrix is an `InequalitySet.c_matrix`; correlators are built and
-    reduced in sub-blocks of `_SUB_BLOCK` samples, in `ws` when one is given.
+    c_matrix is an `InequalitySet.c_matrix` or its `replay_rows()`;
+    correlators are built and reduced in sub-blocks of `_SUB_BLOCK` samples,
+    in `ws` when one is given.  The marginal features are built only when a
+    marginal column of c_matrix is nonzero: the bundled sets read full
+    correlators only.
     """
     if ws is None:
         ws = Workspace()
+    marginals = bool(np.any(c_matrix[:, _marginal_features(lam.ndim)]))
     out = np.empty(dirs.shape[0])
     for lo in range(0, dirs.shape[0], _SUB_BLOCK):
         d = dirs[lo:lo + _SUB_BLOCK]
-        out[lo:lo + d.shape[0]] = i_max(correlators(lam, d, ws), c_matrix, ws)
+        out[lo:lo + d.shape[0]] = i_max(correlators(lam, d, ws, marginals), c_matrix, ws)
     return out
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
+from bellent import _rng
 from bellent._rng import (
     blocks_per_sample,
     bloch_directions,
@@ -21,6 +22,7 @@ from bellent._rng import (
     substream_key,
     uniforms,
 )
+from bellent import bell
 from bellent.bell import (
     PAULI,
     _relabel_index,
@@ -493,6 +495,64 @@ def test_correlator_kernel_matches_einsum_reference():
         assert not feature_map(n).flags.writeable
 
 
+def _full_correlator_columns(n):
+    # features whose base-3 digits are all >= 1
+    return [c for c in range(3 ** n) if all(c // 3 ** i % 3 for i in range(n))]
+
+
+def test_full_correlators_have_the_bits_of_the_full_build():
+    """Non-physical lam, so a marginal feature would leak into a full one."""
+    rng = np.random.default_rng(53)
+    ws = Workspace()
+    for n in (2, 3):
+        lam = rng.normal(size=(4,) * n)
+        full = _full_correlator_columns(n)
+        assert len(full) == 2 ** n
+        # directions in both layouts: sample-innermost rows as bloch_directions
+        # writes them, and a C-contiguous (B, N, 2, 3) array
+        for dirs in (bloch_directions(7, f"bloch{n}", 11, 2500, n),
+                     _random_dirs(rng, (301, n, 2))):
+            want = correlators(lam, dirs)
+            for w in (None, ws):
+                got = correlators(lam, dirs, w, marginals=False)
+                assert got.shape == want.shape
+                assert got[:, full].tobytes() == want[:, full].tobytes()
+                others = np.delete(got, full, axis=1)
+                assert others.size and not np.any(others)
+            # a full build after one without marginals, in the same workspace
+            assert correlators(lam, dirs, ws).tobytes() == want.tobytes()
+
+
+def test_batch_i_max_builds_marginals_only_for_a_set_that_reads_them(monkeypatch):
+    rng = np.random.default_rng(59)
+    ch = load_inequality_dir(Path(__file__).resolve().parent / "data" / "ch_form")
+    marginal = expand_relabelings(BellInequality(3, rng.normal(size=(2,) * 6), 4.0, "marginal"))
+    calls = []
+    full_build = correlators
+
+    def spy(lam, dirs, ws=None, marginals=True):
+        calls.append(marginals)
+        return full_build(lam, dirs, ws, marginals)
+
+    # the CH form's rows read the constant feature, and its replay rows only
+    # full correlators; the random set's rows read marginals either way
+    cases = [(default_set(2).c_matrix, False), (default_set(3).c_matrix, False),
+             (default_set(3).replay_rows(), False), (ch.c_matrix, True),
+             (ch.replay_rows(), False), (marginal.c_matrix, True),
+             (marginal.replay_rows(), True)]
+    for c, reads_marginals in cases:
+        n = round(math.log(c.shape[1], 3))
+        lam = pauli_tensor(_random_state(n, rng))
+        dirs = bloch_directions(3, f"bloch{n}", 0, 5000, n)
+        want = i_max(full_build(lam, dirs), c)
+        monkeypatch.setattr(bell, "correlators", spy)
+        calls.clear()
+        got = batch_i_max(lam, dirs, c)
+        monkeypatch.undo()
+        assert calls == [reads_marginals] * 3
+        assert got.tobytes() == want.tobytes()
+
+
 def test_feature_basis_i_max_matches_table_basis():
     rng = np.random.default_rng(41)
     marginal = BellInequality(3, rng.normal(size=(2,) * 6), 1.0, "marginal")
@@ -565,9 +625,10 @@ def _reference_philox(seed, tag, start, words):
 
 
 def test_uniforms_in_a_reused_workspace_match_a_fresh_one():
-    # a workspace keeps one Philox and sets its state for every draw: seeds,
-    # tags and starts that go backwards, a counter past 2**64 blocks, and
-    # words left in its buffer must not leak from one draw into the next
+    # a workspace keeps one Philox and sets its state for every draw that
+    # does not start where the last one ended: seeds, tags and starts that go
+    # backwards, a counter past 2**64 blocks, and words left in its buffer
+    # must not leak from one draw into the next
     ws = Workspace()
     for seed, tag, start, count, words in ((9, "bloch3", 40_000, 2048, 18),
                                            (9, "bloch3", 2048, 100, 18),
@@ -580,6 +641,36 @@ def test_uniforms_in_a_reused_workspace_match_a_fresh_one():
         assert uniforms(seed, tag, start, count, words, Workspace()).tobytes() == want.tobytes()
         assert uniforms(seed, tag, start, count, words, ws).tobytes() == want.tobytes()
         ws.philox.random_raw(3)
+
+
+def test_pieces_drawn_in_one_workspace_match_fresh_draws(monkeypatch):
+    # a piece that starts where the last draw ended continues the workspace's
+    # Philox without deriving its key; any other piece sets the state
+    keys = []
+    derive = substream_key
+    monkeypatch.setattr(_rng, "substream_key",
+                        lambda seed, tag: keys.append(tag) or derive(seed, tag))
+    ws = Workspace()
+    pieces = [(0, 2048), (2048, 2048), (4096, 333), (4429, 1)]
+    # the third order's first piece starts where the second order ended
+    for order, derived in ((pieces, 1), (pieces[::-1], 4),
+                           ([pieces[1], pieces[3], pieces[0], pieces[2]], 3)):
+        keys.clear()
+        for start, count in order:
+            want = bloch_directions(9, "bloch3", start, count, 3, Workspace())
+            keys.remove("bloch3")  # the fresh workspace's derivation
+            got = bloch_directions(9, "bloch3", start, count, 3, ws)
+            assert got.tobytes() == want.tobytes()
+        assert len(keys) == derived
+    # words drawn from the Philox outside `uniforms`, where the last piece
+    # ended, leave it off its position
+    ws.philox.random_raw(3)
+    want = bloch_directions(9, "bloch3", 4429, 7, 3, Workspace())
+    assert bloch_directions(9, "bloch3", 4429, 7, 3, ws).tobytes() == want.tobytes()
+    # in order across substreams: a changed seed or tag sets the state
+    for seed, tag in ((9, "bloch3"), (8, "bloch3"), (8, "chshcube")):
+        want = uniforms(seed, tag, 6, 5, 18, Workspace())
+        assert uniforms(seed, tag, 6, 5, 18, ws).tobytes() == want.tobytes()
 
 
 def test_trial_generators_draw_the_substream_of_their_index():
