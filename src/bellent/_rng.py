@@ -66,7 +66,7 @@ class Workspace:
         of the (seed, tag) substream; out.size is a whole number of blocks."""
         if self._at != (seed, tag, block):
             _philox(seed, tag, block, self._philox)
-        self._at = None
+        self._at = None  # not known until the draw completes
         self._generator.random(out=out)
         self._at = (seed, tag, block + out.size // _WORDS_PER_BLOCK)
 

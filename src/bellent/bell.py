@@ -257,7 +257,8 @@ def feature_map(n: int) -> np.ndarray:
 
 def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
                 marginals: bool = True) -> np.ndarray:
-    """Full and marginal correlators of a batch of settings, shape (B, 3^N).
+    """Correlator features of a batch of settings, shape (B, 3^N): the full
+    and marginal correlators, or with marginals False the full ones alone.
 
     Feature c (digits as in `feature_map`) of sample b is lam contracted
     with, per party i, (1, 0, 0, 0) for c_i = 0 and (0, dirs[b, i, c_i - 1])
