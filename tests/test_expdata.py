@@ -374,6 +374,20 @@ def test_pv_cc_matches_direct_estimator():
     assert res.n_blocks == n and res.n_excluded_records == 0
 
 
+# pv_cc of one noiseless dataset, frozen once, never re-seeded: gGHZ at
+# 45 degrees and v = 1, 4099 blocks (two full i_max products and a partial
+# one) at seed 5 -> (violations, blocks above 1 + margin, above 1 - margin)
+CC_PIN = (14, 12, 20)
+
+
+def test_pv_cc_counts_are_pinned():
+    res = pv_cc(synth_cc_dataset(werner_like(np.pi / 4, 1.0, 3), 4099, seed=5), ISET)
+    n = res.n_blocks
+    assert n == 4099
+    got = (res.estimate.violations, round(res.interval_low * n), round(res.interval_high * n))
+    assert got == CC_PIN
+
+
 def test_mix_identity_and_independence():
     state = normalize_cc(small_dataset(6, scale=4000.0))
     basis = [normalize_cc(b) for b in synth_basis_datasets(6, 5, scale=4000.0)]

@@ -179,6 +179,25 @@ def test_n3_output_bits_are_pinned(workers):
     assert hashlib.sha256(samples.values.tobytes()).hexdigest() == N3_DIST_SHA256
 
 
+# Violation counts of the bundled N=2 set, frozen once, never re-seeded:
+# (theta in degrees, v) -> count at m = N3_PIN_M with seed 6, for 1 and 2
+# workers.  Before these, only the CH-form counts pinned N=2 bits.
+N2_PINS = {(45, 0.9): 2598, (30, 1.0): 3014}
+# sha256 of the violation_distribution values of werner_like at 30 degrees and v = 1
+N2_DIST_SHA256 = "b6a0b6304f6ce887aac26f9d43612b1bbebefa0d1eb02b8a4bf7388396da7589"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_n2_output_bits_are_pinned(workers):
+    iset = default_set(2)
+    for (deg, v), want in N2_PINS.items():
+        rho = werner_like(math.radians(deg), v, 2)
+        assert estimate_pv(rho, iset, N3_PIN_M, seed=6, workers=workers).violations == want
+    samples = violation_distribution(werner_like(math.radians(30), 1.0, 2), iset, N3_PIN_M,
+                                     seed=6, workers=workers)
+    assert hashlib.sha256(samples.values.tobytes()).hexdigest() == N2_DIST_SHA256
+
+
 def test_an_idle_workspace_holds_one_piece_whatever_the_chunk(monkeypatch):
     rho = werner_like(np.pi / 4, 0.9, 3)
     iset = default_set(3)
