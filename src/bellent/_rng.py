@@ -164,28 +164,35 @@ def bloch_directions(seed: int, tag: str, start: int, count: int, n_parties: int
 
     Two measurement directions per party, 3 standard normals per direction
     by inverse CDF, one word per normal, so each sample consumes 6*n_parties
-    words (rounded up to whole counter blocks).  The uniforms are drawn into
-    `ws` (see `uniforms`); the normals are written, and normalized, sample
-    innermost into `ws.array("dirs")`, shape (n_parties, 2, 3, count), and the
-    result is that array seen with the sample axis first (`np.moveaxis`), the
-    layout that `bell.correlators` reads.  A loop that passes one workspace
-    allocates nothing per call.
+    words (rounded up to whole counter blocks).  The words are drawn as
+    `uniforms` draws them, into `ws.array("draws")`, and its uniforms are
+    written, with their half step added, sample innermost into
+    `ws.array("dirs")`, shape (n_parties, 2, 3, count); there `ndtri` turns
+    them into normals in place, and each direction is divided by its norm,
+    summed as (x^2 + y^2) + z^2 from squares that one call writes into the
+    draws' buffer.  The result is the dirs array seen with the sample axis
+    first (`np.moveaxis`), the layout that `bell.correlators` reads.  A
+    loop that passes one workspace allocates nothing per call.
     """
     if ws is None:
         ws = Workspace()
     # imported here, not at module level: it costs every CLI start about 0.25 s
     from scipy.special import ndtri
     words = n_parties * 2 * 3
-    u = uniforms(seed, tag, start, count, words, ws)
+    draws = ws.array("draws", (count, draw_width(words)))
+    ws.random(seed, tag, start * blocks_per_sample(words), draws)
     z = ws.array("dirs", (n_parties, 2, 3, count))
-    ndtri(u.T, out=z.reshape(words, count))
-    # ndtri has consumed the draws, so their buffer holds the squared norms
-    norm, term = ws.array("draws", (2, n_parties, 2, count))
-    # the same sum, in the same order, as np.linalg.norm over the components;
+    rows = z.reshape(words, count)
+    # the uniforms of `uniforms`, transposed as they are written
+    np.add(draws[:, :words].T, _HALF_STEP, out=rows)
+    ndtri(rows, out=rows)
+    # the draws are consumed, so their buffer holds the squares; the norm is
+    # the sum of np.linalg.norm over the components, in the same order, and
     # ndtri never returns exactly 0 on (0,1) grid points, so it is positive
-    np.multiply(z[:, :, 0], z[:, :, 0], out=norm)
-    norm += np.multiply(z[:, :, 1], z[:, :, 1], out=term)
-    norm += np.multiply(z[:, :, 2], z[:, :, 2], out=term)
+    squares = np.multiply(z, z, out=ws.array("draws", z.shape))
+    norm = squares[:, :, 0]
+    norm += squares[:, :, 1]
+    norm += squares[:, :, 2]
     z /= np.sqrt(norm, out=norm)[:, :, None]
     return np.moveaxis(z, -1, 0)
 

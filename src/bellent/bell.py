@@ -270,8 +270,10 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
     correlators (every digit >= 1) are built, from lam's Bloch block
     lam[1:, ..., 1:] with two branches a party instead of three, and the
     marginal features are 0; the full correlators have the bits of the full
-    build.  The result is the transpose of a C-contiguous (3^N, B) array, in
-    `ws` when one is given.
+    build.  The result is the transpose of the first B columns of a
+    C-contiguous (3^N, max(B, `_SUB_BLOCK`)) array, in `ws` when one is
+    given (`ws.array("features")`; its columns past B hold what an earlier
+    batch left): `batch_i_max` multiplies that array as it stands.
     """
     n = lam.ndim
     b = dirs.shape[0]
@@ -283,8 +285,9 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
     # 1 to leave out the identity (lam index 0, digit 0)
     skip = 0 if marginals else 1
     first = 1 - skip  # index of the x component on a party's lam axis
+    block = ws.array("features", (3 ** n, max(b, _SUB_BLOCK)))
     # t: digits of the parties done, then lam indices of the rest, then samples;
-    # parties alternate between two output buffers and share one product
+    # parties but the last alternate between two buffers and share one product
     t = lam[(slice(skip, None),) * n + (None,)]
     for i in range(n):
         at = (slice(None),) * i  # the axes of the parties done
@@ -292,8 +295,7 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
             shape = (3 - skip,) * (i + 1) + (4 - skip,) * (n - 1 - i) + (b,)
             out = ws.array(f"party{i % 2}", shape)
         else:  # the features, less the identity branch of every party when skip
-            features = ws.array(f"party{i % 2}", (3,) * n + (b,))
-            out = features[(slice(skip, None),) * n]
+            out = block.reshape((3,) * n + (-1,))[(slice(skip, None),) * n + (slice(b),)]
         if marginals:
             out[at + (0,)] = t[at + (0,)]
         bloch = out[at + (slice(first, None),)]
@@ -303,10 +305,9 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
         bloch += np.multiply(u[i, :, 1].reshape(rows), t[at + (None, first + 1)], out=term)
         bloch += np.multiply(u[i, :, 2].reshape(rows), t[at + (None, first + 2)], out=term)
         t = out
-    features = features.reshape(3 ** n, b)
     if not marginals:
-        features[_marginal_features(n)] = 0.0
-    return features.T
+        block[_marginal_features(n), :b] = 0.0
+    return block[:, :b].T
 
 
 @functools.cache
@@ -334,16 +335,28 @@ def i_max(x: np.ndarray, coeffs: np.ndarray, ws: Workspace | None = None) -> np.
 
     x holds behaviors as rows, in the basis of coeffs: tables with
     `w_matrix`, correlator features with `c_matrix`.  Each run of
-    `_SUB_BLOCK` rows is copied into the columns of one fixed-size buffer
-    (columns past a short last run are left over and dropped), so every
-    product has the same shape and a row's value has the same bits whatever
-    rows share its batch.  The rows of coeffs are taken in tiles of
-    h = min(rows, `_ROW_TILE`), the last one padded with zero rows that the
-    max leaves out, so every product is (h, `_SUB_BLOCK`) however many rows
-    the set has.  The buffer and the product live in `ws`.
+    `_SUB_BLOCK` rows is copied into the columns of one fixed-size buffer,
+    `ws.array("columns")` (columns past a short last run are left over and
+    dropped), and reduced by `_block_max`, so every product has the same
+    shape and a row's value has the same bits whatever rows share its
+    batch.  `batch_i_max` reduces its features in the same products,
+    without the copy.
     """
     if ws is None:
         ws = Workspace()
+    tiles = _row_tiles(coeffs, ws)
+    out = np.empty(x.shape[0])
+    buf = ws.array("columns", (coeffs.shape[1], _SUB_BLOCK))
+    for lo in range(0, x.shape[0], _SUB_BLOCK):
+        k = min(_SUB_BLOCK, x.shape[0] - lo)
+        buf[:, :k] = x[lo:lo + k].T
+        _block_max(tiles, len(coeffs), buf, out[lo:lo + k], ws)
+    return out
+
+
+def _row_tiles(coeffs: np.ndarray, ws: Workspace) -> list:
+    """The rows of coeffs in tiles of h = min(rows, `_ROW_TILE`), the last
+    one padded with zero rows (in `ws`), so that every tile is (h, width)."""
     rows, width = coeffs.shape
     h = min(rows, _ROW_TILE)
     full, tail = divmod(rows, h)
@@ -353,22 +366,29 @@ def i_max(x: np.ndarray, coeffs: np.ndarray, ws: Workspace | None = None) -> np.
         last[:tail] = coeffs[full * h:]
         last[tail:] = 0.0
         tiles.append(last)
-    out = np.empty(x.shape[0])
-    buf = ws.array("columns", (width, _SUB_BLOCK))
+    return tiles
+
+
+def _block_max(tiles: list, rows: int, columns: np.ndarray, out: np.ndarray,
+               ws: Workspace) -> None:
+    """out[j] = the max over the `rows` rows in `tiles` of row @ columns[:, j],
+    for the first len(out) of the `_SUB_BLOCK` columns.
+
+    Every product is (h, `_SUB_BLOCK`), however many rows the set has and
+    however many columns are read, in `ws`; the zero rows that pad the last
+    tile, and the columns past len(out), are left out of the max.
+    """
+    k = len(out)
+    h = tiles[0].shape[0]
     prod = ws.array("product", (h, _SUB_BLOCK))
     tile_max = ws.array("tile max", (_SUB_BLOCK,))
-    for lo in range(0, x.shape[0], _SUB_BLOCK):
-        k = min(_SUB_BLOCK, x.shape[0] - lo)
-        buf[:, :k] = x[lo:lo + k].T
-        best = out[lo:lo + k]
-        for t, tile in enumerate(tiles):
-            np.matmul(tile, buf, out=prod)
-            used = prod[:min(h, rows - t * h), :k]
-            if t == 0:
-                np.max(used, axis=0, out=best)
-            else:
-                np.maximum(best, np.max(used, axis=0, out=tile_max[:k]), out=best)
-    return out
+    for t, tile in enumerate(tiles):
+        np.matmul(tile, columns, out=prod)
+        used = prod[:min(h, rows - t * h), :k]
+        if t == 0:
+            np.max(used, axis=0, out=out)
+        else:
+            np.maximum(out, np.max(used, axis=0, out=tile_max[:k]), out=out)
 
 
 def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray,
@@ -377,17 +397,25 @@ def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray,
 
     c_matrix is an `InequalitySet.c_matrix` or its `replay_rows()`;
     correlators are built and reduced in sub-blocks of `_SUB_BLOCK` samples,
-    in `ws` when one is given.  The marginal features are built only when a
-    marginal column of c_matrix is nonzero: the bundled sets read full
-    correlators only.
+    in `ws` when one is given.  Each sub-block's features are built in the
+    (3^N, `_SUB_BLOCK`) buffer that `correlators` fills, and that buffer is
+    the columns of `i_max`'s products (`_block_max`) as it stands: no copy,
+    and a value has the bits that `i_max` gives on `correlators`.  The marginal
+    features are built only when a marginal column of c_matrix is nonzero:
+    the bundled sets read full correlators only.
     """
     if ws is None:
         ws = Workspace()
     marginals = bool(np.any(c_matrix[:, _marginal_features(lam.ndim)]))
+    tiles = _row_tiles(c_matrix, ws)
     out = np.empty(dirs.shape[0])
     for lo in range(0, dirs.shape[0], _SUB_BLOCK):
         d = dirs[lo:lo + _SUB_BLOCK]
-        out[lo:lo + d.shape[0]] = i_max(correlators(lam, d, ws, marginals), c_matrix, ws)
+        correlators(lam, d, ws, marginals)
+        # the whole buffer that correlators filled: a sub-block is at most
+        # _SUB_BLOCK samples, so it is this wide
+        features = ws.array("features", (c_matrix.shape[1], _SUB_BLOCK))
+        _block_max(tiles, len(c_matrix), features, out[lo:lo + d.shape[0]], ws)
     return out
 
 

@@ -30,7 +30,7 @@ from . import _rng
 from .bell import InequalitySet, batch_behaviors, i_max, pauli_tensor
 from .errors import ParameterError, ParseError
 from .files import (FLOAT_FIELD, data_lines, json_field, read_json_object, read_text,
-                    sidecar_path, write_json, writing)
+                    sidecar_path, table_passes, write_json, writing)
 from .nlfrac import PvEstimate
 from .qstate import DensityMatrix, basis_state
 
@@ -124,8 +124,8 @@ _HEAD = "%d" + f",{FLOAT_FIELD}" * 9
 # {1} its duration and each float field a count
 _RECORD_ROWS = "".join(f"{{0}},{r >> 2},{r >> 1 & 1},{r & 1},{FLOAT_FIELD},{{1}}\n"
                        for r in range(8))
-# rows per pass of save_cc and _columns: the text and split fields of one
-# pass stay small (passes over whole 4096-row files raised peak RSS by 2 MiB)
+# rows per formatting pass of save_cc: the text of one pass stays small
+# (passes over whole 4096-row files raised peak RSS by 2 MiB)
 _ROWS_PER_PASS = 512
 
 
@@ -153,20 +153,21 @@ def save_cc(dataset: CCDataset, path) -> None:
 _OUTCOME = {(f"{r >> 2}", f"{r >> 1 & 1}", f"{r & 1}"): r for r in range(8)}
 
 
-def _columns(rows) -> tuple:
-    """The numbers of 15-field CSV rows, converted a column at a time.
+def _columns(passes) -> tuple:
+    """The numbers of 15-field CSV rows, given in passes, converted a column at a time.
 
     Returns what `_parse` returns for a file that parses, without the
     message.  Each distinct head and each distinct duration text is
-    converted once.  Any row that the passes cannot take (another width,
-    bits not written "0" or "1", a number `int` or `float` rejects, an id
-    outside int64, a blank line) raises ValueError, KeyError or
-    OverflowError; `_parse` then reads the file and names that row.
+    converted once, whichever pass it first appears in.  Any row that the
+    passes cannot take (another width, bits not written "0" or "1", a
+    number `int` or `float` rejects, an id outside int64, a blank line)
+    raises ValueError, KeyError or OverflowError; `_parse` then reads the
+    file and names that row.
     """
     head_of, duration_of, parts = {}, {}, []
-    for lo in range(0, len(rows), _ROWS_PER_PASS):
+    for rows in passes:
         heads, r1, r2, r3, counts, durations = zip(
-            *map(str.rsplit, rows[lo:lo + _ROWS_PER_PASS], repeat(","), repeat(5)), strict=True)
+            *map(str.rsplit, rows, repeat(","), repeat(5)), strict=True)
         # distinct heads, numbered in order of first appearance
         for head in dict.fromkeys(heads):
             head_of.setdefault(head, len(head_of))
@@ -246,20 +247,24 @@ def load_cc(path) -> CCDataset:
     ParseError for its earliest offending line.  A row's values pass the
     checks of a record (`_value_faults`).  A setting has one set of
     directions and one duration: its rows must agree on both (directions
-    within DIR_TOL).  A file is parsed in column passes (`_columns`); a file
-    they cannot take is walked row by row (`_parse`), which names the
-    faulty row.
+    within DIR_TOL).  A file is parsed in column passes (`_columns`), one
+    `files.table_passes` block at a time, so the load holds one block's
+    text and lines; a file they cannot take (not UTF-8 included) is read
+    again whole and walked row by row (`_parse`), which names the faulty
+    row.
     """
-    # the path as given: it is the file's key in the read log
-    lines = read_text(path, "coincidence-count file").splitlines()
-    path = Path(path)
-    if not lines or lines[0] != CC_HEADER:
-        raise ParseError(f"{path}: bad or missing header", line=1)
-    # rows (non-blank lines) before `stop` parse; row `stop` is the first that does not
+    what = "coincidence-count file"
+    # rows (non-blank lines) before `stop` parse; row `stop` is the first that
+    # does not.  On the column path there is no blank line: row r is line r + 2
     try:
-        parsed, stop_msg = _columns(lines[1:]), None
+        # the path as given: it is the file's key in the read log
+        parsed, stop_msg, lines = _columns(table_passes(path, CC_HEADER, what)), None, None
     except (ValueError, KeyError, OverflowError):
+        lines = read_text(path, what).splitlines()
+        if not lines or lines[0] != CC_HEADER:
+            raise ParseError(f"{Path(path)}: bad or missing header", line=1) from None
         *parsed, stop_msg = _parse(filter(str.strip, lines[1:]))
+    path = Path(path)
     head_ids, head_dirs, row_head, outcome, count, duration = parsed
     stop = len(row_head)
     # settings in id order; a setting's first head holds its first row
@@ -288,7 +293,8 @@ def load_cc(path) -> CCDataset:
             stop = int(bad.argmax())
             stop_msg = message.format(ids[setting[stop]])
     if stop_msg is not None:
-        raise ParseError(f"{path}: {stop_msg}", line=data_lines(lines)[stop])
+        raise ParseError(f"{path}: {stop_msg}",
+                         line=stop + 2 if lines is None else data_lines(lines)[stop])
     if not len(row_head):
         raise ParseError(f"{path}: no data rows")
     tag, norm = path.stem, 1.0

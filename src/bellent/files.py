@@ -1,16 +1,23 @@
 """Reading and writing the package's files, and the log of one invocation.
 
-`writing` opens every output and `read_text` reads every input, as `recording_reads` logs.
+`writing` opens every output, and `read_text` or `read_lines` reads every
+input, as `recording_reads` logs.  A table (`read_table`, and the count
+files of `expdata.load_cc`) is read in `read_lines` passes of one fixed
+block of bytes, so what a load holds besides its result does not grow with
+the file; a file that a pass cannot take is read again whole by
+`read_text` and walked row by row, which names its faulty line.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import contextvars
 import hashlib
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +31,11 @@ FLOAT_FIELD = "%" + _FLOAT_SPEC
 # rows per %-formatting pass in write_table: its tuple and text stay small,
 # whatever the length of the table
 _LINES_PER_PASS = 4096
+# bytes per read of read_lines: the text and lines of one block stay small,
+# whatever the size of the file
+_BLOCK_BYTES = 1 << 16
+# the characters at which str.splitlines ends a line
+_LINE_ENDS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def format_float(x: float) -> str:
@@ -108,6 +120,23 @@ def recording_reads():
         _io_log.reset(token)
 
 
+@contextlib.contextmanager
+def _reading(path, what: str):
+    """Within the block, an OSError raises MissingDataError naming `what`."""
+    try:
+        yield
+    except (FileNotFoundError, IsADirectoryError):
+        raise MissingDataError(f"no such {what}: {path}") from None
+    except OSError as exc:
+        raise MissingDataError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
+def _log_read(key: str, digest) -> None:
+    log = _io_log.get()
+    if log is not None:
+        log[0][key] = digest.hexdigest()
+
+
 def read_text(path, what: str) -> str:
     """The UTF-8 text of a file the package reads; `what` names it in errors.
 
@@ -117,22 +146,68 @@ def read_text(path, what: str) -> str:
     ParseError, with the line, when its bytes are not UTF-8.
     """
     key, path = str(path), Path(path)
-    try:
+    with _reading(path, what):
         data = path.read_bytes()
+    try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: {what} is not UTF-8 text", line=line) from None
-    except (FileNotFoundError, IsADirectoryError):
-        raise MissingDataError(f"no such {what}: {path}") from None
-    except OSError as exc:
-        raise MissingDataError(f"cannot read {what} {path}: {exc.strerror}") from None
-    log = _io_log.get()
-    if log is not None:
-        log[0][key] = hashlib.sha256(data).hexdigest()
+    _log_read(key, hashlib.sha256(data))
     if "\r" in text:  # a two-character replace scans slowly even when nothing matches
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def read_lines(path, what: str):
+    """Yield the lines of a file a block at a time, as non-empty lists whose
+    concatenation is `read_text(path, what).splitlines()`.
+
+    The file is read in binary blocks of `_BLOCK_BYTES`, each fed to a sha256
+    that is logged as `read_text` logs it once the last block is read, and
+    decoded as UTF-8 incrementally.  A block's complete lines are split by
+    `str.splitlines`, which ends a line at CRLF and at a lone CR as text
+    mode's translation to LF does; the line that a block leaves open, and
+    a CR that ends a block (it may begin a CRLF), go on in the next.
+    MissingDataError as `read_text`; UnicodeDecodeError (a ValueError) when
+    the bytes are not UTF-8, which `read_text` would name with its line.
+    """
+    key, path = str(path), Path(path)
+    digest = hashlib.sha256()
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    carry = ""
+    with _reading(path, what), open(path, "rb") as fh:
+        while block := fh.read(_BLOCK_BYTES):
+            digest.update(block)
+            text = carry + decode(block)
+            lines = text.splitlines()
+            end = text[-1:]
+            # splitlines ends the last line at a CR that ends the text, and
+            # lets the last line end at the text's end
+            if end == "\r":
+                carry = lines.pop() + end
+            elif end and end not in _LINE_ENDS:
+                carry = lines.pop()
+            else:
+                carry = ""
+            if lines:
+                yield lines
+    lines = (carry + decode(b"", True)).splitlines()
+    if lines:
+        yield lines
+    _log_read(key, digest)
+
+
+def table_passes(path, header: str, what: str):
+    """Yield the lines after `header` in `read_lines` passes; ValueError when
+    the file's first line is not `header` (an empty file has none)."""
+    passes = read_lines(path, what)
+    first = next(passes, None)
+    if first is None or first[0] != header:
+        raise ValueError("not the header")
+    if len(first) > 1:
+        yield first[1:]
+    yield from passes
 
 
 def data_lines(lines) -> list:
@@ -140,31 +215,49 @@ def data_lines(lines) -> list:
     return [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
 
 
+def _table_pass(lines, k: int) -> np.ndarray:
+    """The finite floats of rows of k fields, flat; ValueError for anything else."""
+    if k == 1:  # float() fails on a comma or a blank
+        values = np.fromiter(map(float, lines), float, len(lines))
+    else:
+        fields = [line.split(",") for line in lines]
+        if any(len(f) != k for f in fields):
+            raise ValueError(f"a row is not {k} fields")
+        values = np.fromiter(map(float, chain.from_iterable(fields)), float, k * len(lines))
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
+
+
 def read_table(path, header: str, what: str) -> np.ndarray:
     """The (rows, k) floats of a `write_table` file of the k columns in `header`.
 
     Blank lines are skipped.  A wrong header, a row of other than k fields, a bad
     or non-finite number, and a file without rows raise ParseError (with the line).
+    The rows are converted in `table_passes`, whose text and lines stay one
+    block's; a file that a pass cannot take, faulty or with a blank line, is
+    read again by `read_text` and walked row by row.
     """
+    k = header.count(",") + 1
+    try:
+        parts = [_table_pass(lines, k) for lines in table_passes(path, header, what)]
+        if parts:
+            return np.concatenate(parts).reshape(-1, k)
+    except ValueError:  # not UTF-8 included
+        pass
     lines = read_text(path, what).splitlines()
     if not lines or lines[0] != header:
         raise ParseError(f"{path}: expected header {header!r}", line=1)
-    k = header.count(",") + 1
-    try:  # one float pass over a one-column table; float() fails on a comma or a blank
-        if k > 1:
-            raise ValueError
-        table = np.fromiter(map(float, lines[1:]), float, len(lines) - 1).reshape(-1, 1)
-    except ValueError:  # row by row: skip blanks, name the first faulty row
-        table = []
-        for n in data_lines(lines):
-            fields = lines[n - 1].split(",")
-            try:
-                if len(fields) != k:
-                    raise ValueError(f"expected {k} fields, got {len(fields)}")
-                table.extend(map(float, fields))
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}", line=n) from None
-        table = np.array(table).reshape(-1, k)
+    table = []
+    for n in data_lines(lines):
+        fields = lines[n - 1].split(",")
+        try:
+            if len(fields) != k:
+                raise ValueError(f"expected {k} fields, got {len(fields)}")
+            table.extend(map(float, fields))
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line=n) from None
+    table = np.array(table).reshape(-1, k)
     if not table.size:
         raise ParseError(f"{path}: no data rows")
     finite = np.isfinite(table).all(axis=1)

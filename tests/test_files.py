@@ -1,8 +1,16 @@
+import hashlib
+import math
+import random
+
 import numpy as np
 import pytest
 
-from bellent.errors import ParseError
-from bellent.files import read_table, write_table
+from bellent import files
+from bellent.errors import MissingDataError, ParseError
+from bellent.expdata import load_cc, save_cc, synth_cc_dataset
+from bellent.files import read_lines, read_table, read_text, recording_reads, write_table
+from bellent.nlfrac import ViolationSamples, load_violation_samples, save_violation_samples
+from bellent.qstate import werner_like
 
 
 def test_write_table_read_table_round_trip_is_bitwise(tmp_path):
@@ -39,3 +47,167 @@ def test_read_table_skips_blank_lines(tmp_path):
     p = tmp_path / "table.csv"
     p.write_text("v,p\n\n1,2\n \n3, 4\n")
     assert read_table(p, "v,p", "table").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+# every character at which str.splitlines ends a line, CRLF as one
+SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+# field texts of 1 to 4 UTF-8 bytes a character
+FIELDS = ["", "0.5", "a", "x,y", " ", "\u00e9", "\u20ac", "\U0001d11e", "-1e-300"]
+
+
+def _random_text(rng: random.Random) -> str:
+    parts = []
+    for _ in range(rng.randrange(1, 30)):
+        parts.append("".join(rng.choice(FIELDS) for _ in range(rng.randrange(3))))
+        parts.append(rng.choice(SEPARATORS))
+    if rng.random() < 0.5:  # no final newline
+        parts.append(rng.choice(FIELDS[1:]))
+    return "".join(parts)
+
+
+def _joined(path):
+    return [line for lines in read_lines(path, "table") for line in lines]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+def test_read_lines_joined_are_the_lines_of_read_text(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(files, "_BLOCK_BYTES", block)
+    rng = random.Random(block)
+    texts = ["", "no final newline", "a\r", "\r\n\r", "a\r\nb\n\u20ac\r\n\U0001d11e"]
+    texts += [_random_text(rng) for _ in range(200)]
+    split_crlf = split_char = 0
+    p = tmp_path / "t.csv"
+    for text in texts:
+        data = text.encode()
+        p.write_bytes(data)
+        passes = list(read_lines(p, "table"))
+        assert all(passes)
+        assert [line for lines in passes for line in lines] == read_text(p, "table").splitlines()
+        ends = range(block, len(data), block)
+        split_crlf += sum(data[i - 1:i + 1] == b"\r\n" for i in ends)
+        split_char += sum(data[i] & 0xC0 == 0x80 for i in ends)  # a continuation byte
+    # the cases that a block end makes: a CRLF and a character split across it
+    assert split_crlf and (block == 1 or split_char)
+
+
+def test_read_lines_logs_the_digest_of_the_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(files, "_BLOCK_BYTES", 7)
+    data = _random_text(random.Random(1)).encode() * 20
+    p = tmp_path / "t.csv"
+    p.write_bytes(data)
+    with recording_reads() as (reads, _):
+        assert _joined(p) == data.decode().splitlines()
+    assert reads == {str(p): hashlib.sha256(data).hexdigest()}
+    with recording_reads() as (reads, _):
+        read_text(p, "table")
+    assert reads == {str(p): hashlib.sha256(data).hexdigest()}
+
+
+def test_read_lines_refuses_what_read_text_refuses(tmp_path):
+    with pytest.raises(MissingDataError, match="no such table"):
+        _joined(tmp_path / "missing.csv")
+    with pytest.raises(MissingDataError, match="no such table"):
+        _joined(tmp_path)
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"a\n\xe2\x82")  # a character cut short at the end of the file
+    with pytest.raises(UnicodeDecodeError):
+        _joined(p)
+
+
+def _samples_file(path, n=3000):
+    values = np.linspace(0.25, 1.75, n)
+    save_violation_samples(ViolationSamples(values, "s", 1, "set"), path)
+    return values
+
+
+def _count_file(path):
+    save_cc(synth_cc_dataset(werner_like(math.pi / 4, 0.9, 3), 12, seed=3, scale=100.0), path)
+
+
+def _edit_line(path, n, edit):
+    """The file with line n (1-based) replaced by edit(line), as bytes."""
+    lines = path.read_bytes().split(b"\n")
+    lines[n - 1] = edit(lines[n - 1])
+    path.write_bytes(b"\n".join(lines))
+
+
+def _last_field(text):
+    return lambda line: line.rpartition(b",")[0] + b"," + text if b"," in line else text
+
+
+def _not_utf8(line):
+    return line[:1] + b"\xff" + line[1:]
+
+
+# (edit of a line in a late block of 64 bytes, message after the path)
+SAMPLES_FAULTS = [
+    (_last_field(b"x"), "could not convert string to float: 'x'"),
+    (_last_field(b"nan"), "non-finite value"),
+    (_not_utf8, "samples file is not UTF-8 text"),
+]
+COUNT_FAULTS = [
+    (_last_field(b"x"), "could not convert string to float: 'x'"),
+    (_last_field(b"nan"), "non-finite duration"),
+    (lambda line: b",".join(line.split(b",")[:10] + [b"2"] + line.split(b",")[11:]),
+     "outcome bits must be 0 or 1"),
+    (_not_utf8, "coincidence-count file is not UTF-8 text"),
+]
+
+
+@pytest.mark.parametrize("edit, message", SAMPLES_FAULTS)
+def test_a_late_fault_in_a_samples_file_names_its_line(tmp_path, monkeypatch, edit, message):
+    monkeypatch.setattr(files, "_BLOCK_BYTES", 64)
+    p = tmp_path / "samples.csv"
+    for blank in (False, True):  # a blank line before the fault
+        _samples_file(p)
+        _edit_line(p, 2900, edit)
+        if blank:
+            _edit_line(p, 3, lambda line: b"\n" + line)
+        with pytest.raises(ParseError) as exc:
+            load_violation_samples(p)
+        assert exc.value.line == 2900 + blank
+        assert str(exc.value).endswith(f"{p}: {message}")
+
+
+@pytest.mark.parametrize("edit, message", COUNT_FAULTS)
+def test_a_late_fault_in_a_count_file_names_its_line(tmp_path, monkeypatch, edit, message):
+    monkeypatch.setattr(files, "_BLOCK_BYTES", 64)
+    p = tmp_path / "cc.csv"
+    for blank in (False, True):  # a blank line before the fault
+        _count_file(p)
+        _edit_line(p, 90, edit)
+        if blank:
+            _edit_line(p, 3, lambda line: b"\n" + line)
+        with pytest.raises(ParseError) as exc:
+            load_cc(p)
+        assert exc.value.line == 90 + blank
+        assert str(exc.value).endswith(f"{p}: {message}")
+
+
+def test_a_late_value_fault_in_a_count_file_names_its_line(tmp_path, monkeypatch):
+    # a row that the column passes take, whose count the value checks refuse:
+    # row r of the passes is line r + 2
+    monkeypatch.setattr(files, "_BLOCK_BYTES", 64)
+    p = tmp_path / "cc.csv"
+    _count_file(p)
+    lines = p.read_text().splitlines()
+    fields = lines[89].split(",")
+    fields[-2] = "-1"
+    lines[89] = ",".join(fields)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_cc(p)
+    assert exc.value.line == 90 and str(exc.value).endswith(f"{p}: negative count")
+
+
+def test_a_late_blank_line_reads_as_the_clean_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(files, "_BLOCK_BYTES", 64)
+    samples, counts = tmp_path / "samples.csv", tmp_path / "cc.csv"
+    values = _samples_file(samples)
+    _count_file(counts)
+    clean = load_cc(counts).records.tobytes()
+    for path, line in ((samples, 2900), (counts, 90)):
+        _edit_line(path, line, lambda text: b"\n" + text)
+    assert load_violation_samples(samples).values.tobytes() == values.tobytes()
+    assert load_cc(counts).records.tobytes() == clean

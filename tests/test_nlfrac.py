@@ -3,6 +3,7 @@ import math
 import runpy
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,18 @@ def test_an_idle_workspace_holds_one_piece_whatever_the_chunk(monkeypatch):
     assert held() == sizes
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_monte_carlo_reduces_features_where_they_are_built(monkeypatch, n):
+    # batch_i_max multiplies the buffer that correlators fills: no idle
+    # workspace holds i_max's `columns` copy of the features
+    monkeypatch.setattr(nlfrac, "_IDLE_WORKSPACES", [])
+    rho = werner_like(np.pi / 4, 0.9, n)
+    estimate_pv(rho, default_set(n), 2 * CHUNK + 5, seed=1, workers=2)
+    violation_distribution(rho, default_set(n), CHUNK + 5, seed=1)
+    idle = nlfrac._IDLE_WORKSPACES
+    assert idle and not any("columns" in ws._flat for ws in idle)
+
+
 def test_concurrent_estimates_never_share_a_workspace():
     # more threads than cores borrow and return workspaces at once; a
     # workspace used by two threads at a time would corrupt their values
@@ -341,6 +354,21 @@ def test_non_finite_sample_is_refused_on_its_line(tmp_path, header):
         with pytest.raises(ParseError) as exc:
             read(p)
         assert exc.value.line == line and str(p) in str(exc.value)
+
+
+def test_loading_a_samples_file_holds_a_block_not_the_file(tmp_path):
+    # read whole, a 200,000-row file's text and line list peaked at 18 MiB
+    p = tmp_path / "samples.csv"
+    values = np.random.default_rng(2).uniform(0.3, 1.5, 200_000)
+    save_violation_samples(ViolationSamples(values, "s", 1, "set"), p)
+    tracemalloc.start()
+    try:
+        got = load_violation_samples(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.values.tobytes() == values.tobytes()
+    assert peak < 6 * 2 ** 20
 
 
 def test_samples_file_is_the_per_value_text(tmp_path):
