@@ -271,9 +271,9 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
     lam[1:, ..., 1:] with two branches a party instead of three, and the
     marginal features are 0; the full correlators have the bits of the full
     build.  The result is the transpose of the first B columns of a
-    C-contiguous (3^N, max(B, `_SUB_BLOCK`)) array, in `ws` when one is
-    given (`ws.array("features")`; its columns past B hold what an earlier
-    batch left): `batch_i_max` multiplies that array as it stands.
+    C-contiguous (3^N, max(B, `_SUB_BLOCK`)) array, the last party's
+    output buffer, in `ws` when one is given; its columns past B hold what
+    an earlier use left.  `batch_i_max` multiplies that array as it stands.
     """
     n = lam.ndim
     b = dirs.shape[0]
@@ -285,9 +285,8 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
     # 1 to leave out the identity (lam index 0, digit 0)
     skip = 0 if marginals else 1
     first = 1 - skip  # index of the x component on a party's lam axis
-    block = ws.array("features", (3 ** n, max(b, _SUB_BLOCK)))
     # t: digits of the parties done, then lam indices of the rest, then samples;
-    # parties but the last alternate between two buffers and share one product
+    # parties alternate between two output buffers and share one product
     t = lam[(slice(skip, None),) * n + (None,)]
     for i in range(n):
         at = (slice(None),) * i  # the axes of the parties done
@@ -295,6 +294,7 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
             shape = (3 - skip,) * (i + 1) + (4 - skip,) * (n - 1 - i) + (b,)
             out = ws.array(f"party{i % 2}", shape)
         else:  # the features, less the identity branch of every party when skip
+            block = _feature_buffer(ws, n, b)
             out = block.reshape((3,) * n + (-1,))[(slice(skip, None),) * n + (slice(b),)]
         if marginals:
             out[at + (0,)] = t[at + (0,)]
@@ -308,6 +308,13 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
     if not marginals:
         block[_marginal_features(n), :b] = 0.0
     return block[:, :b].T
+
+
+def _feature_buffer(ws: Workspace, n: int, b: int) -> np.ndarray:
+    """The (3^N, max(b, `_SUB_BLOCK`)) array in ws that `correlators` writes
+    b samples' features into: the last party's output buffer, as wide as
+    `i_max`'s products."""
+    return ws.array(f"party{(n - 1) % 2}", (3 ** n, max(b, _SUB_BLOCK)))
 
 
 @functools.cache
@@ -412,10 +419,8 @@ def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray,
     for lo in range(0, dirs.shape[0], _SUB_BLOCK):
         d = dirs[lo:lo + _SUB_BLOCK]
         correlators(lam, d, ws, marginals)
-        # the whole buffer that correlators filled: a sub-block is at most
-        # _SUB_BLOCK samples, so it is this wide
-        features = ws.array("features", (c_matrix.shape[1], _SUB_BLOCK))
-        _block_max(tiles, len(c_matrix), features, out[lo:lo + d.shape[0]], ws)
+        _block_max(tiles, len(c_matrix), _feature_buffer(ws, lam.ndim, d.shape[0]),
+                   out[lo:lo + d.shape[0]], ws)
     return out
 
 
