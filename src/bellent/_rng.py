@@ -34,7 +34,10 @@ class Workspace:
 
     A piece of samples that draws its directions (`bloch_directions`) and
     evaluates its kernel (`bell.batch_i_max`) in one workspace allocates
-    nothing anew, so the hot loop takes no page faults.  An array is a view
+    nothing anew, so the hot loop takes no page faults, and holds each
+    intermediate once: the draws' buffer takes the squared normals, and
+    the correlator features are built in the buffer that the Bell-value
+    product reads.  An array is a view
     into a flat buffer that only grows, so a shorter block, or the other
     party count, reuses the buffer of a longer one; its size is set by the
     longest block drawn in it, which `nlfrac` keeps to one `bell._SUB_BLOCK`

@@ -19,10 +19,12 @@ no row of the set reads a marginal feature, as in every bundled set,
 about half the multiply-adds, and leaves the marginal features at 0.
 Tables from counts need not be no-signalling; they are reduced as tables
 (`w_matrix`).  Every Bell value, in either basis, comes from one reduction,
-`i_max`, which runs in fixed `_SUB_BLOCK`-column products: a sample's or a
-block's value has the same bits however its batch was cut.  It takes a
-set's rows in tiles of at most `_ROW_TILE`, so its product buffer does not
-grow with the set.  The kernel's intermediates live in the caller's
+`_block_max`, which runs in fixed `_SUB_BLOCK`-column products: a sample's
+or a block's value has the same bits however its batch was cut.  It takes
+a set's rows in tiles of at most `_ROW_TILE`, so its product buffer does
+not grow with the set.  `i_max` copies behaviors given as rows into its
+columns; `batch_i_max` reduces the buffer that `correlators` builds the
+features in, with no copy.  The kernel's intermediates live in the caller's
 `Workspace`, the one that `_rng.bloch_directions` draws the directions
 into; `nlfrac` hands it one `_SUB_BLOCK` piece at a time.
 """
@@ -43,13 +45,13 @@ from .errors import MissingDataError, ParameterError, ParseError
 from .files import read_text
 from .qstate import DensityMatrix
 
-# Columns of every Bell-value product in i_max.  BLAS picks its kernel, and
+# Columns of every Bell-value product (_block_max).  BLAS picks its kernel, and
 # with it the summation order, by the shape of a product, so a fixed column
 # count makes each column's value independent of the others.  batch_i_max
 # also builds correlators in sub-blocks of this many samples, which keeps
 # their intermediates (at N=3, about 1 KiB a sample) cache-sized.
 _SUB_BLOCK = 2048
-# Most rows of one product in i_max: a set of more rows is reduced in tiles
+# Most rows of one product: a set of more rows is reduced in tiles
 # of this many, so its product buffer stays (256, _SUB_BLOCK), 4 MiB.
 _ROW_TILE = 256
 
@@ -346,8 +348,10 @@ def i_max(x: np.ndarray, coeffs: np.ndarray, ws: Workspace | None = None) -> np.
     `ws.array("columns")` (columns past a short last run are left over and
     dropped), and reduced by `_block_max`, so every product has the same
     shape and a row's value has the same bits whatever rows share its
-    batch.  `batch_i_max` reduces its features in the same products,
-    without the copy.
+    batch.  The rows of coeffs are taken in tiles of at most `_ROW_TILE`
+    (`_row_tiles`), so every product is (h, `_SUB_BLOCK`) however many rows
+    the set has.  The buffer and the product live in `ws`.  `batch_i_max`
+    reduces its features in the same products, without the copy.
     """
     if ws is None:
         ws = Workspace()

@@ -182,8 +182,8 @@ def read_lines(path, what: str):
             text = carry + decode(block)
             lines = text.splitlines()
             end = text[-1:]
-            # splitlines ends the last line at a CR that ends the text, and
-            # lets the last line end at the text's end
+            # the last line waits for the next block when no line end follows
+            # it, or when a CR does, which may begin a CRLF
             if end == "\r":
                 carry = lines.pop() + end
             elif end and end not in _LINE_ENDS:
