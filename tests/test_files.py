@@ -88,7 +88,7 @@ def test_read_lines_joined_are_the_lines_of_read_text(tmp_path, monkeypatch, blo
         split_crlf += sum(data[i - 1:i + 1] == b"\r\n" for i in ends)
         split_char += sum(data[i] & 0xC0 == 0x80 for i in ends)  # a continuation byte
     # the cases that a block end makes: a CRLF and a character split across it
-    assert split_crlf and (block == 1 or split_char)
+    assert split_crlf and split_char
 
 
 def test_read_lines_logs_the_digest_of_the_bytes(tmp_path, monkeypatch):
@@ -132,8 +132,12 @@ def _edit_line(path, n, edit):
     path.write_bytes(b"\n".join(lines))
 
 
-def _last_field(text):
-    return lambda line: line.rpartition(b",")[0] + b"," + text if b"," in line else text
+def _set_field(k, text):
+    def edit(line):
+        fields = line.split(b",")
+        fields[k] = text
+        return b",".join(fields)
+    return edit
 
 
 def _not_utf8(line):
@@ -142,16 +146,17 @@ def _not_utf8(line):
 
 # (edit of a line in a late block of 64 bytes, message after the path)
 SAMPLES_FAULTS = [
-    (_last_field(b"x"), "could not convert string to float: 'x'"),
-    (_last_field(b"nan"), "non-finite value"),
+    (_set_field(-1, b"x"), "could not convert string to float: 'x'"),
+    (_set_field(-1, b"nan"), "non-finite value"),
     (_not_utf8, "samples file is not UTF-8 text"),
 ]
 COUNT_FAULTS = [
-    (_last_field(b"x"), "could not convert string to float: 'x'"),
-    (_last_field(b"nan"), "non-finite duration"),
-    (lambda line: b",".join(line.split(b",")[:10] + [b"2"] + line.split(b",")[11:]),
-     "outcome bits must be 0 or 1"),
+    (_set_field(-1, b"x"), "could not convert string to float: 'x'"),
+    (_set_field(-1, b"nan"), "non-finite duration"),
+    (_set_field(10, b"2"), "outcome bits must be 0 or 1"),
     (_not_utf8, "coincidence-count file is not UTF-8 text"),
+    # a row that the column passes take, refused by the value checks
+    (_set_field(13, b"-1"), "negative count"),
 ]
 
 
@@ -183,22 +188,6 @@ def test_a_late_fault_in_a_count_file_names_its_line(tmp_path, monkeypatch, edit
             load_cc(p)
         assert exc.value.line == 90 + blank
         assert str(exc.value).endswith(f"{p}: {message}")
-
-
-def test_a_late_value_fault_in_a_count_file_names_its_line(tmp_path, monkeypatch):
-    # a row that the column passes take, whose count the value checks refuse:
-    # row r of the passes is line r + 2
-    monkeypatch.setattr(files, "_BLOCK_BYTES", 64)
-    p = tmp_path / "cc.csv"
-    _count_file(p)
-    lines = p.read_text().splitlines()
-    fields = lines[89].split(",")
-    fields[-2] = "-1"
-    lines[89] = ",".join(fields)
-    p.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError) as exc:
-        load_cc(p)
-    assert exc.value.line == 90 and str(exc.value).endswith(f"{p}: negative count")
 
 
 def test_a_late_blank_line_reads_as_the_clean_file(tmp_path, monkeypatch):
