@@ -29,8 +29,8 @@ import numpy as np
 from . import _rng
 from .bell import InequalitySet, batch_behaviors, i_max, pauli_tensor
 from .errors import ParameterError, ParseError
-from .files import (FLOAT_FIELD, data_lines, json_field, read_json_object, read_text,
-                    sidecar_path, table_passes, write_json, writing)
+from .files import (FLOAT_FIELD, json_field, read_json_object, sidecar_path, table_passes,
+                    write_json, writing)
 from .nlfrac import PvEstimate
 from .qstate import DensityMatrix, basis_state
 
@@ -153,56 +153,55 @@ def save_cc(dataset: CCDataset, path) -> None:
 _OUTCOME = {(f"{r >> 2}", f"{r >> 1 & 1}", f"{r & 1}"): r for r in range(8)}
 
 
-def _columns(passes) -> tuple:
-    """The numbers of 15-field CSV rows, given in passes, converted a column at a time.
+def _columns(rows, head_of: dict, table: tuple) -> None:
+    """Add one pass of 15-field CSV rows to `table`, converted a column at a time.
 
-    Returns what `_parse` returns for a file that parses, without the
-    message.  Each distinct head and each distinct duration text is
-    converted once, whichever pass it first appears in.  Any row that the
-    passes cannot take (another width, bits not written "0" or "1", a
-    number `int` or `float` rejects, an id outside int64, a blank line)
-    raises ValueError, KeyError or OverflowError; `_parse` then reads the
-    file and names that row.
+    `table` is what `_parse` fills, and gets what `_parse` would add.  Each
+    distinct head (numbered in `head_of` across passes), and each distinct
+    direction and duration text of the pass, is converted once.  Any row
+    that the pass cannot take (another width, bits not written "0" or "1",
+    a number `int` or `float` rejects, an id outside int64, a blank line)
+    raises ValueError, KeyError or OverflowError before anything is added;
+    `_parse` then walks the pass and names that row.
     """
-    head_of, duration_of, parts = {}, {}, []
-    for rows in passes:
-        heads, r1, r2, r3, counts, durations = zip(
-            *map(str.rsplit, rows, repeat(","), repeat(5)), strict=True)
-        # distinct heads, numbered in order of first appearance
-        for head in dict.fromkeys(heads):
-            head_of.setdefault(head, len(head_of))
-        for text in dict.fromkeys(durations):
-            if text not in duration_of:
-                duration_of[text] = float(text)
-        n = len(heads)
-        parts.append((np.fromiter(map(head_of.__getitem__, heads), np.intp, n),
-                      np.fromiter(map(_OUTCOME.__getitem__, zip(r1, r2, r3)), np.intp, n),
-                      np.fromiter(map(float, counts), float, n),
-                      np.fromiter(map(duration_of.__getitem__, durations), float, n)))
-    sid, *u = zip(*map(str.split, head_of, repeat(",")), strict=True)
+    heads, r1, r2, r3, counts, durations = zip(
+        *map(str.rsplit, rows, repeat(","), repeat(5)), strict=True)
+    new = [head for head in dict.fromkeys(heads) if head not in head_of]
+    sid, *u = list(zip(*map(str.split, new, repeat(",")), strict=True)) or [()] * 10
     if len(u) != 9:
         raise ValueError("a head is not 10 fields")
-    ids = np.fromiter(map(int, sid), np.int64, len(sid))
-    dirs = np.fromiter(map(float, chain.from_iterable(u)), float, 9 * len(sid))
-    return (ids, np.ascontiguousarray(dirs.reshape(9, -1).T).reshape(-1, 3, 3),
-            *map(np.concatenate, zip(*parts)))
+    # a block's 8 settings share each party's 2 directions, and a file mostly one duration
+    value_of = {text: float(text) for text in dict.fromkeys(chain(durations, *u))}
+    n = len(heads)
+    columns = (np.fromiter(map(int, sid), np.int64, len(sid)),
+               np.fromiter(map(value_of.__getitem__, chain.from_iterable(u)), float, 9 * len(sid))
+               .reshape(9, -1).T,
+               np.fromiter(map(_OUTCOME.__getitem__, zip(r1, r2, r3)), np.int64, n),
+               np.fromiter(map(float, counts), float, n),
+               np.fromiter(map(value_of.__getitem__, durations), float, n))
+    head_of.update(zip(new, range(len(head_of), len(head_of) + len(new))))
+    row_head = np.fromiter(map(head_of.__getitem__, heads), np.int64, n)
+    for column, values in zip(table, (*columns, row_head)):
+        column.frombytes(values.tobytes())
 
 
-def _parse(rows) -> tuple:
-    """The numbers of 15-field CSV rows, read one row at a time up to the first faulty one.
+def _parse(rows, head_of: dict, table: tuple, blanks: list):
+    """Add one pass of 15-field CSV rows to `table`, one row at a time up to the first faulty one.
 
-    A row is a head (setting id and 9 direction fields, as text) and a tail
-    (r1, r2, r3, counts, duration_s).  A setting's rows repeat its head, so
-    heads are looked up in a dict and only a new one is converted.  Returns
-    (ids (H,), directions (H, 3, 3), row_head (R,), outcome (R,), counts (R,),
-    durations (R,), message): row r has head row_head[r] and heads are
-    numbered in order of first appearance.  Parsing stops at the first row
-    that is not 15 numbers with bits 0 or 1; R rows parsed, and `message`
-    says what is wrong with the next (None when every row parsed).
+    `table` holds the setting ids and directions of the heads met, numbered
+    in `head_of` in order of first appearance, and each row's outcome,
+    count, duration and head.  A row is a head (setting id and 9 direction
+    fields, as text) and a tail (r1, r2, r3, counts, duration_s); a setting's
+    rows repeat its head, so only a new head is converted.  A blank line is
+    skipped and `blanks` gets the number of rows before it.  Returns None
+    when every row parsed, else what is wrong with the first row that is not
+    15 numbers with bits 0 or 1.
     """
-    head_of, ids, dirs, row_head, tails = {}, [], array("d"), array("q"), array("d")
-    message = None
+    ids, dirs, outcome, counts, durations, row_head = table
     for row in rows:
+        if not row.strip():
+            blanks.append(len(row_head))
+            continue
         fields = row.rsplit(",", 5)
         head = fields[0]
         k = head_of.get(head)
@@ -210,34 +209,29 @@ def _parse(rows) -> tuple:
             if k is None:
                 # a row is 15 fields when its head holds 9 commas; a known head does
                 if head.count(",") != 9:
-                    message = f"expected 15 fields, got {row.count(',') + 1}"
-                    break
+                    return f"expected 15 fields, got {row.count(',') + 1}"
                 # fields in row order, so the message names a row's first bad one
                 sid, *u = head.split(",")
                 sid = int(sid)
                 if sid not in _SETTING_IDS:
-                    message = f"setting_id {sid} is outside the int64 range"
-                    break
+                    return f"setting_id {sid} is outside the int64 range"
                 u = list(map(float, u))
             _, r1, r2, r3, count, duration = fields
             bits = float(r1), float(r2), float(r3)
             count, duration = float(count), float(duration)
         except ValueError as exc:
-            message = str(exc)
-            break
+            return str(exc)
         if not all(b in (0.0, 1.0) for b in bits):
-            message = "outcome bits must be 0 or 1"
-            break
+            return "outcome bits must be 0 or 1"
         if k is None:
-            k = head_of[head] = len(ids)
+            k = head_of[head] = len(head_of)
             ids.append(sid)
             dirs.extend(u)
         row_head.append(k)
-        tails.fromlist([bits[0] * 4 + bits[1] * 2 + bits[2], count, duration])
-    tails = np.array(tails).reshape(-1, 3)
-    return (np.array(ids, dtype=np.int64), np.array(dirs).reshape(-1, 3, 3),
-            np.array(row_head, dtype=np.intp), tails[:, 0].astype(np.intp),
-            tails[:, 1], tails[:, 2], message)
+        outcome.append(int(bits[0] * 4 + bits[1] * 2 + bits[2]))
+        counts.append(count)
+        durations.append(duration)
+    return None
 
 
 def load_cc(path) -> CCDataset:
@@ -247,25 +241,31 @@ def load_cc(path) -> CCDataset:
     ParseError for its earliest offending line.  A row's values pass the
     checks of a record (`_value_faults`).  A setting has one set of
     directions and one duration: its rows must agree on both (directions
-    within DIR_TOL).  A file is parsed in column passes (`_columns`), one
-    `files.table_passes` block at a time, so the load holds one block's
-    text and lines; a file they cannot take (not UTF-8 included) is read
-    again whole and walked row by row (`_parse`), which names the faulty
-    row.
+    within DIR_TOL).  The file is read once, one `files.table_passes`
+    block at a time, so the load holds one block's text and lines.  Each
+    pass is converted a column at a time (`_columns`); one that cannot be
+    (a blank line, a bit written "1.0", a faulty row) is walked row by row
+    (`_parse`), which stops at its first faulty row.
     """
     what = "coincidence-count file"
-    # rows (non-blank lines) before `stop` parse; row `stop` is the first that
-    # does not.  On the column path there is no blank line: row r is line r + 2
     try:
         # the path as given: it is the file's key in the read log
-        parsed, stop_msg, lines = _columns(table_passes(path, CC_HEADER, what)), None, None
-    except (ValueError, KeyError, OverflowError):
-        lines = read_text(path, what).splitlines()
-        if not lines or lines[0] != CC_HEADER:
-            raise ParseError(f"{Path(path)}: bad or missing header", line=1) from None
-        *parsed, stop_msg = _parse(filter(str.strip, lines[1:]))
+        passes = table_passes(path, CC_HEADER, what)
+    except ValueError:
+        raise ParseError(f"{Path(path)}: bad or missing header", line=1) from None
+    # rows before `stop` parse; row `stop` is the first that does not.  Row r
+    # is line r + 2 and one more for each of `blanks` (rows before a blank line) up to r
+    table = array("q"), array("d"), array("q"), array("d"), array("d"), array("q")
+    head_of, blanks, stop_msg = {}, [], None
+    for lines in passes:
+        try:
+            _columns(lines, head_of, table)
+        except (ValueError, KeyError, OverflowError):
+            if (stop_msg := _parse(lines, head_of, table, blanks)) is not None:
+                break
     path = Path(path)
-    head_ids, head_dirs, row_head, outcome, count, duration = parsed
+    head_ids, head_dirs, outcome, count, duration, row_head = map(np.asarray, table)
+    head_dirs = head_dirs.reshape(-1, 3, 3)
     stop = len(row_head)
     # settings in id order; a setting's first head holds its first row
     ids, first_head, head_setting = np.unique(head_ids, return_index=True,
@@ -294,7 +294,7 @@ def load_cc(path) -> CCDataset:
             stop_msg = message.format(ids[setting[stop]])
     if stop_msg is not None:
         raise ParseError(f"{path}: {stop_msg}",
-                         line=stop + 2 if lines is None else data_lines(lines)[stop])
+                         line=stop + 2 + int(np.searchsorted(blanks, stop, "right")))
     if not len(row_head):
         raise ParseError(f"{path}: no data rows")
     tag, norm = path.stem, 1.0

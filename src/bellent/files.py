@@ -2,10 +2,10 @@
 
 `writing` opens every output, and `read_text` or `read_lines` reads every
 input, as `recording_reads` logs.  A table (`read_table`, and the count
-files of `expdata.load_cc`) is read in `read_lines` passes of one fixed
-block of bytes, so what a load holds besides its result does not grow with
-the file; a file that a pass cannot take is read again whole by
-`read_text` and walked row by row, which names its faulty line.
+files of `expdata.load_cc`) is read once, in `read_lines` passes of one
+fixed block of bytes, so what a load holds besides its result does not
+grow with the file; a pass that cannot be converted a column at a time is
+walked row by row where it stands, which names its faulty line.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from array import array
 from itertools import chain
 from pathlib import Path
 
@@ -107,7 +108,7 @@ def _same_file(a, b) -> bool:
 
 @contextlib.contextmanager
 def recording_reads():
-    """Log, for the block, each file that `read_text` reads and `writing` opens.
+    """Log, for the block, each file that `read_text` or `read_lines` reads and `writing` opens.
 
     Yields the dict of path, as the loader gave it, -> hex sha256 of the
     bytes read, in read order, and the list of paths written, in open
@@ -151,7 +152,7 @@ def read_text(path, what: str) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        line = len((exc.object[:exc.start] + b".").splitlines())  # CR and CRLF end a line too
         raise ParseError(f"{path}: {what} is not UTF-8 text", line=line) from None
     _log_read(key, hashlib.sha256(data))
     if "\r" in text:  # a two-character replace scans slowly even when nothing matches
@@ -169,64 +170,58 @@ def read_lines(path, what: str):
     `str.splitlines`, which ends a line at CRLF and at a lone CR as text
     mode's translation to LF does; the line that a block leaves open, and
     a CR that ends a block (it may begin a CRLF), go on in the next.
-    MissingDataError as `read_text`; UnicodeDecodeError (a ValueError) when
-    the bytes are not UTF-8, which `read_text` would name with its line.
+    MissingDataError as `read_text`; ParseError when the bytes are not
+    UTF-8, naming the line as `str.splitlines` counts them.
     """
     key, path = str(path), Path(path)
     digest = hashlib.sha256()
     decode = codecs.getincrementaldecoder("utf-8")().decode
-    carry = ""
-    with _reading(path, what), open(path, "rb") as fh:
-        while block := fh.read(_BLOCK_BYTES):
-            digest.update(block)
-            text = carry + decode(block)
-            lines = text.splitlines()
-            end = text[-1:]
-            # the last line waits for the next block when no line end follows
-            # it, or when a CR does, which may begin a CRLF
-            if end == "\r":
-                carry = lines.pop() + end
-            elif end and end not in _LINE_ENDS:
-                carry = lines.pop()
-            else:
-                carry = ""
-            if lines:
-                yield lines
-    lines = (carry + decode(b"", True)).splitlines()
+    carry, seen = "", 0
+    try:
+        with _reading(path, what), open(path, "rb") as fh:
+            while block := fh.read(_BLOCK_BYTES):
+                digest.update(block)
+                text = carry + decode(block)
+                lines = text.splitlines()
+                end = text[-1:]
+                # the last line waits for the next block when no line end follows
+                # it, or when a CR does, which may begin a CRLF
+                if end == "\r":
+                    carry = lines.pop() + end
+                elif end and end not in _LINE_ENDS:
+                    carry = lines.pop()
+                else:
+                    carry = ""
+                if lines:
+                    seen += len(lines)
+                    yield lines
+        lines = (carry + decode(b"", True)).splitlines()
+    except UnicodeDecodeError as exc:
+        line = seen + len((carry + exc.object[:exc.start].decode() + ".").splitlines())
+        raise ParseError(f"{path}: {what} is not UTF-8 text", line=line) from None
     if lines:
         yield lines
     _log_read(key, digest)
 
 
 def table_passes(path, header: str, what: str):
-    """Yield the lines after `header` in `read_lines` passes; ValueError when
-    the file's first line is not `header` (an empty file has none)."""
+    """The lines after `header` as an iterator of `read_lines` passes, the
+    first of which may be empty; ValueError when the file's first line is
+    not `header` (an empty file has none)."""
     passes = read_lines(path, what)
-    first = next(passes, None)
-    if first is None or first[0] != header:
+    first = next(passes, [None])
+    if first[0] != header:
         raise ValueError("not the header")
-    if len(first) > 1:
-        yield first[1:]
-    yield from passes
+    return chain([first[1:]], passes)
 
 
-def data_lines(lines) -> list:
-    """The line numbers of the non-blank lines after the header, `lines[0]`."""
-    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-
-
-def _table_pass(lines, k: int) -> np.ndarray:
-    """The finite floats of rows of k fields, flat; ValueError for anything else."""
-    if k == 1:  # float() fails on a comma or a blank
-        values = np.fromiter(map(float, lines), float, len(lines))
-    else:
-        fields = [line.split(",") for line in lines]
-        if any(len(f) != k for f in fields):
-            raise ValueError(f"a row is not {k} fields")
-        values = np.fromiter(map(float, chain.from_iterable(fields)), float, k * len(lines))
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
-    return values
+def _rows(lines, k: int):
+    """The floats of rows of k fields, flat; ValueError for the first that is not."""
+    fields = [line.split(",") for line in lines]
+    for row in fields:
+        if len(row) != k:
+            raise ValueError(f"expected {k} fields, got {len(row)}")
+    return map(float, chain.from_iterable(fields))
 
 
 def read_table(path, header: str, what: str) -> np.ndarray:
@@ -234,35 +229,40 @@ def read_table(path, header: str, what: str) -> np.ndarray:
 
     Blank lines are skipped.  A wrong header, a row of other than k fields, a bad
     or non-finite number, and a file without rows raise ParseError (with the line).
-    The rows are converted in `table_passes`, whose text and lines stay one
-    block's; a file that a pass cannot take, faulty or with a blank line, is
-    read again by `read_text` and walked row by row.
+    The file is read once, in `table_passes`, into one growing buffer.  A pass
+    is converted in one `float` pass; one that cannot be (a blank line, a
+    faulty row) is walked row by row, which names the first faulty line.
+    Non-finite values are looked for once every row has parsed.
     """
     k = header.count(",") + 1
     try:
-        parts = [_table_pass(lines, k) for lines in table_passes(path, header, what)]
-        if parts:
-            return np.concatenate(parts).reshape(-1, k)
-    except ValueError:  # not UTF-8 included
-        pass
-    lines = read_text(path, what).splitlines()
-    if not lines or lines[0] != header:
-        raise ParseError(f"{path}: expected header {header!r}", line=1)
-    table = []
-    for n in data_lines(lines):
-        fields = lines[n - 1].split(",")
-        try:
-            if len(fields) != k:
-                raise ValueError(f"expected {k} fields, got {len(fields)}")
-            table.extend(map(float, fields))
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}", line=n) from None
-    table = np.array(table).reshape(-1, k)
-    if not table.size:
+        passes = table_passes(path, header, what)
+    except ValueError:
+        raise ParseError(f"{path}: expected header {header!r}", line=1) from None
+    # blanks: the rows before each blank line; row r is on line r + 2 + the blanks up to r
+    table, blanks = array("d"), []
+    for lines in passes:
+        try:  # float() fails on a comma or a blank
+            values = map(float, lines) if k == 1 else _rows(lines, k)
+            table.frombytes(np.fromiter(values, float, k * len(lines)).tobytes())
+        except ValueError:
+            for row in lines:
+                try:
+                    if row.strip():
+                        table.fromlist(list(_rows([row], k)))
+                    else:
+                        blanks.append(len(table) // k)
+                except ValueError as exc:
+                    raise ParseError(f"{path}: {exc}",
+                                     line=len(table) // k + len(blanks) + 2) from None
+    if not table:
         raise ParseError(f"{path}: no data rows")
+    table = np.asarray(table).reshape(-1, k)
     finite = np.isfinite(table).all(axis=1)
-    if not finite.all():  # the line is looked up on this path only
-        raise ParseError(f"{path}: non-finite value", line=data_lines(lines)[finite.argmin()])
+    if not finite.all():
+        row = int(finite.argmin())
+        raise ParseError(f"{path}: non-finite value",
+                         line=row + 2 + int(np.searchsorted(blanks, row, "right")))
     return table
 
 

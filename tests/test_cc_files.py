@@ -1,20 +1,24 @@
-"""The count-file reader and writer against the row-by-row versions they replaced.
+"""The table readers and the count-file writer against the row-by-row versions they replaced.
 
-`load_cc` parses a file in column passes and walks it row by row only when
-a row does not fit them; `save_cc` writes in `%` passes.  The references
-below are the row-by-row loader and the per-record writer as they stood
-before: every file must load to the same record bytes, or fail with the
-same message on the same line, and every dataset must write the same bytes.
+`load_cc` and `read_table` read a file once, in `files.table_passes`
+blocks: each pass is converted a column at a time, and a pass that a row
+does not fit is walked row by row where it stands.  `save_cc` writes in `%`
+passes.  The references below are the whole-file row walks and the
+per-record writer as they stood before: every file must load to the same
+values, or fail with the same message on the same line, whatever the block
+size, and every dataset must write the same bytes.
 """
 
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellent import files
 from bellent.errors import ParseError
 from bellent.expdata import (
     CC_HEADER,
@@ -27,11 +31,40 @@ from bellent.expdata import (
     save_cc,
     synth_cc_dataset,
 )
-from bellent.files import (data_lines, format_float, json_field, read_json_object, read_text,
-                           sidecar_path)
+from bellent.files import (format_float, json_field, read_json_object, read_table, read_text,
+                           sidecar_path, write_table)
 from bellent.qstate import werner_like
 
 _SETTING_IDS = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
+
+
+def data_lines(lines) -> list:
+    """The line numbers of the non-blank lines after the header, `lines[0]`."""
+    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+
+
+def reference_read_table(path, header: str, what: str) -> np.ndarray:
+    """The whole-file walk: the text read whole, each non-blank line converted in turn."""
+    k = header.count(",") + 1
+    lines = read_text(path, what).splitlines()
+    if not lines or lines[0] != header:
+        raise ParseError(f"{path}: expected header {header!r}", line=1)
+    table = []
+    for n in data_lines(lines):
+        fields = lines[n - 1].split(",")
+        try:
+            if len(fields) != k:
+                raise ValueError(f"expected {k} fields, got {len(fields)}")
+            table.extend(map(float, fields))
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line=n) from None
+    table = np.array(table).reshape(-1, k)
+    if not table.size:
+        raise ParseError(f"{path}: no data rows")
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: non-finite value", line=data_lines(lines)[finite.argmin()])
+    return table
 
 
 def _reference_parse(rows):
@@ -235,15 +268,23 @@ def saved(tmp_path_factory):
     return d, [(d / f"base{k}.csv").read_text().splitlines() for k in range(len(_BASES))]
 
 
+# the block size of the reads, and one of a few hundred bytes, so that a
+# file is read in many passes and a walked pass may come after others
+_BLOCKS = [files._BLOCK_BYTES, 300]
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(data=st.data())
-def test_load_cc_reads_every_file_as_the_row_walk_did(saved, data):
+def test_load_cc_reads_every_file_as_the_row_walk_did(saved, block, data):
     d, base_lines = saved
     base = data.draw(st.integers(0, len(_BASES) - 1))
     p = d / "mutated.csv"
     p.write_bytes(_mutated_text(data.draw, base_lines[base]).encode())
     (d / "mutated.csv.json").write_bytes((d / f"base{base}.csv.json").read_bytes())
-    assert _loaded(load_cc, p) == _loaded(reference_load_cc, p)
+    # patched here: hypothesis refuses a function-scoped monkeypatch
+    with mock.patch.object(files, "_BLOCK_BYTES", block):
+        assert _loaded(load_cc, p) == _loaded(reference_load_cc, p)
 
 
 # (row, column, text) edits whose faults meet on one row, or that put a
@@ -258,8 +299,9 @@ _MEETING_FAULTS = [
 ]
 
 
+@pytest.mark.parametrize("block", _BLOCKS)
 @pytest.mark.parametrize("edits", _MEETING_FAULTS)
-def test_load_cc_reports_meeting_faults_as_the_row_walk_did(saved, edits):
+def test_load_cc_reports_meeting_faults_as_the_row_walk_did(saved, edits, block):
     d, base_lines = saved
     lines = list(base_lines[0])
     for row, col, text in edits:
@@ -268,7 +310,69 @@ def test_load_cc_reports_meeting_faults_as_the_row_walk_did(saved, edits):
         lines[row] = ",".join(fields)
     p = d / "edited.csv"
     p.write_text("\n".join(lines) + "\n")
-    assert _loaded(load_cc, p) == _loaded(reference_load_cc, p)
+    with mock.patch.object(files, "_BLOCK_BYTES", block):
+        assert _loaded(load_cc, p) == _loaded(reference_load_cc, p)
+
+
+def _table_read(read, path, header):
+    """What read(path, header, ...) gives: the table's shape and bytes, or the error."""
+    try:
+        table = read(path, header, "table")
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    return "table", table.shape, table.tobytes()
+
+
+# text a table cell may be given in place of its own
+_TABLE_CELLS = ["x", "", " ", "nan", "inf", "-inf", "1e400", "-0", " 1 ", "1_0", "0x10", "+1",
+                "1.0", "5e-324"]
+
+
+@st.composite
+def _edited_table(draw, lines):
+    """The text of the table of `lines` after 0-4 edits, with LF, CRLF or CR ends."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["blank", "blank", "cell", "width", "header"]))
+        if kind == "blank":
+            lines.insert(max(row, 1), draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "header":
+            lines[0] = draw(st.sampled_from(["", "v", "i_max,", lines[0] + " "]))
+        elif row and lines[row].strip():
+            fields = lines[row].split(",")
+            if kind == "cell":
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_TABLE_CELLS))
+            elif draw(st.booleans()):
+                fields.append(draw(st.sampled_from(["1", ""])))
+            else:
+                del fields[0]
+            lines[row] = ",".join(fields)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """The header and lines of a one-column and a two-column table, in a directory."""
+    d = tmp_path_factory.mktemp("tables")
+    values = np.random.default_rng(4).uniform(-2.0, 2.0, 400)
+    out = [d]
+    for header, columns in (("i_max", [values]), ("v,pv", values.reshape(2, -1))):
+        write_table(d / "base.csv", header, columns)
+        out.append((header, (d / "base.csv").read_text().splitlines()))
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_table_reads_every_table_as_the_whole_file_walk_did(tables, data):
+    d, *bases = tables
+    header, lines = data.draw(st.sampled_from(bases))
+    p = d / "edited.csv"
+    p.write_bytes(data.draw(_edited_table(lines)).encode())
+    with mock.patch.object(files, "_BLOCK_BYTES", data.draw(st.sampled_from([64, 97, 300]))):
+        assert _table_read(read_table, p, header) == _table_read(reference_read_table, p, header)
 
 
 def test_load_cc_reads_a_walked_file_as_its_clean_copy(tmp_path):

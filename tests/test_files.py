@@ -1,11 +1,13 @@
 import hashlib
 import math
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from bellent import files
+from bellent import expdata, files
+from bellent.bell import load_inequality_file
 from bellent.errors import MissingDataError, ParseError
 from bellent.expdata import load_cc, save_cc, synth_cc_dataset
 from bellent.files import read_lines, read_table, read_text, recording_reads, write_table
@@ -111,8 +113,9 @@ def test_read_lines_refuses_what_read_text_refuses(tmp_path):
         _joined(tmp_path)
     p = tmp_path / "t.csv"
     p.write_bytes(b"a\n\xe2\x82")  # a character cut short at the end of the file
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(ParseError, match="table is not UTF-8 text") as exc:
         _joined(p)
+    assert exc.value.line == 2
 
 
 def _samples_file(path, n=3000):
@@ -160,9 +163,19 @@ COUNT_FAULTS = [
 ]
 
 
+def _refuse_whole_tables(monkeypatch):
+    """Let `read_text` read only JSON sidecars: a table is read in passes alone."""
+    def read_json_only(path, what):
+        assert str(path).endswith(".json"), f"{path} was read whole"
+        return read_text(path, what)
+    for module in (files, expdata):  # and any loader that imports it by name
+        monkeypatch.setattr(module, "read_text", read_json_only, raising=False)
+
+
 @pytest.mark.parametrize("edit, message", SAMPLES_FAULTS)
 def test_a_late_fault_in_a_samples_file_names_its_line(tmp_path, monkeypatch, edit, message):
     monkeypatch.setattr(files, "_BLOCK_BYTES", 64)
+    _refuse_whole_tables(monkeypatch)
     p = tmp_path / "samples.csv"
     for blank in (False, True):  # a blank line before the fault
         _samples_file(p)
@@ -178,6 +191,7 @@ def test_a_late_fault_in_a_samples_file_names_its_line(tmp_path, monkeypatch, ed
 @pytest.mark.parametrize("edit, message", COUNT_FAULTS)
 def test_a_late_fault_in_a_count_file_names_its_line(tmp_path, monkeypatch, edit, message):
     monkeypatch.setattr(files, "_BLOCK_BYTES", 64)
+    _refuse_whole_tables(monkeypatch)
     p = tmp_path / "cc.csv"
     for blank in (False, True):  # a blank line before the fault
         _count_file(p)
@@ -190,13 +204,60 @@ def test_a_late_fault_in_a_count_file_names_its_line(tmp_path, monkeypatch, edit
         assert str(exc.value).endswith(f"{p}: {message}")
 
 
-def test_a_late_blank_line_reads_as_the_clean_file(tmp_path, monkeypatch):
+def _bit_1_0(line):
+    fields = line.split(b",")
+    assert fields[12] == b"1"
+    fields[12] = b"1.0"
+    return b",".join(fields)
+
+
+def test_a_late_walked_pass_reads_as_the_clean_file(tmp_path, monkeypatch):
+    # a blank line, and a bit written 1.0, send a late pass to the row walk;
+    # CRLF ends read as LF, and the read log holds the digest of the bytes
     monkeypatch.setattr(files, "_BLOCK_BYTES", 64)
+    _refuse_whole_tables(monkeypatch)
     samples, counts = tmp_path / "samples.csv", tmp_path / "cc.csv"
     values = _samples_file(samples)
     _count_file(counts)
     clean = load_cc(counts).records.tobytes()
+    _edit_line(counts, 95, _bit_1_0)  # outcome 5: bits 1, 0, 1
     for path, line in ((samples, 2900), (counts, 90)):
         _edit_line(path, line, lambda text: b"\n" + text)
-    assert load_violation_samples(samples).values.tobytes() == values.tobytes()
-    assert load_cc(counts).records.tobytes() == clean
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    with recording_reads() as (reads, _):
+        assert load_violation_samples(samples).values.tobytes() == values.tobytes()
+        assert load_cc(counts).records.tobytes() == clean
+    for path in (samples, counts):
+        assert reads[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _prefix(text):
+    return lambda line: text + line
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_a_non_utf8_byte_is_named_on_the_line_of_other_faults(tmp_path, monkeypatch, end):
+    # read in passes (samples and count files) or whole (an inequality file),
+    # a bad byte is named on the line that a bad value on it would be
+    monkeypatch.setattr(files, "_BLOCK_BYTES", 64)
+    samples, counts = tmp_path / "samples.csv", tmp_path / "cc.csv"
+    ineq = tmp_path / "ineq.bellineq"
+    _samples_file(samples)
+    _count_file(counts)
+    ineq.write_bytes(resources.files("bellent").joinpath("data/chsh.bellineq").read_bytes())
+    for path, line, load in ((samples, 2900, load_violation_samples), (counts, 90, load_cc),
+                             (ineq, 12, load_inequality_file)):
+        lines = path.read_bytes().splitlines()
+        for edit in (_not_utf8, _prefix(b"x"), _prefix(b"\xff")):
+            edited = lines[:line - 1] + [edit(lines[line - 1])] + lines[line:]
+            path.write_bytes(end.join(edited) + end)
+            with pytest.raises(ParseError) as exc:
+                load(path)
+            assert exc.value.line == line, (path.name, edit, exc.value)
+    # a short samples file, read whole and in passes
+    p = tmp_path / "cr.csv"
+    p.write_bytes(b"i_max" + end + b"0.5" + end + b"0.7" + end + b"\xff0.2" + end)
+    for read in (lambda: read_text(p, "samples file"), lambda: read_table(p, "i_max", "table")):
+        with pytest.raises(ParseError, match="not UTF-8 text") as exc:
+            read()
+        assert exc.value.line == 4

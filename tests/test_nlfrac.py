@@ -356,11 +356,17 @@ def test_non_finite_sample_is_refused_on_its_line(tmp_path, header):
         assert exc.value.line == line and str(p) in str(exc.value)
 
 
-def test_loading_a_samples_file_holds_a_block_not_the_file(tmp_path):
-    # read whole, a 200,000-row file's text and line list peaked at 18 MiB
+@pytest.mark.parametrize("blank", [False, True])
+def test_loading_a_samples_file_holds_a_block_not_the_file(tmp_path, blank):
+    # read whole, a 200,000-row file's text and line list peaked at 18 MiB;
+    # a blank line in the last block sends that pass, and only it, to the row walk
     p = tmp_path / "samples.csv"
     values = np.random.default_rng(2).uniform(0.3, 1.5, 200_000)
     save_violation_samples(ViolationSamples(values, "s", 1, "set"), p)
+    if blank:
+        data = p.read_bytes()
+        cut = data.rindex(b"\n", 0, -60) + 1
+        p.write_bytes(data[:cut] + b"\n" + data[cut:])
     tracemalloc.start()
     try:
         got = load_violation_samples(p)
