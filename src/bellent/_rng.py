@@ -34,19 +34,19 @@ class Workspace:
 
     A piece of samples that draws its directions (`bloch_directions`) and
     evaluates its kernel (`bell.batch_i_max`) in one workspace allocates
-    nothing anew, so the hot loop takes no page faults, and holds each
-    intermediate once: the draws' buffer takes the squared normals, and
-    the correlator features are built in the buffer that the Bell-value
-    product reads.  An array is a view
-    into a flat buffer that only grows, so a shorter block, or the other
-    party count, reuses the buffer of a longer one; its size is set by the
-    longest block drawn in it, which `nlfrac` keeps to one `bell._SUB_BLOCK`
-    piece.  The Philox is moved to each substream by setting its state, which
-    costs a third of building one.  A draw that starts where the last one
-    ended, as the next piece of a chunk does, takes the Philox as it stands:
-    every draw consumes whole counter blocks, so its buffer is empty there.
-    Results built in a workspace are views into it, valid until its next
-    use; a workspace serves one thread at a time.
+    nothing anew, so the hot loop takes no page faults, and holds one buffer
+    per lifetime: "draws" holds the draws, then the norm pass's squares, then
+    `bell.correlators`' term, then `bell._block_max`'s product, each spent
+    before the next is written.  An array is a view into a flat buffer that
+    only grows, so a shorter block, or the other party count, reuses the
+    buffer of a longer one; its size is set by the longest block drawn in it,
+    which `nlfrac` keeps to one `bell._SUB_BLOCK` piece.  The Philox is moved
+    to each substream by setting its state, which costs a third of building
+    one.  A draw that starts where the last one ended, as the next piece of a
+    chunk does, takes the Philox as it stands: every draw consumes whole
+    counter blocks, so its buffer is empty there.  Results built in a
+    workspace are views into it, valid until its next use; a workspace serves
+    one thread at a time.
     """
 
     def __init__(self):

@@ -16,7 +16,7 @@ product, and each `InequalitySet` carries its functionals in the same
 correlator basis (`c_matrix`), so `batch_i_max` never builds a table.  When
 no row of the set reads a marginal feature, as in every bundled set,
 `batch_i_max` builds only the 2^N full correlators (8 of 27 at N=3), in
-about half the multiply-adds, and leaves the marginal features at 0.
+about half the multiply-adds, and reduces them on the set's 2^N columns.
 Tables from counts need not be no-signalling; they are reduced as tables
 (`w_matrix`).  Every Bell value, in either basis, comes from one reduction,
 `_block_max`, which runs in fixed `_SUB_BLOCK`-column products: a sample's
@@ -49,7 +49,10 @@ from .qstate import DensityMatrix
 # with it the summation order, by the shape of a product, so a fixed column
 # count makes each column's value independent of the others.  batch_i_max
 # also builds correlators in sub-blocks of this many samples, which keeps
-# their intermediates (at N=3, about 1 KiB a sample) cache-sized.
+# their intermediates (at N=3, 0.44 KiB a sample, 1.1 KiB with marginals)
+# cache-sized.  Its (rows, 2^N) product has the bits of the zero-filled
+# (rows, 3^N) one on the tested BLAS (OpenBLAS 0.3.31, x86-64), as
+# test_batch_i_max_builds_marginals_only_for_a_set_that_reads_them checks.
 _SUB_BLOCK = 2048
 # Most rows of one product: a set of more rows is reduced in tiles
 # of this many, so its product buffer stays (256, _SUB_BLOCK), 4 MiB.
@@ -259,8 +262,8 @@ def feature_map(n: int) -> np.ndarray:
 
 def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
                 marginals: bool = True) -> np.ndarray:
-    """Correlator features of a batch of settings, shape (B, 3^N): the full
-    and marginal correlators, or with marginals False the full ones alone.
+    """Correlator features of a batch of settings, shape (B, 3^N), or with
+    marginals False the 2^N full correlators alone, (B, 2^N) in feature order.
 
     Feature c (digits as in `feature_map`) of sample b is lam contracted
     with, per party i, (1, 0, 0, 0) for c_i = 0 and (0, dirs[b, i, c_i - 1])
@@ -268,14 +271,13 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
     multiply-adds over its Bloch axis, with samples on the innermost axis:
     no BLAS call, so a sample's bits do not depend on the batch size.  The
     directions are read in place, as the sample-innermost rows that
-    `_rng.bloch_directions` writes.  With marginals False only the 2^N full
+    `_rng.bloch_directions` writes.  With marginals False only the full
     correlators (every digit >= 1) are built, from lam's Bloch block
-    lam[1:, ..., 1:] with two branches a party instead of three, and the
-    marginal features are 0; the full correlators have the bits of the full
-    build.  The result is the transpose of the first B columns of a
-    C-contiguous (3^N, max(B, `_SUB_BLOCK`)) array, the last party's
-    output buffer, in `ws` when one is given; its columns past B hold what
-    an earlier use left.  `batch_i_max` multiplies that array as it stands.
+    lam[1:, ..., 1:] with two branches a party instead of three; they have
+    the bits of the full build.  The result is the transpose of the first B
+    columns of `_feature_buffer`, in `ws` when one is given (each party's
+    `term` goes to its spent draws buffer), which `batch_i_max` multiplies
+    as it stands; its columns past B hold what an earlier use left.
     """
     n = lam.ndim
     b = dirs.shape[0]
@@ -295,28 +297,26 @@ def correlators(lam: np.ndarray, dirs: np.ndarray, ws: Workspace | None = None,
         if i < n - 1:
             shape = (3 - skip,) * (i + 1) + (4 - skip,) * (n - 1 - i) + (b,)
             out = ws.array(f"party{i % 2}", shape)
-        else:  # the features, less the identity branch of every party when skip
-            block = _feature_buffer(ws, n, b)
-            out = block.reshape((3,) * n + (-1,))[(slice(skip, None),) * n + (slice(b),)]
+        else:
+            block = _feature_buffer(ws, n, b, marginals)
+            out = block.reshape((3 - skip,) * n + (-1,))[..., :b]
         if marginals:
             out[at + (0,)] = t[at + (0,)]
         bloch = out[at + (slice(first, None),)]
-        term = ws.array("term", bloch.shape)
+        term = ws.array("draws", bloch.shape)
         rows = (2,) + (1,) * (n - 1 - i) + (b,)
         np.multiply(u[i, :, 0].reshape(rows), t[at + (None, first)], out=bloch)
         bloch += np.multiply(u[i, :, 1].reshape(rows), t[at + (None, first + 1)], out=term)
         bloch += np.multiply(u[i, :, 2].reshape(rows), t[at + (None, first + 2)], out=term)
         t = out
-    if not marginals:
-        block[_marginal_features(n), :b] = 0.0
     return block[:, :b].T
 
 
-def _feature_buffer(ws: Workspace, n: int, b: int) -> np.ndarray:
-    """The (3^N, max(b, `_SUB_BLOCK`)) array in ws that `correlators` writes
-    b samples' features into: the last party's output buffer, as wide as
-    `i_max`'s products."""
-    return ws.array(f"party{(n - 1) % 2}", (3 ** n, max(b, _SUB_BLOCK)))
+def _feature_buffer(ws: Workspace, n: int, b: int, marginals: bool) -> np.ndarray:
+    """The C-contiguous (3^N, max(b, `_SUB_BLOCK`)) array in ws, or (2^N, ...)
+    with marginals False, that `correlators` writes b samples' features into:
+    the last party's output buffer, as wide as `i_max`'s products."""
+    return ws.array(f"party{(n - 1) % 2}", ((3 if marginals else 2) ** n, max(b, _SUB_BLOCK)))
 
 
 @functools.cache
@@ -386,12 +386,12 @@ def _block_max(tiles: list, rows: int, columns: np.ndarray, out: np.ndarray,
     for the first len(out) of the `_SUB_BLOCK` columns.
 
     Every product is (h, `_SUB_BLOCK`), however many rows the set has and
-    however many columns are read, in `ws`; the zero rows that pad the last
-    tile, and the columns past len(out), are left out of the max.
+    however many columns are read, in ws's spent draws buffer; the zero rows
+    that pad the last tile, and the columns past len(out), are left out.
     """
     k = len(out)
     h = tiles[0].shape[0]
-    prod = ws.array("product", (h, _SUB_BLOCK))
+    prod = ws.array("draws", (h, _SUB_BLOCK))
     tile_max = ws.array("tile max", (_SUB_BLOCK,))
     for t, tile in enumerate(tiles):
         np.matmul(tile, columns, out=prod)
@@ -409,21 +409,22 @@ def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray,
     c_matrix is an `InequalitySet.c_matrix` or its `replay_rows()`;
     correlators are built and reduced in sub-blocks of `_SUB_BLOCK` samples,
     in `ws` when one is given.  Each sub-block's features are built in the
-    (3^N, `_SUB_BLOCK`) buffer that `correlators` fills, and that buffer is
-    the columns of `i_max`'s products (`_block_max`) as it stands: no copy,
-    and a value has the bits that `i_max` gives on `correlators`.  The marginal
-    features are built only when a marginal column of c_matrix is nonzero:
-    the bundled sets read full correlators only.
+    buffer that `correlators` fills, the columns of `i_max`'s products
+    (`_block_max`) as it stands.  Unless a marginal column of c_matrix is
+    nonzero, only the 2^N full correlators are built, and multiplied by
+    c_matrix's full-correlator columns (taken once per call): a value has
+    the bits that `i_max` gives on the full `correlators`.
     """
     if ws is None:
         ws = Workspace()
-    marginals = bool(np.any(c_matrix[:, _marginal_features(lam.ndim)]))
-    tiles = _row_tiles(c_matrix, ws)
+    is_marginal = _marginal_features(lam.ndim)
+    marginals = bool(np.any(c_matrix[:, is_marginal]))
+    tiles = _row_tiles(c_matrix if marginals else c_matrix[:, ~is_marginal], ws)
     out = np.empty(dirs.shape[0])
     for lo in range(0, dirs.shape[0], _SUB_BLOCK):
         d = dirs[lo:lo + _SUB_BLOCK]
         correlators(lam, d, ws, marginals)
-        _block_max(tiles, len(c_matrix), _feature_buffer(ws, lam.ndim, d.shape[0]),
+        _block_max(tiles, len(c_matrix), _feature_buffer(ws, lam.ndim, d.shape[0], marginals),
                    out[lo:lo + d.shape[0]], ws)
     return out
 

@@ -132,21 +132,15 @@ def _reading(path, what: str):
         raise MissingDataError(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
-def _log_read(key: str, digest) -> None:
-    log = _io_log.get()
-    if log is not None:
-        log[0][key] = digest.hexdigest()
-
-
 def read_text(path, what: str) -> str:
     """The UTF-8 text of a file the package reads; `what` names it in errors.
 
-    The bytes are read once, their newlines translated as text mode does,
-    and within `recording_reads` their digest is logged under `str(path)`.
+    The bytes are read once, their newlines translated as text mode does;
+    only within `recording_reads` are they hashed, logged under `str(path)`.
     MissingDataError when there is no such file or it cannot be read;
     ParseError, with the line, when its bytes are not UTF-8.
     """
-    key, path = str(path), Path(path)
+    key, path, log = str(path), Path(path), _io_log.get()
     with _reading(path, what):
         data = path.read_bytes()
     try:
@@ -154,7 +148,8 @@ def read_text(path, what: str) -> str:
     except UnicodeDecodeError as exc:
         line = len((exc.object[:exc.start] + b".").splitlines())  # CR and CRLF end a line too
         raise ParseError(f"{path}: {what} is not UTF-8 text", line=line) from None
-    _log_read(key, hashlib.sha256(data))
+    if log is not None:
+        log[0][key] = hashlib.sha256(data).hexdigest()
     if "\r" in text:  # a two-character replace scans slowly even when nothing matches
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -164,23 +159,26 @@ def read_lines(path, what: str):
     """Yield the lines of a file a block at a time, as non-empty lists whose
     concatenation is `read_text(path, what).splitlines()`.
 
-    The file is read in binary blocks of `_BLOCK_BYTES`, each fed to a sha256
-    that is logged as `read_text` logs it once the last block is read, and
-    decoded as UTF-8 incrementally.  A block's complete lines are split by
-    `str.splitlines`, which ends a line at CRLF and at a lone CR as text
-    mode's translation to LF does; the line that a block leaves open, and
-    a CR that ends a block (it may begin a CRLF), go on in the next.
+    The file is read in binary blocks of `_BLOCK_BYTES` and decoded as UTF-8
+    incrementally.  When the read starts within `recording_reads`, each
+    block is fed to a sha256, logged as `read_text` logs it once the last
+    block is read; outside a log nothing is hashed.  A block's complete
+    lines are split by `str.splitlines`, which ends a line at CRLF and at a
+    lone CR as text mode's translation to LF does; the line that a block
+    leaves open, and a CR that ends a block (it may begin a CRLF), go on in
+    the next.
     MissingDataError as `read_text`; ParseError when the bytes are not
     UTF-8, naming the line as `str.splitlines` counts them.
     """
-    key, path = str(path), Path(path)
-    digest = hashlib.sha256()
+    key, path, log = str(path), Path(path), _io_log.get()
+    digest = None if log is None else hashlib.sha256()
     decode = codecs.getincrementaldecoder("utf-8")().decode
     carry, seen = "", 0
     try:
         with _reading(path, what), open(path, "rb") as fh:
             while block := fh.read(_BLOCK_BYTES):
-                digest.update(block)
+                if digest is not None:
+                    digest.update(block)
                 text = carry + decode(block)
                 lines = text.splitlines()
                 end = text[-1:]
@@ -201,7 +199,8 @@ def read_lines(path, what: str):
         raise ParseError(f"{path}: {what} is not UTF-8 text", line=line) from None
     if lines:
         yield lines
-    _log_read(key, digest)
+    if digest is not None:
+        log[0][key] = digest.hexdigest()
 
 
 def table_passes(path, header: str, what: str):

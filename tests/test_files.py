@@ -106,6 +106,30 @@ def test_read_lines_logs_the_digest_of_the_bytes(tmp_path, monkeypatch):
     assert reads == {str(p): hashlib.sha256(data).hexdigest()}
 
 
+def test_reads_are_hashed_only_inside_a_read_log(tmp_path, monkeypatch):
+    samples, counts = tmp_path / "samples.csv", tmp_path / "cc.csv"
+    values = _samples_file(samples, n=20_000)
+    _count_file(counts)
+    with recording_reads() as (reads, _):
+        clean = load_cc(counts).records.tobytes()
+    # both tables span several read blocks, and their sidecars are read whole
+    for path in (samples, counts):
+        assert path.stat().st_size > 2 * files._BLOCK_BYTES
+    assert reads[str(counts)] == hashlib.sha256(counts.read_bytes()).hexdigest()
+
+    def refuse(*args):
+        raise AssertionError("hashed outside a read log")
+
+    monkeypatch.setattr(files.hashlib, "sha256", refuse)
+    assert load_violation_samples(samples).values.tobytes() == values.tobytes()
+    assert load_cc(counts).records.tobytes() == clean
+    monkeypatch.undo()
+    with recording_reads() as (reads, _):
+        load_violation_samples(samples)
+    assert reads == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in (samples, files.sidecar_path(samples))}
+
+
 def test_read_lines_refuses_what_read_text_refuses(tmp_path):
     with pytest.raises(MissingDataError, match="no such table"):
         _joined(tmp_path / "missing.csv")

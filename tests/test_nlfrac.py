@@ -199,9 +199,12 @@ def test_n2_output_bits_are_pinned(workers):
     assert hashlib.sha256(samples.values.tobytes()).hexdigest() == N2_DIST_SHA256
 
 
-def test_an_idle_workspace_holds_one_piece_whatever_the_chunk(monkeypatch):
-    rho = werner_like(np.pi / 4, 0.9, 3)
-    iset = default_set(3)
+@pytest.mark.parametrize("n, bound_mib", [(2, 0.55), (3, 1.1)])
+def test_an_idle_workspace_holds_one_piece_whatever_the_chunk(monkeypatch, n, bound_mib):
+    # one buffer per lifetime: the spent draws buffer holds the correlators'
+    # term and the Bell-value product, and only the full correlators are built
+    rho = werner_like(np.pi / 4, 0.9, n)
+    iset = default_set(n)
     m = 2 * CHUNK + 5
 
     def held():
@@ -210,7 +213,7 @@ def test_an_idle_workspace_holds_one_piece_whatever_the_chunk(monkeypatch):
         return {ws.nbytes for ws in nlfrac._IDLE_WORKSPACES}
 
     sizes = held()
-    assert len(sizes) == 1 and max(sizes) <= 3.5 * 2 ** 20
+    assert len(sizes) == 1 and max(sizes) <= bound_mib * 2 ** 20
     monkeypatch.setattr(nlfrac, "CHUNK", 4 * CHUNK)
     assert held() == sizes
 
