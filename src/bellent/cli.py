@@ -91,6 +91,9 @@ def _v_grid(ns):
     qstate.check_visibility(ns.v_to)
     if not 0.0 < ns.v_step < math.inf:
         raise ParameterError(f"--v-step must be positive and finite, got {ns.v_step!r}")
+    # refused before the step count, which is -inf for a tiny step
+    if ns.v_to < ns.v_from:
+        raise ParameterError(f"empty visibility range [{ns.v_from}, {ns.v_to}]")
     steps = (ns.v_to - ns.v_from) / ns.v_step
     if steps >= MAX_V_POINTS - 1:
         raise ParameterError(
@@ -98,10 +101,7 @@ def _v_grid(ns):
             f"is over the {MAX_V_POINTS}-point limit")
     n = int(round(steps))
     grid = [ns.v_from + k * ns.v_step for k in range(n + 1)]
-    grid = [min(v, ns.v_to) for v in grid if v <= ns.v_to + 1e-12]  # rounding past --v-to
-    if not grid:
-        raise ParameterError(f"empty visibility range [{ns.v_from}, {ns.v_to}]")
-    return grid
+    return [min(v, ns.v_to) for v in grid if v <= ns.v_to + 1e-12]  # rounding past --v-to
 
 
 # ------------------------------------------------------------------ state

@@ -159,7 +159,10 @@ def violation_distribution(rho: DensityMatrix, iset: InequalitySet, m: int, seed
     _check_request(rho, iset, m, workers)
     lam = pauli_tensor(rho)
     c = iset.replay_rows()
-    values = np.empty(m)
+    try:
+        values = np.empty(m)
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory for it
+        raise ParameterError(f"sample count {m} is more than memory can hold") from None
 
     def work(start, dirs, ws):
         values[start:start + dirs.shape[0]] = batch_i_max(lam, dirs, c, ws)

@@ -284,6 +284,9 @@ def load_state(path):
     obj = read_json_object(path, "state file")
     n = json_field(obj, "n_qubits", int, path)
     if "entries" in obj:
+        # refused before 2 ** n is taken, which a huge n makes huge
+        if n not in (1, 2, 3):
+            raise ParameterError(f"n_qubits must be 1, 2 or 3, got {n}")
         flat = json_field(obj, "entries", _complex_array, path)
         d = 2 ** n
         if flat.size != d * d:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from bellent import nlfrac
 from bellent.bell import default_set, load_inequality_dir
-from bellent.cli import _command_path, _parser, main
+from bellent.cli import _FIT_EVALS, _command_path, _parser, main
 from bellent.entanglement import conc_closed_w2, gme_closed_w3_xstate, gme_concurrence_pure
 from bellent.expdata import add_poisson_noise, save_cc, synth_basis_datasets, synth_cc_dataset
 from bellent.fits import g1, g2, g3, v3cr
@@ -321,8 +321,8 @@ def _without_replay_rows(command):
     return args
 
 
-def _seed(command, seed):
-    """`command` run with --seed `seed`; every command that samples takes one."""
+def _sampling(command, *flags):
+    """`command`, one of the commands that sample, run with `flags` added."""
     def args(tmp_path):
         if command == "sweep":
             argv = _sweep()(tmp_path)
@@ -336,7 +336,7 @@ def _seed(command, seed):
             state = tmp_path / "w2.json"
             save_density_matrix(werner_like(np.pi / 4, 0.9, 2), state)
             argv = [command, str(state), "--samples", "10", "--out", str(tmp_path / "curve.csv")]
-        return argv + ["--seed", str(seed)]
+        return argv + list(flags)
     return args
 
 
@@ -365,6 +365,9 @@ NON_FINITE_INPUTS = {
     "rescale --v-step 1e-9": lambda d: _samples(d, ["0.5", "1.2"]) + ["--v-step", "1e-9"],
     "sweep --v-from 0": _sweep("--v-from", "0"),
     "sweep --v-step 5e-324": _sweep("--v-step", "5e-324"),
+    # an empty range whose step count, (0.5 - 1) / 5e-324, is -inf
+    "rescale --v-to below --v-from --v-step 5e-324": lambda d: _samples(d, ["0.5", "1.2"])
+    + ["--v-from", "1", "--v-to", "0.5", "--v-step", "5e-324"],
     # other parameter errors: arguments or inputs that do not fit together
     "sweep --n 3 --closed-form w2": _sweep("--n", "3", "--closed-form", "w2"),
     "pv of 2 qubits against 3-party inequalities": lambda d: _ineq_dir(d, SVETLICHNY_TEXT, n=2),
@@ -378,6 +381,9 @@ NON_FINITE_INPUTS = {
     "state without entries or amplitudes": lambda d: _state(d, '{"n_qubits": 2}'),
     "state entries of the wrong length": lambda d: _state(
         d, '{"n_qubits": 2, "entries": [[1, 0]]}'),
+    # refused before 2 ** n_qubits, a 30,103-digit number, is taken
+    "state entries of n_qubits 100000": lambda d: _state(
+        d, '{"n_qubits": 100000, "entries": [[1, 0]]}'),
     "state make gsms2 --x nan": _make("gsms2", "--x", "nan", "--y", "0.1"),
     "state make gsms3 --y nan": _make("gsms3", "--x", "0", "--y", "nan"),
     "state make phn --x nan": _make("phn", "--x", "nan", "--n", "2"),
@@ -392,19 +398,24 @@ NON_FINITE_INPUTS = {
         "--out", str(d / "curve.csv")],
     "exp pv --margin nan": _exp_pv_margin,
     # a seed is hashed as 16 unsigned bytes: one outside [0, 2**128) is refused
-    **{f"{command} --seed {text}": _seed(command, seed)
+    **{f"{command} --seed {text}": _sampling(command, "--seed", str(seed))
        for command in ("pv", "dist", "sweep", "exp resample")
        for text, seed in (("-1", -1), ("2**128", 2 ** 128))},
+    # more samples than an array can hold, which numpy refuses without allocating
+    **{f"{command} --samples 2**61": _sampling(command, "--samples", str(2 ** 61))
+       for command in ("dist", "sweep")},
 }
 
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
 def test_non_finite_input_exits_2_with_one_line(tmp_path, capsys, case):
     args = NON_FINITE_INPUTS[case](tmp_path)
+    before = _files(tmp_path)
     assert main(args) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-    assert not list(tmp_path.glob("curve.csv*"))
+    # no output, no manifest, and no other file is written or changed
+    assert _files(tmp_path) == before
 
 
 @pytest.fixture(scope="module")
@@ -712,6 +723,13 @@ def test_fit_eval_values_are_pinned(name, theta_deg):
                                     "--pv", repr(pv), *theta]))["value"]
            for pv in FIT_EVAL_PV]
     assert got == list(FIT_EVAL_PINS[name, theta_deg])
+
+
+def test_fit_eval_help_lists_every_fit_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "eval", "-h"])
+    assert exc.value.code == 0
+    assert "--name {%s}" % ",".join(_FIT_EVALS) in capsys.readouterr().out
 
 
 def test_fit_eval_names_the_missing_theta(capsys):

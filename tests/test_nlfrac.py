@@ -12,8 +12,10 @@ import pytest
 from bellent._rng import bloch_directions, bloch_tag
 from bellent.bell import (
     batch_i_max,
+    correlators,
     default_set,
     expand_relabelings,
+    load_inequality_dir,
     mermin,
     pauli_tensor,
     svetlichny,
@@ -36,6 +38,7 @@ from bellent.nlfrac import (
 from bellent.files import format_float, read_table
 from bellent.qstate import gghz, werner_like
 from local_unitaries import apply_local_unitaries, haar_unitary
+from test_cli import CH_FORM, CH_FORM_COUNTS
 
 # analytic curve, frozen from an independent quadrature run
 CLOSED_PINS = {
@@ -197,6 +200,29 @@ def test_n2_output_bits_are_pinned(workers):
     samples = violation_distribution(werner_like(math.radians(30), 1.0, 2), iset, N3_PIN_M,
                                      seed=6, workers=workers)
     assert hashlib.sha256(samples.values.tobytes()).hexdigest() == N2_DIST_SHA256
+
+
+def _rows_above_one(rho, c_matrix, m, seed):
+    """For each of m samples, how many rows of c_matrix its Bell values put above 1."""
+    n = rho.n_qubits
+    dirs = bloch_directions(seed, bloch_tag(n), 0, m, n)
+    return np.count_nonzero(correlators(pauli_tensor(rho), dirs) @ c_matrix.T > 1.0, axis=1)
+
+
+def test_a_bundled_set_has_one_row_violated_at_a_time():
+    # the premise of a p_V that counts one violated row a sample, as the
+    # reduced cube's factor 4 does: it holds on every pinned case of the
+    # bundled sets, and fails on every violation of the CH form, whose rows
+    # are violated together
+    for pins, seed, n in ((N2_PINS, 6, 2), (N3_PINS, 5, 3)):
+        for (deg, v), want in pins.items():
+            rows = _rows_above_one(werner_like(math.radians(deg), v, n), default_set(n).c_matrix,
+                                   N3_PIN_M, seed)
+            assert np.count_nonzero(rows) == want and rows.max() == 1
+    rows = _rows_above_one(werner_like(np.pi / 4, 0.85, 2),
+                           load_inequality_dir(CH_FORM).c_matrix, 200_000, 3)
+    assert np.count_nonzero(rows) == CH_FORM_COUNTS[0.85]
+    assert np.all((rows == 0) | (rows >= 2))
 
 
 @pytest.mark.parametrize("n, bound_mib", [(2, 0.55), (3, 1.1)])
