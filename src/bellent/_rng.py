@@ -42,9 +42,9 @@ class Workspace:
     buffer of a longer one; its size is set by the longest block drawn in it,
     which `nlfrac` keeps to one `bell._SUB_BLOCK` piece.  The Philox is moved
     to each substream by setting its state, which costs a third of building
-    one.  A draw that starts where the last one ended, as the next piece of a
-    chunk does, takes the Philox as it stands: every draw consumes whole
-    counter blocks, so its buffer is empty there.  Results built in a
+    one.  A draw that starts where the last one ended, as each piece of a
+    one-worker run does, takes the Philox as it stands: every draw consumes
+    whole counter blocks, so its buffer is empty there.  Results built in a
     workspace are views into it, valid until its next use; a workspace serves
     one thread at a time.
     """

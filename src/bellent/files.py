@@ -271,6 +271,8 @@ def read_json_object(path, what: str) -> dict:
         obj = json.loads(read_text(path, what))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from None
+    except ValueError as exc:  # an integer over int's 4,300-digit string limit
+        raise ParseError(f"{path}: {str(exc).partition(';')[0]}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return obj

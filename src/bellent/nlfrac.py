@@ -4,10 +4,10 @@ p_V is the probability that Haar-random local projective measurements on a
 state produce a behavior violating at least one inequality of a given set.
 Sampling uses counter-addressed RNG substreams keyed by (seed, sample index),
 so results are bit-identical for any worker count and the same settings are
-replayed for different states under a shared seed.  Each chunk of samples
-is drawn and evaluated one `bell._SUB_BLOCK` piece at a time, in one
-`_rng.Workspace` borrowed from an idle list, so what a worker holds is
-sized by one piece, not by the chunk.
+replayed for different states under a shared seed.  Samples are drawn and
+evaluated one `bell._SUB_BLOCK` piece at a time; each worker takes the next
+untaken piece until none is left, in one `_rng.Workspace` borrowed from an
+idle list, so what a worker holds is sized by one piece, whatever m is.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from .errors import ParameterError, ParseError
 from .files import json_field, read_json_object, read_table, sidecar_path, write_json, write_table
 from .qstate import DensityMatrix, check_visibility
 
-# samples per unit of pool work; a multiple of _SUB_BLOCK
+# samples per `sample_chsh_reduced` draw; not a unit of the Monte Carlo's work
 CHUNK = 1 << 14
 
-# Workspaces not in use, for the next chunk: a process allocates as many as
-# it ever runs chunks at once, not one per chunk or per estimate, each the
+# Workspaces not in use, for the next task: a process allocates as many as
+# it ever runs tasks at once, not one per piece or per estimate, each the
 # size of one piece.  Results never depend on what a workspace held before.
 _IDLE_WORKSPACES: list[_rng.Workspace] = []
 
@@ -80,11 +80,6 @@ class ViolationSamples:
         return int(np.count_nonzero(self.values > 1.0 / v))
 
 
-def _chunk_ranges(m: int):
-    for start in range(0, m, CHUNK):
-        yield start, min(CHUNK, m - start)
-
-
 def _check_request(rho: DensityMatrix, iset: InequalitySet, m: int, workers: int) -> None:
     if m < 1:
         raise ParameterError(f"sample count must be >= 1, got {m}")
@@ -94,43 +89,45 @@ def _check_request(rho: DensityMatrix, iset: InequalitySet, m: int, workers: int
         raise ParameterError("inequality set and state disagree on party count")
 
 
-def _run_chunks(n_parties: int, seed: int, m: int, workers: int, work) -> list:
-    """work(start, dirs, ws) over disjoint sample ranges, 1 or more threads;
-    the results in sample order.
+def _run_pieces(n_parties: int, seed: int, m: int, workers: int, work) -> int:
+    """The sum of work(start, dirs, ws) over the `_SUB_BLOCK` pieces of m
+    samples, on min(workers, pieces) tasks.
 
-    A chunk is the unit of pool work.  It takes a workspace from
-    `_IDLE_WORKSPACES`, and in it draws and evaluates its samples one
-    `_SUB_BLOCK` piece at a time: work runs on each piece's directions as
-    soon as they are drawn.  The workspace goes back when the chunk ends, so
-    no piece allocates its arrays anew, and a workspace holds one piece,
-    whatever CHUNK is.  CHUNK is a multiple of `_SUB_BLOCK`, so the pieces,
-    and with them the products of `bell.i_max`, fall where one whole-range
-    `batch_i_max` would cut them.
+    A piece is the unit of work.  A task takes a workspace from
+    `_IDLE_WORKSPACES`, then draws and evaluates the next untaken piece of
+    one shared range until none is left, and puts the workspace back, so a
+    workspace holds one piece and a run holds no more than its tasks do,
+    whatever m is.  A lone task runs in the calling thread and starts no
+    pool; its workspace continues its Philox from piece to piece.  The
+    pieces, and with them the products of `bell.i_max`, fall where one
+    whole-range `batch_i_max` would cut them, whichever task draws them.
     """
     tag = _rng.bloch_tag(n_parties)
+    # next() on a range iterator is atomic, so no two tasks take one piece
+    starts = iter(range(0, m, _SUB_BLOCK))
 
-    def one(span):
-        start, count = span
-        # list.pop is atomic, so two chunks never get the same workspace
+    def task():
+        # list.pop is atomic, so two tasks never get the same workspace
         try:
             ws = _IDLE_WORKSPACES.pop()
         except IndexError:
             ws = _rng.Workspace()
         try:
-            results = []
-            for lo in range(start, start + count, _SUB_BLOCK):
-                k = min(_SUB_BLOCK, start + count - lo)
-                results.append(work(lo, _rng.bloch_directions(seed, tag, lo, k, n_parties, ws), ws))
-            return results
+            total = 0
+            for start in starts:
+                k = min(_SUB_BLOCK, m - start)
+                total += work(start, _rng.bloch_directions(seed, tag, start, k, n_parties, ws), ws)
+            return total
         finally:
             _IDLE_WORKSPACES.append(ws)
 
-    if workers == 1:
-        chunks = [one(s) for s in _chunk_ranges(m)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, _chunk_ranges(m)))
-    return [result for chunk in chunks for result in chunk]
+    tasks = min(workers, -(-m // _SUB_BLOCK))
+    if tasks == 1:
+        return task()
+    # the module's name, looked up at each call: the traced benchmark swaps it
+    with ThreadPoolExecutor(max_workers=tasks) as pool:
+        futures = [pool.submit(task) for _ in range(tasks)]
+    return sum(f.result() for f in futures)
 
 
 def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
@@ -148,8 +145,7 @@ def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
     def work(start, dirs, ws):
         return int(np.count_nonzero(batch_i_max(lam, dirs, c, ws) > 1.0))
 
-    return PvEstimate.of_count(sum(_run_chunks(rho.n_qubits, seed, m, workers, work)),
-                               m, iset.tag)
+    return PvEstimate.of_count(_run_pieces(rho.n_qubits, seed, m, workers, work), m, iset.tag)
 
 
 def violation_distribution(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
@@ -166,8 +162,9 @@ def violation_distribution(rho: DensityMatrix, iset: InequalitySet, m: int, seed
 
     def work(start, dirs, ws):
         values[start:start + dirs.shape[0]] = batch_i_max(lam, dirs, c, ws)
+        return 0
 
-    _run_chunks(rho.n_qubits, seed, m, workers, work)
+    _run_pieces(rho.n_qubits, seed, m, workers, work)
     return ViolationSamples(values, state_tag, seed, iset.tag)
 
 
@@ -234,8 +231,8 @@ def sample_chsh_reduced(v: float, m: int, seed: int) -> PvEstimate:
         # no admissible x: the wedges are empty for every sample
         return PvEstimate(0.0, 0.0, m, 0, "chsh-reduced-cube")
     hits = 0
-    for start, count in _chunk_ranges(m):
-        u = _rng.uniforms(seed, "chshcube", start, count, 3)
+    for start in range(0, m, CHUNK):
+        u = _rng.uniforms(seed, "chshcube", start, min(CHUNK, m - start), 3)
         pts = 2.0 * u - 1.0
         alpha, beta, x = pts[:, 0], pts[:, 1], pts[:, 2]
         lo = np.sqrt(2.0) - alpha * v * np.sqrt(1.0 + x)

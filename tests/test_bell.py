@@ -632,7 +632,7 @@ def _reference_bloch_directions(seed, tag, start, count, n):
 
 def test_bloch_directions_into_buffers_bit_identical():
     # one workspace across party counts, short draws after long ones, as a
-    # chunk reuses an idle workspace
+    # task reuses an idle workspace
     ws = Workspace()
     for n in (3, 2):
         for start, count in ((12345, 2048), (7, 333), (0, 1)):

@@ -161,6 +161,14 @@ def _samples(tmp_path, rows, sidecar=True, header="i_max", **meta):
             "--out", str(tmp_path / "curve.csv")]
 
 
+def _samples_with_m(tmp_path, m_text):
+    """`_samples` of two rows whose sidecar's "m" reads m_text."""
+    args = _samples(tmp_path, ["0.5", "1.2"])
+    sidecar = tmp_path / "dist.csv.json"
+    sidecar.write_text(sidecar.read_text().replace('"m": 2', f'"m": {m_text}', 1))
+    return args
+
+
 def _state(tmp_path, text):
     state = tmp_path / "state.json"
     state.write_text(text, encoding="latin-1")
@@ -243,6 +251,9 @@ MALFORMED_INPUTS = {
     "cc sidecar normalization string": lambda d: _cc_with_sidecar(
         d, '{"tag": "cc", "normalization": "2.5"}'),
     "state n_qubits 2.5": lambda d: _state_with(d, '"n_qubits": 2.5'),
+    # json reads no integer over 4,300 digits
+    "state n_qubits of 5001 digits": lambda d: _state_with(d, '"n_qubits": ' + "1" * 5001),
+    "samples sidecar m of 5001 digits": lambda d: _samples_with_m(d, "1" * 5001),
     "state bad json": lambda d: _state(d, '{"n_qubits": 2, "entries": [[1, 0],'),
     "state without n_qubits": lambda d: _state(d, '{"entries": [[1, 0]]}'),
     "cc not utf-8": lambda d: _cc_with_fields(d, 13, {3: "\xff"}),

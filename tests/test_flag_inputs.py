@@ -8,7 +8,8 @@ command ends as `test_table_inputs` requires: exit 0 silently, or a
 exception, a warning included, fails the test.
 
 No draw starts a long run or many threads: `--samples` is at most 64, one
-piece of one chunk, so a pool starts one thread whatever `--workers` is;
+2048-sample piece, so a run makes one task and starts no pool whatever
+`--workers` is;
 `--trials` is at most 4; `n_qubits` is at most 10**5 in size.  The one
 larger sample count, 2**61, is refused before anything is drawn.
 """

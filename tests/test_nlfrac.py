@@ -11,6 +11,7 @@ import pytest
 
 from bellent._rng import bloch_directions, bloch_tag
 from bellent.bell import (
+    _SUB_BLOCK,
     batch_i_max,
     correlators,
     default_set,
@@ -139,7 +140,7 @@ def test_sweep_counts_equal_one_state_estimates(tmp_path, n):
 
 
 def test_violation_distribution_bits_independent_of_workers():
-    # each chunk draws and evaluates in the workspace it borrows
+    # each task draws and evaluates in the workspace it borrows
     rho = werner_like(np.pi / 5, 0.95, 3)
     iset = default_set(3)
     base = violation_distribution(rho, iset, 40_000, seed=12, workers=1)
@@ -150,20 +151,49 @@ def test_violation_distribution_bits_independent_of_workers():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_violation_distribution_has_the_bits_of_one_whole_range_draw(n):
-    # a whole chunk, then a partial one that ends in a partial piece
-    m = CHUNK + 3617
+    # one partial piece; a whole piece and a 1-sample one; 9 whole pieces
+    # and a partial one: fewer pieces than tasks, and more
     rho = werner_like(np.pi / 5, 0.95, n)
     iset = default_set(n)
-    want = batch_i_max(pauli_tensor(rho), bloch_directions(8, bloch_tag(n), 0, m, n),
-                       iset.replay_rows())
-    for workers in (1, 2):
-        got = violation_distribution(rho, iset, m, seed=8, workers=workers)
-        assert got.values.tobytes() == want.tobytes()
+    for m in (1, _SUB_BLOCK - 1, _SUB_BLOCK + 1, CHUNK + 3617):
+        want = batch_i_max(pauli_tensor(rho), bloch_directions(8, bloch_tag(n), 0, m, n),
+                           iset.replay_rows())
+        count = estimate_pv(rho, iset, m, seed=8).violations
+        assert count == np.count_nonzero(want > 1.0)
+        for workers in (1, 2, 3):
+            got = violation_distribution(rho, iset, m, seed=8, workers=workers)
+            assert got.values.tobytes() == want.tobytes(), (m, workers)
+            assert estimate_pv(rho, iset, m, seed=8, workers=workers).violations == count
+
+
+def test_the_pool_gets_one_task_a_worker_up_to_one_a_piece(monkeypatch):
+    # min(workers, pieces) is the only bound on threads, and --workers may
+    # be as large as 2**63; a lone task runs in the calling thread, no pool
+    pools, submits = [], []
+
+    class Counting(nlfrac.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            submits.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(nlfrac, "ThreadPoolExecutor", Counting)
+    rho = werner_like(np.pi / 4, 0.9, 2)
+    iset = default_set(2)
+    for m, workers, tasks in ((64 * _SUB_BLOCK + 5, 2, 2), (3 * _SUB_BLOCK, 8, 3),
+                              (_SUB_BLOCK, 2 ** 63, 0), (1, 2, 0)):
+        pools.clear()
+        submits.clear()
+        estimate_pv(rho, iset, m, seed=1, workers=workers)
+        assert (len(pools), len(submits)) == (min(tasks, 1), tasks), (m, workers)
 
 
 # Violation counts of the bundled N=3 set, frozen once, never re-seeded:
 # (theta in degrees, v) -> count at m = N3_PIN_M with seed 5, for 1 and 2
-# workers.  m ends in a partial piece of a partial chunk.
+# workers.  m ends in a partial piece.
 N3_PIN_M = 20001
 N3_PINS = {(45, 1.0): 101, (45, 0.986): 86, (30, 1.0): 12, (30, 0.986): 11}
 # sha256 of the violation_distribution values of gGHZ at 30 degrees, same m and seed
@@ -228,20 +258,20 @@ def test_a_bundled_set_has_one_row_violated_at_a_time():
 @pytest.mark.parametrize("n, bound_mib", [(2, 0.55), (3, 1.1)])
 def test_an_idle_workspace_holds_one_piece_whatever_the_chunk(monkeypatch, n, bound_mib):
     # one buffer per lifetime: the spent draws buffer holds the correlators'
-    # term and the Bell-value product, and only the full correlators are built
+    # term and the Bell-value product, and only the full correlators are built.
+    # A piece is the unit of work, so four times the samples hold no more; a
+    # task that starts late may draw only the short last piece, or none
     rho = werner_like(np.pi / 4, 0.9, n)
     iset = default_set(n)
-    m = 2 * CHUNK + 5
 
-    def held():
+    def held(m):
         monkeypatch.setattr(nlfrac, "_IDLE_WORKSPACES", [])
         estimate_pv(rho, iset, m, seed=1, workers=2)
-        return {ws.nbytes for ws in nlfrac._IDLE_WORKSPACES}
+        return max(ws.nbytes for ws in nlfrac._IDLE_WORKSPACES)
 
-    sizes = held()
-    assert len(sizes) == 1 and max(sizes) <= bound_mib * 2 ** 20
-    monkeypatch.setattr(nlfrac, "CHUNK", 4 * CHUNK)
-    assert held() == sizes
+    size = held(2 * CHUNK + 5)
+    assert size <= bound_mib * 2 ** 20
+    assert held(8 * CHUNK + 5) == size
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -258,16 +288,19 @@ def test_the_monte_carlo_reduces_features_where_they_are_built(monkeypatch, n):
 
 def test_concurrent_estimates_never_share_a_workspace():
     # more threads than cores borrow and return workspaces at once; a
-    # workspace used by two threads at a time would corrupt their values
+    # workspace used by two threads at a time would corrupt their values,
+    # and a piece that two tasks took would be counted twice
     rho = werner_like(np.pi / 4, 0.9, 2)
     iset = default_set(2)
     m = 6 * CHUNK + 5
-    want = violation_distribution(rho, iset, m, seed=4, workers=1).values.tobytes()
+    want = (violation_distribution(rho, iset, m, seed=4, workers=1).values.tobytes(),
+            estimate_pv(rho, iset, m, seed=4, workers=1).violations)
     got = []
 
     def run():
         for _ in range(2):
-            got.append(violation_distribution(rho, iset, m, seed=4, workers=3).values.tobytes())
+            got.append((violation_distribution(rho, iset, m, seed=4, workers=3).values.tobytes(),
+                        estimate_pv(rho, iset, m, seed=4, workers=3).violations))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
