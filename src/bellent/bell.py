@@ -15,15 +15,16 @@ those, one party at a time with the sample axis innermost, as
 product, and each `InequalitySet` carries its functionals in the same
 correlator basis (`c_matrix`), so `batch_i_max` never builds a table.  When
 no row of the set reads a marginal feature, as in every bundled set,
-`batch_i_max` builds only the 2^N full correlators (8 of 27 at N=3), in
-about half the multiply-adds, and reduces them on the set's 2^N columns.
-Tables from counts need not be no-signalling; they are reduced as tables
+`product_rows`, called once per estimate, keeps its 2^N full-correlator
+columns, and `batch_i_max`, given rows that wide, builds only the 2^N full
+correlators (8 of 27 at N=3), in about half the multiply-adds.  Tables
+from counts need not be no-signalling; they are reduced as tables
 (`w_matrix`).  Every Bell value, in either basis, comes from one reduction,
 `_block_max`, which runs in fixed `_SUB_BLOCK`-column products: a sample's
 or a block's value has the same bits however its batch was cut.  It takes
-a set's rows in tiles of at most `_ROW_TILE`, so its product buffer does
-not grow with the set.  `i_max` copies behaviors given as rows into its
-columns; `batch_i_max` reduces the buffer that `correlators` builds the
+a set's rows `_ROW_TILE` at a time, the last tile short, so its product
+does not grow with the set.  `i_max` copies behaviors given as rows into
+its columns; `batch_i_max` reduces the buffer that `correlators` builds the
 features in, with no copy.  The kernel's intermediates live in the caller's
 `Workspace`, the one that `_rng.bloch_directions` draws the directions
 into; `nlfrac` hands it one `_SUB_BLOCK` piece at a time.
@@ -54,8 +55,8 @@ from .qstate import DensityMatrix
 # (rows, 3^N) one on the tested BLAS (OpenBLAS 0.3.31, x86-64), as
 # test_batch_i_max_builds_marginals_only_for_a_set_that_reads_them checks.
 _SUB_BLOCK = 2048
-# Most rows of one product: a set of more rows is reduced in tiles
-# of this many, so its product buffer stays (256, _SUB_BLOCK), 4 MiB.
+# Most rows of one product: a set of more rows is reduced in tiles of this
+# many and one of those left, so its product buffer stays (256, _SUB_BLOCK), 4 MiB.
 _ROW_TILE = 256
 
 PAULI = np.array([
@@ -347,84 +348,73 @@ def i_max(x: np.ndarray, coeffs: np.ndarray, ws: Workspace | None = None) -> np.
     `_SUB_BLOCK` rows is copied into the columns of one fixed-size buffer,
     `ws.array("columns")` (columns past a short last run are left over and
     dropped), and reduced by `_block_max`, so every product has the same
-    shape and a row's value has the same bits whatever rows share its
-    batch.  The rows of coeffs are taken in tiles of at most `_ROW_TILE`
-    (`_row_tiles`), so every product is (h, `_SUB_BLOCK`) however many rows
-    the set has.  The buffer and the product live in `ws`.  `batch_i_max`
+    columns and a row's value has the same bits whatever rows share its
+    batch.  The buffer and the product live in `ws`.  `batch_i_max`
     reduces its features in the same products, without the copy.
     """
     if ws is None:
         ws = Workspace()
-    tiles = _row_tiles(coeffs, ws)
     out = np.empty(x.shape[0])
     buf = ws.array("columns", (coeffs.shape[1], _SUB_BLOCK))
     for lo in range(0, x.shape[0], _SUB_BLOCK):
         k = min(_SUB_BLOCK, x.shape[0] - lo)
         buf[:, :k] = x[lo:lo + k].T
-        _block_max(tiles, len(coeffs), buf, out[lo:lo + k], ws)
+        _block_max(coeffs, buf, out[lo:lo + k], ws)
     return out
 
 
-def _row_tiles(coeffs: np.ndarray, ws: Workspace) -> list:
-    """The rows of coeffs in tiles of h = min(rows, `_ROW_TILE`), the last
-    one padded with zero rows (in `ws`), so that every tile is (h, width)."""
-    rows, width = coeffs.shape
-    h = min(rows, _ROW_TILE)
-    full, tail = divmod(rows, h)
-    tiles = [coeffs[t * h:(t + 1) * h] for t in range(full)]
-    if tail:
-        last = ws.array("last tile", (h, width))
-        last[:tail] = coeffs[full * h:]
-        last[tail:] = 0.0
-        tiles.append(last)
-    return tiles
-
-
-def _block_max(tiles: list, rows: int, columns: np.ndarray, out: np.ndarray,
+def _block_max(coeffs: np.ndarray, columns: np.ndarray, out: np.ndarray,
                ws: Workspace) -> None:
-    """out[j] = the max over the `rows` rows in `tiles` of row @ columns[:, j],
-    for the first len(out) of the `_SUB_BLOCK` columns.
+    """out[j] = the max over the rows of coeffs of row @ columns[:, j], for
+    the first len(out) of the `_SUB_BLOCK` columns.
 
-    Every product is (h, `_SUB_BLOCK`), however many rows the set has and
-    however many columns are read, in ws's spent draws buffer; the zero rows
-    that pad the last tile, and the columns past len(out), are left out.
+    The rows are taken `_ROW_TILE` at a time, the last tile as short as the
+    set leaves it, so the product, in ws's spent draws buffer, is at most
+    (`_ROW_TILE`, `_SUB_BLOCK`) however many rows the set has.  A set's
+    tiles are fixed, and every product has all `_SUB_BLOCK` columns however
+    many are read, so a column's value has the same bits in any batch.
     """
     k = len(out)
-    h = tiles[0].shape[0]
-    prod = ws.array("draws", (h, _SUB_BLOCK))
+    prod = ws.array("draws", (min(len(coeffs), _ROW_TILE), _SUB_BLOCK))
     tile_max = ws.array("tile max", (_SUB_BLOCK,))
-    for t, tile in enumerate(tiles):
-        np.matmul(tile, columns, out=prod)
-        used = prod[:min(h, rows - t * h), :k]
-        if t == 0:
+    for lo in range(0, len(coeffs), _ROW_TILE):
+        tile = coeffs[lo:lo + _ROW_TILE]
+        used = np.matmul(tile, columns, out=prod[:len(tile)])[:, :k]
+        if lo == 0:
             np.max(used, axis=0, out=out)
         else:
             np.maximum(out, np.max(used, axis=0, out=tile_max[:k]), out=out)
 
 
-def batch_i_max(lam: np.ndarray, dirs: np.ndarray, c_matrix: np.ndarray,
+def product_rows(c_matrix: np.ndarray) -> np.ndarray:
+    """The rows that `batch_i_max` multiplies for c_matrix, an
+    `InequalitySet.c_matrix` or its `replay_rows()`: its 2^N full-correlator
+    columns when no marginal column is nonzero, else c_matrix as given."""
+    is_marginal = _marginal_features(round(math.log(c_matrix.shape[1], 3)))
+    return c_matrix if np.any(c_matrix[:, is_marginal]) else c_matrix[:, ~is_marginal]
+
+
+def batch_i_max(lam: np.ndarray, dirs: np.ndarray, rows: np.ndarray,
                 ws: Workspace | None = None) -> np.ndarray:
     """Max normalized functional value per settings sample, shape (B,).
 
-    c_matrix is an `InequalitySet.c_matrix` or its `replay_rows()`;
-    correlators are built and reduced in sub-blocks of `_SUB_BLOCK` samples,
-    in `ws` when one is given.  Each sub-block's features are built in the
+    rows has 3^N columns, the correlator features (an `InequalitySet.c_matrix`
+    or its `replay_rows()`), or 2^N, the full correlators alone, as
+    `product_rows` leaves a set that reads no marginal feature; only the
+    features that rows reads are built.  Correlators are built and reduced in
+    sub-blocks of `_SUB_BLOCK` samples, in `ws` when one is given, each in the
     buffer that `correlators` fills, the columns of `i_max`'s products
-    (`_block_max`) as it stands.  Unless a marginal column of c_matrix is
-    nonzero, only the 2^N full correlators are built, and multiplied by
-    c_matrix's full-correlator columns (taken once per call): a value has
-    the bits that `i_max` gives on the full `correlators`.
+    (`_block_max`) as it stands.  A value has the bits that `i_max` gives on
+    the full `correlators` with either form of the rows.
     """
     if ws is None:
         ws = Workspace()
-    is_marginal = _marginal_features(lam.ndim)
-    marginals = bool(np.any(c_matrix[:, is_marginal]))
-    tiles = _row_tiles(c_matrix if marginals else c_matrix[:, ~is_marginal], ws)
+    marginals = rows.shape[1] != 2 ** lam.ndim
     out = np.empty(dirs.shape[0])
     for lo in range(0, dirs.shape[0], _SUB_BLOCK):
         d = dirs[lo:lo + _SUB_BLOCK]
         correlators(lam, d, ws, marginals)
-        _block_max(tiles, len(c_matrix), _feature_buffer(ws, lam.ndim, d.shape[0], marginals),
+        _block_max(rows, _feature_buffer(ws, lam.ndim, d.shape[0], marginals),
                    out[lo:lo + d.shape[0]], ws)
     return out
 

@@ -31,7 +31,7 @@ from .bell import InequalitySet, batch_behaviors, i_max, pauli_tensor
 from .errors import ParameterError, ParseError
 from .files import (FLOAT_FIELD, json_field, read_json_object, sidecar_path, table_passes,
                     write_json, writing)
-from .nlfrac import PvEstimate
+from .nlfrac import PvEstimate, results_array
 from .qstate import DensityMatrix, basis_state
 
 CC_HEADER = ("setting_id,u1x,u1y,u1z,u2x,u2y,u2z,u3x,u3y,u3z,"
@@ -496,8 +496,8 @@ def poisson_resample(dataset: CCDataset, iset: InequalitySet, trials: int,
             "Poisson resampling needs raw integer counts "
             f"(setting {recs['setting_id'][fractional.argmax()]} has fractional values)")
     blocks, _ = _blocks_for_pv(dataset, iset)
-    values = np.empty(trials)
-    sampling_var = np.empty(trials)
+    values = results_array(trials, "trial count")
+    sampling_var = results_array(trials, "trial count")
     for t in range(trials):
         gen = _rng.generator(seed, "poisson", t)
         redrawn = _with_counts(recs, gen.poisson(counts).astype(float))

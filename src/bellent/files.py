@@ -273,6 +273,8 @@ def read_json_object(path, what: str) -> dict:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from None
     except ValueError as exc:  # an integer over int's 4,300-digit string limit
         raise ParseError(f"{path}: {str(exc).partition(';')[0]}") from None
+    except RecursionError:  # arrays or objects nested deeper than the decoder recurses
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return obj

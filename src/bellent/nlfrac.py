@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .bell import _SUB_BLOCK, InequalitySet, batch_i_max, pauli_tensor
+from .bell import _SUB_BLOCK, InequalitySet, batch_i_max, pauli_tensor, product_rows
 from .errors import ParameterError, ParseError
 from .files import json_field, read_json_object, read_table, sidecar_path, write_json, write_table
 from .qstate import DensityMatrix, check_visibility
@@ -89,6 +89,14 @@ def _check_request(rho: DensityMatrix, iset: InequalitySet, m: int, workers: int
         raise ParameterError("inequality set and state disagree on party count")
 
 
+def results_array(count: int, what: str) -> np.ndarray:
+    """np.empty(count), or ParameterError when no array of count doubles can be held."""
+    try:
+        return np.empty(count)
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory for it
+        raise ParameterError(f"{what} {count} is more than memory can hold") from None
+
+
 def _run_pieces(n_parties: int, seed: int, m: int, workers: int, work) -> int:
     """The sum of work(start, dirs, ws) over the `_SUB_BLOCK` pieces of m
     samples, on min(workers, pieces) tasks.
@@ -136,11 +144,12 @@ def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
 
     Deterministic for fixed (seed, m) regardless of workers: every sample's
     directions come from its own counter range and the total is a sum of
-    integer counts.
+    integer counts.  The set's `c_matrix` is prepared once (`product_rows`),
+    and every piece multiplies the same rows.
     """
     _check_request(rho, iset, m, workers)
     lam = pauli_tensor(rho)
-    c = iset.c_matrix
+    c = product_rows(iset.c_matrix)
 
     def work(start, dirs, ws):
         return int(np.count_nonzero(batch_i_max(lam, dirs, c, ws) > 1.0))
@@ -150,15 +159,13 @@ def estimate_pv(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
 
 def violation_distribution(rho: DensityMatrix, iset: InequalitySet, m: int, seed: int,
                            workers: int = 1, state_tag: str = "rho") -> ViolationSamples:
-    """All m values of I_max over `iset.replay_rows()`: rho's mixture with white
-    noise at visibility v violates at a sample exactly when its value is > 1/v."""
+    """All m values of I_max over `iset.replay_rows()`, prepared once (`product_rows`):
+    rho's mixture with white noise at visibility v violates at a sample exactly
+    when its value is > 1/v."""
     _check_request(rho, iset, m, workers)
     lam = pauli_tensor(rho)
-    c = iset.replay_rows()
-    try:
-        values = np.empty(m)
-    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory for it
-        raise ParameterError(f"sample count {m} is more than memory can hold") from None
+    c = product_rows(iset.replay_rows())
+    values = results_array(m, "sample count")
 
     def work(start, dirs, ws):
         values[start:start + dirs.shape[0]] = batch_i_max(lam, dirs, c, ws)

@@ -42,6 +42,7 @@ from bellent.bell import (
     mermin,
     parse_inequality,
     pauli_tensor,
+    product_rows,
     svetlichny,
 )
 from bellent.errors import BellentError, MissingDataError, ParameterError, ParseError
@@ -540,15 +541,19 @@ def test_batch_i_max_builds_marginals_only_for_a_set_that_reads_them(monkeypatch
              (marginal.replay_rows(), True)]
     for c, reads_marginals in cases:
         n = round(math.log(c.shape[1], 3))
+        rows = product_rows(c)
+        assert rows.shape == (len(c), 3 ** n if reads_marginals else 2 ** n)
         lam = pauli_tensor(_random_state(n, rng))
         dirs = bloch_directions(3, f"bloch{n}", 0, 5000, n)
         want = i_max(full_build(lam, dirs), c)
-        monkeypatch.setattr(bell, "correlators", spy)
-        calls.clear()
-        got = batch_i_max(lam, dirs, c)
-        monkeypatch.undo()
-        assert calls == [reads_marginals] * 3
-        assert got.tobytes() == want.tobytes()
+        # the helper's rows build only what the set reads; c as given, all 3^N
+        for given, builds in ((rows, reads_marginals), (c, True)):
+            monkeypatch.setattr(bell, "correlators", spy)
+            calls.clear()
+            got = batch_i_max(lam, dirs, given)
+            monkeypatch.undo()
+            assert calls == [builds] * 3
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -608,17 +613,32 @@ def test_max_violation_has_the_bits_of_a_batch():
 
 
 def test_i_max_reduces_a_large_set_in_row_tiles():
-    # 600 rows go through products of 256 rows, the last tile padded with
-    # zero rows, so the workspace never holds a 600-row product
+    # 600 rows go through products of 256 rows, then one of the 88 left, so
+    # the workspace holds no 600-row product and no padded copy of a tile:
+    # the product, 27 rows of columns and one row of tile maxima
+    most = (256 * 2048 + 27 * 2048 + 2048) * 8
     rng = np.random.default_rng(47)
     coeffs = rng.normal(size=(600, 27))
     x = rng.normal(size=(5000, 27))
     ws = Workspace()
     got = i_max(x, coeffs, ws)
-    # the product, the columns, the padded last tile and one row of tile maxima
-    assert ws.nbytes <= (256 * 2048 + 27 * 2048 + 256 * 27 + 2048) * 8
+    assert ws.nbytes <= most
     assert np.max(np.abs(got - (coeffs @ x.T).max(axis=0))) < 1e-12
     tiles = [i_max(x, coeffs[r:r + 256]) for r in range(0, 600, 256)]
+    assert got.tobytes() == np.maximum.reduce(tiles).tobytes()
+    # batch_i_max on 300 two-party rows that read only full correlators: it
+    # builds the 4 of them and multiplies them in tiles of 256 and 44 rows
+    c = np.zeros((300, 9))
+    c[:, _full_correlator_columns(2)] = rng.normal(size=(300, 4))
+    rows = product_rows(c)
+    assert rows.shape == (300, 4)
+    lam = pauli_tensor(_random_state(2, rng))
+    dirs = bloch_directions(3, "bloch2", 0, 5000, 2)
+    ws = Workspace()
+    got = batch_i_max(lam, dirs, rows, ws)
+    assert ws.nbytes <= most
+    assert np.max(np.abs(got - (correlators(lam, dirs) @ c.T).max(axis=1))) < 1e-12
+    tiles = [batch_i_max(lam, dirs, rows[r:r + 256]) for r in range(0, 300, 256)]
     assert got.tobytes() == np.maximum.reduce(tiles).tobytes()
 
 

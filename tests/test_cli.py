@@ -222,6 +222,9 @@ _PV_VALUE_ROWS = [(format_float(p), format_float(0.3 + 0.1 * p ** 0.25))
                   for p in np.linspace(0.5, 20, 12).tolist()]
 
 
+# an empty JSON array inside 99,999 others
+_DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
 MALFORMED_INPUTS = {
     "cc sidecar bad json": lambda d: _cc_with_sidecar(d, '{"tag": "cc", '),
     "cc sidecar bad normalization": lambda d: _cc_with_sidecar(
@@ -254,6 +257,12 @@ MALFORMED_INPUTS = {
     # json reads no integer over 4,300 digits
     "state n_qubits of 5001 digits": lambda d: _state_with(d, '"n_qubits": ' + "1" * 5001),
     "samples sidecar m of 5001 digits": lambda d: _samples_with_m(d, "1" * 5001),
+    # nor arrays nested deeper than its decoder recurses
+    "state entries nested 100000 deep": lambda d: _state(
+        d, '{"n_qubits": 2, "entries": %s}' % _DEEP_ARRAY),
+    "samples sidecar m nested 100000 deep": lambda d: _samples_with_m(d, _DEEP_ARRAY),
+    "cc sidecar nested 100000 deep": lambda d: _cc_with_sidecar(
+        d, '{"tag": "cc", "normalization": %s}' % _DEEP_ARRAY),
     "state bad json": lambda d: _state(d, '{"n_qubits": 2, "entries": [[1, 0],'),
     "state without n_qubits": lambda d: _state(d, '{"entries": [[1, 0]]}'),
     "cc not utf-8": lambda d: _cc_with_fields(d, 13, {3: "\xff"}),
@@ -415,6 +424,7 @@ NON_FINITE_INPUTS = {
     # more samples than an array can hold, which numpy refuses without allocating
     **{f"{command} --samples 2**61": _sampling(command, "--samples", str(2 ** 61))
        for command in ("dist", "sweep")},
+    "exp resample --trials 2**62": _sampling("exp resample", "--trials", str(2 ** 62)),
 }
 
 

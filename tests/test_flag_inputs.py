@@ -11,7 +11,8 @@ No draw starts a long run or many threads: `--samples` is at most 64, one
 2048-sample piece, so a run makes one task and starts no pool whatever
 `--workers` is;
 `--trials` is at most 4; `n_qubits` is at most 10**5 in size.  The one
-larger sample count, 2**61, is refused before anything is drawn.
+larger sample count, 2**61, is refused before anything is drawn, and the
+one larger trial count, 2**62, before any trial runs.
 """
 
 import json
@@ -122,6 +123,7 @@ def test_exp_pv_margin_exits_with_a_documented_code(inputs, margin):
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(trials=st.integers(-2, 4).map(str), seed=_SEED)
+@example(trials=str(2 ** 62), seed="1")
 def test_exp_resample_flags_exit_with_a_documented_code(inputs, trials, seed):
     _check_exit(["exp", "resample", "--in", str(inputs / "cc.csv"), f"--trials={trials}",
                  f"--seed={seed}"])

@@ -12,6 +12,7 @@ import pytest
 from bellent._rng import bloch_directions, bloch_tag
 from bellent.bell import (
     _SUB_BLOCK,
+    BellInequality,
     batch_i_max,
     correlators,
     default_set,
@@ -19,6 +20,7 @@ from bellent.bell import (
     load_inequality_dir,
     mermin,
     pauli_tensor,
+    product_rows,
     svetlichny,
 )
 from bellent import nlfrac
@@ -164,6 +166,36 @@ def test_violation_distribution_has_the_bits_of_one_whole_range_draw(n):
             got = violation_distribution(rho, iset, m, seed=8, workers=workers)
             assert got.values.tobytes() == want.tobytes(), (m, workers)
             assert estimate_pv(rho, iset, m, seed=8, workers=workers).violations == count
+
+
+@pytest.mark.parametrize("reads_marginals, bound", [(False, 3.0), (True, 2.5)])
+def test_a_set_of_more_rows_than_a_tile_has_the_bits_of_its_tiles(reads_marginals, bound):
+    # 320 or 640 rows of random two-party functionals, of full correlators
+    # alone or of whole tables: products of 256 rows, then one of those left
+    rng = np.random.default_rng(73)
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])  # E(S) = sum_r (-1)^(r_1 + r_2) P(r|S)
+    coeffs = [rng.normal(size=(2,) * 4) if reads_marginals
+              else rng.normal(size=(2, 2, 1, 1)) * signs for _ in range(5)]
+    iset = expand_relabelings([BellInequality(2, c, bound, f"random{k}")
+                               for k, c in enumerate(coeffs)])
+    assert len(iset) > 256
+    assert product_rows(iset.c_matrix).shape[1] == (9 if reads_marginals else 4)
+    rho = werner_like(np.pi / 4, 0.9, 2)
+    m = 2 * _SUB_BLOCK + 5
+    lam = pauli_tensor(rho)
+    dirs = bloch_directions(3, bloch_tag(2), 0, m, 2)
+
+    def tiled(c):
+        return np.maximum.reduce([batch_i_max(lam, dirs, product_rows(c[r:r + 256]))
+                                  for r in range(0, len(c), 256)])
+
+    want = tiled(iset.replay_rows())
+    count = np.count_nonzero(tiled(iset.c_matrix) > 1.0)
+    assert 0 < count < m
+    for workers in (1, 2):
+        got = violation_distribution(rho, iset, m, seed=3, workers=workers)
+        assert got.values.tobytes() == want.tobytes(), workers
+        assert estimate_pv(rho, iset, m, seed=3, workers=workers).violations == count
 
 
 def test_the_pool_gets_one_task_a_worker_up_to_one_a_piece(monkeypatch):
