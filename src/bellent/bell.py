@@ -55,8 +55,8 @@ from .qstate import DensityMatrix
 # (rows, 3^N) one on the tested BLAS (OpenBLAS 0.3.31, x86-64), as
 # test_batch_i_max_builds_marginals_only_for_a_set_that_reads_them checks.
 _SUB_BLOCK = 2048
-# Most rows of one product: a set of more rows is reduced in tiles of this
-# many and one of those left, so its product buffer stays (256, _SUB_BLOCK), 4 MiB.
+# Most rows of one product: a larger set is reduced in tiles of this many and
+# one of the rows left, so its product stays (256, _SUB_BLOCK), 4 MiB.
 _ROW_TILE = 256
 
 PAULI = np.array([
