@@ -373,13 +373,18 @@ def _block_max(coeffs: np.ndarray, columns: np.ndarray, out: np.ndarray,
     (`_ROW_TILE`, `_SUB_BLOCK`) however many rows the set has.  A set's
     tiles are fixed, and every product has all `_SUB_BLOCK` columns however
     many are read, so a column's value has the same bits in any batch.
+    numpy sends a one-row product to gemv, whose sums differ from gemm's in
+    the last bits, so a lone last row is multiplied with the row before it,
+    whose values are not read: every row past the first tile then has the
+    bits of a tile zero-padded to `_ROW_TILE` rows.
     """
     k = len(out)
     prod = ws.array("draws", (min(len(coeffs), _ROW_TILE), _SUB_BLOCK))
     tile_max = ws.array("tile max", (_SUB_BLOCK,))
     for lo in range(0, len(coeffs), _ROW_TILE):
-        tile = coeffs[lo:lo + _ROW_TILE]
-        used = np.matmul(tile, columns, out=prod[:len(tile)])[:, :k]
+        lone = 1 if lo and lo == len(coeffs) - 1 else 0
+        tile = coeffs[lo - lone:lo + _ROW_TILE]
+        used = np.matmul(tile, columns, out=prod[:len(tile)])[lone:, :k]
         if lo == 0:
             np.max(used, axis=0, out=out)
         else:

@@ -441,22 +441,26 @@ def test_batch_i_max_independent_of_how_a_chunk_is_cut():
         lam = pauli_tensor(_random_state(n, rng))
         c = default_set(n).c_matrix
         dirs = bloch_directions(3, f"bloch{n}", 0, cuts[-1], n)
-        whole = batch_i_max(lam, dirs, c)
-        pieces = [batch_i_max(lam, dirs[a:b], c) for a, b in zip(cuts, cuts[1:])]
-        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        # the 3^N rows as given, and the 2^N that product_rows keeps of them
+        for rows in (c, product_rows(c)):
+            whole = batch_i_max(lam, dirs, rows)
+            pieces = [batch_i_max(lam, dirs[a:b], rows) for a, b in zip(cuts, cuts[1:])]
+            assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
 def test_batch_i_max_in_a_reused_workspace_has_the_bits_of_a_fresh_one():
-    # one workspace across party counts and batch sizes, short ones after
-    # long ones, as the sampler's idle workspaces are used
+    # one workspace across party counts, batch sizes and both forms of the
+    # rows, short batches after long ones, as the sampler's idle workspaces
+    # are used
     rng = np.random.default_rng(33)
     ws = Workspace()
     for n, count in ((3, 5000), (2, 3000), (3, 17), (2, 2048), (3, 2049)):
         lam = pauli_tensor(_random_state(n, rng))
         c = default_set(n).c_matrix
         dirs = bloch_directions(5, f"bloch{n}", 100, count, n)
-        want = batch_i_max(lam, dirs, c)
-        assert batch_i_max(lam, dirs, c, ws).tobytes() == want.tobytes()
+        for rows in (c, product_rows(c)):
+            want = batch_i_max(lam, dirs, rows)
+            assert batch_i_max(lam, dirs, rows, ws).tobytes() == want.tobytes()
 
 
 # The behavior kernel before the correlator basis: one einsum per batch over
@@ -561,7 +565,8 @@ def test_the_shared_draws_buffer_never_clobbers_live_data(n):
     # one workspace buffer holds, in turn, the draws, the squares of the norm
     # pass, the correlators' term and the Bell-value product: a piece's values
     # must not depend on what the workspace held, nor on a count-route i_max
-    # between two pieces
+    # between two pieces, with each set's rows as given (the full build) and
+    # as product_rows leaves them (the compact build where the set allows it)
     rng = np.random.default_rng(67 + n)
     iset = default_set(n)
     marginal = expand_relabelings(BellInequality(n, rng.normal(size=(2,) * (2 * n)), 4.0,
@@ -570,6 +575,7 @@ def test_the_shared_draws_buffer_never_clobbers_live_data(n):
     if n == 2:  # the CH form's rows read the constant feature
         sets.append(load_inequality_dir(Path(__file__).resolve().parent / "data"
                                         / "ch_form").c_matrix)
+    sets = [rows for c in sets for rows in (c, product_rows(c))]
     lam = pauli_tensor(_random_state(n, rng))
     tables = rng.random((300, 4 ** n))
     counted = i_max(tables, iset.w_matrix)
@@ -612,6 +618,22 @@ def test_max_violation_has_the_bits_of_a_batch():
         assert i_max(tables[b:b + 1], w)[0] == batch[b]
 
 
+def _padded_tile_i_max(x, coeffs):
+    # the reduction with the last row tile zero-padded to 256 rows, so that
+    # every product is (256, 2048); for sets of at least 256 rows
+    padded = np.zeros((-(-len(coeffs) // 256) * 256, coeffs.shape[1]))
+    padded[:len(coeffs)] = coeffs
+    out = np.empty(len(x))
+    for lo in range(0, len(x), 2048):
+        k = min(2048, len(x) - lo)
+        columns = np.zeros((coeffs.shape[1], 2048))
+        columns[:, :k] = x[lo:lo + k].T
+        prod = np.concatenate([padded[r:r + 256] @ columns
+                               for r in range(0, len(padded), 256)])
+        out[lo:lo + k] = prod[:len(coeffs), :k].max(axis=0)
+    return out
+
+
 def test_i_max_reduces_a_large_set_in_row_tiles():
     # 600 rows go through products of 256 rows, then one of the 88 left, so
     # the workspace holds no 600-row product and no padded copy of a tile:
@@ -640,6 +662,17 @@ def test_i_max_reduces_a_large_set_in_row_tiles():
     assert np.max(np.abs(got - (correlators(lam, dirs) @ c.T).max(axis=1))) < 1e-12
     tiles = [batch_i_max(lam, dirs, rows[r:r + 256]) for r in range(0, 300, 256)]
     assert got.tobytes() == np.maximum.reduce(tiles).tobytes()
+    features = correlators(lam, dirs)[:, _full_correlator_columns(2)]
+    assert got.tobytes() == _padded_tile_i_max(features, rows).tobytes()
+    # a last tile of one row (numpy would multiply it by gemv, not gemm) or
+    # of a few: the bits of a last tile zero-padded to 256 rows
+    for n_rows in (256, 257, 258, 513):
+        coeffs = rng.normal(size=(n_rows, 27))
+        assert i_max(x, coeffs).tobytes() == _padded_tile_i_max(x, coeffs).tobytes()
+        c = np.zeros((n_rows, 9))
+        c[:, _full_correlator_columns(2)] = rng.normal(size=(n_rows, 4))
+        want = _padded_tile_i_max(features, product_rows(c))
+        assert batch_i_max(lam, dirs, product_rows(c)).tobytes() == want.tobytes()
 
 
 def _reference_bloch_directions(seed, tag, start, count, n):
