@@ -368,15 +368,12 @@ def _block_max(coeffs: np.ndarray, columns: np.ndarray, out: np.ndarray,
     """out[j] = the max over the rows of coeffs of row @ columns[:, j], for
     the first len(out) of the `_SUB_BLOCK` columns.
 
-    The rows are taken `_ROW_TILE` at a time, the last tile as short as the
-    set leaves it, so the product, in ws's spent draws buffer, is at most
-    (`_ROW_TILE`, `_SUB_BLOCK`) however many rows the set has.  A set's
-    tiles are fixed, and every product has all `_SUB_BLOCK` columns however
-    many are read, so a column's value has the same bits in any batch.
-    numpy sends a one-row product to gemv, whose sums differ from gemm's in
-    the last bits, so a lone last row is multiplied with the row before it,
-    whose values are not read: every row past the first tile then has the
-    bits of a tile zero-padded to `_ROW_TILE` rows.
+    The rows are taken `_ROW_TILE` at a time, the last tile short (a lone
+    last row with the row before it, unread, as numpy sends a one-row
+    product to gemv, whose sums are not gemm's), so the product, in ws's
+    spent draws buffer, is at most (`_ROW_TILE`, `_SUB_BLOCK`).  A set's
+    tiles are fixed and every product has all `_SUB_BLOCK` columns, so a
+    value has the same bits in any batch, and those of zero-padded tiles.
     """
     k = len(out)
     prod = ws.array("draws", (min(len(coeffs), _ROW_TILE), _SUB_BLOCK))
