@@ -140,7 +140,8 @@ def raw_words(seed: int, tag: str, start: int, count: int, words: int) -> np.nda
 def uniforms(seed: int, tag: str, start: int, count: int, words: int,
              ws: Workspace | None = None) -> np.ndarray:
     """Uniform doubles strictly inside (0, 1), one per word: (k + 1/2) 2^-53
-    for the top 53 bits k of the word, shape (count, words).
+    for the top 53 bits k of the word, shape (count, words).  Every Monte
+    Carlo double is drawn here, and none is 0 or 1, so `ndtri` of it is finite.
 
     Drawn by `ws.random` straight into `ws.array("draws")`, shape
     (count, draw_width(words)), that the result is a view of; a fresh
@@ -167,28 +168,22 @@ def bloch_directions(seed: int, tag: str, start: int, count: int, n_parties: int
 
     Two measurement directions per party, 3 standard normals per direction
     by inverse CDF, one word per normal, so each sample consumes 6*n_parties
-    words (rounded up to whole counter blocks).  The words are drawn as
-    `uniforms` draws them, into `ws.array("draws")`, and its uniforms are
-    written, with their half step added, sample innermost into
-    `ws.array("dirs")`, shape (n_parties, 2, 3, count); there `ndtri` turns
-    them into normals in place, and each direction is divided by its norm,
-    summed as (x^2 + y^2) + z^2 from squares that one call writes into the
-    draws' buffer.  The result is the dirs array seen with the sample axis
-    first (`np.moveaxis`), the layout that `bell.correlators` reads.  A
-    loop that passes one workspace allocates nothing per call.
+    words (rounded up to whole counter blocks).  `ndtri` reads the
+    `uniforms` of those words transposed and writes the normals sample
+    innermost into `ws.array("dirs")`, shape (n_parties, 2, 3, count); each
+    direction is divided by its norm, summed as (x^2 + y^2) + z^2 from
+    squares that one call writes into the draws' buffer.  The result is the
+    dirs array seen with the sample axis first (`np.moveaxis`), the layout
+    that `bell.correlators` reads.  A loop that passes one workspace
+    allocates nothing per call.
     """
     if ws is None:
         ws = Workspace()
     # imported here, not at module level: it costs every CLI start about 0.25 s
     from scipy.special import ndtri
     words = n_parties * 2 * 3
-    draws = ws.array("draws", (count, draw_width(words)))
-    ws.random(seed, tag, start * blocks_per_sample(words), draws)
     z = ws.array("dirs", (n_parties, 2, 3, count))
-    rows = z.reshape(words, count)
-    # the uniforms of `uniforms`, transposed as they are written
-    np.add(draws[:, :words].T, _HALF_STEP, out=rows)
-    ndtri(rows, out=rows)
+    ndtri(uniforms(seed, tag, start, count, words, ws).T, out=z.reshape(words, count))
     # the draws are consumed, so their buffer holds the squares; the norm is
     # the sum of np.linalg.norm over the components, in the same order, and
     # ndtri never returns exactly 0 on (0,1) grid points, so it is positive

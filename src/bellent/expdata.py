@@ -387,8 +387,16 @@ def _blocks_for_pv(dataset: CCDataset, iset: InequalitySet):
 
 
 def _pv_of_blocks(records, blocks, iset) -> tuple[PvEstimate, np.ndarray]:
-    """The fraction of blocks above 1, and every block's Bell value."""
+    """The fraction above 1 of the blocks that hold a count in each of their
+    8 settings, and those blocks' Bell values.
+
+    A block with an empty setting has no behavior to test, so it is left
+    out, as an incomplete block is; ParameterError when none is left.
+    """
+    blocks = blocks[(records["counts"][blocks].sum(axis=2) > 0).all(axis=1)]
     n = len(blocks)
+    if not n:
+        raise ParameterError("no setting block holds a count in each of its 8 settings")
     # count tables need not be no-signalling, so they are reduced as tables
     values = i_max(behavior_tables(records, blocks).reshape(n, 64), iset.w_matrix)
     return PvEstimate.of_count(int(np.count_nonzero(values > 1.0)), n, iset.tag), values
@@ -399,17 +407,18 @@ def pv_cc(dataset: CCDataset, iset: InequalitySet,
     """Fraction of complete blocks whose behavior violates the set.
 
     The companion interval counts violations against thresholds 1 +- margin,
-    bracketing the effect of finite Bell-value precision.  Incomplete blocks
-    are excluded; their record count is reported.
+    bracketing the effect of finite Bell-value precision.  Incomplete blocks,
+    and blocks with a setting whose counts sum to 0, are excluded; their
+    record count is reported.
     """
     if not margin >= 0:
         raise ParameterError(f"margin must be >= 0, got {margin!r}")
     blocks, excluded = _blocks_for_pv(dataset, iset)
     est, values = _pv_of_blocks(dataset.records, blocks, iset)
-    n = len(blocks)
+    n = est.m
     low = int(np.count_nonzero(values > 1.0 + margin)) / n
     high = int(np.count_nonzero(values > 1.0 - margin)) / n
-    return CCPvResult(est, low, high, n, excluded)
+    return CCPvResult(est, low, high, n, excluded + 8 * (len(blocks) - n))
 
 
 # ----------------------------------------------------------------- mixing
@@ -471,7 +480,8 @@ def poisson_resample(dataset: CCDataset, iset: InequalitySet, trials: int,
     """Mean and uncertainty of the block fraction p_V from Poisson count redraws.
 
     Each trial redraws every count as Poisson(count) and recomputes p_V over
-    the dataset's complete blocks.  Counts must be raw integers (resampling
+    the dataset's complete blocks that hold a count in each setting after
+    the redraw, n_t of them.  Counts must be raw integers (resampling
     after mixing normalized data is not meaningful).  Redraws never change
     the settings, so the blocks are grouped once and reused in every trial.
 

@@ -243,7 +243,8 @@ def concurrence_from_pv(theta: float, pv_percent: float, family: str) -> float:
 def refit(xs, basis, provenance: str = "refit"):
     """Least squares on a fixed fractional-power basis.
 
-    xs holds (pv_percent, value) pairs.  Returns (FitCurve, rms_residual).
+    xs holds (pv_percent, value) pairs.  Returns (FitCurve, rms_residual);
+    the curve's domain is the pairs' p_V range.
     """
     pts = [(float(p), float(v)) for p, v in xs]
     if len(pts) < len(basis):
@@ -255,12 +256,16 @@ def refit(xs, basis, provenance: str = "refit"):
     if not np.isfinite(y).all():
         raise ParameterError("fitted values must be finite")
     a = np.stack([pv ** float(b) for b in basis], axis=1)  # 0**0 = 1 in numpy
-    coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+        rms = float(np.sqrt(np.mean((a @ coef - y) ** 2)))
     if rank < len(basis):
         raise FitError(f"design matrix rank {rank} < {len(basis)}; "
                        "p_V values too degenerate")
-    rms = float(np.sqrt(np.mean((a @ coef - y) ** 2)))
-    domain = (float(pv.min()) if pv.min() > 0 else DEFAULT_DOMAIN[0], float(pv.max()))
+    # an infinite coefficient meets a nonzero column of a full-rank design
+    if not math.isfinite(rms):
+        raise FitError("the fit overflows: its residual is not finite")
+    domain = (float(pv.min()), float(pv.max()))
     return FitCurve(tuple(basis), tuple(coef), domain, "percent", provenance), rms
 
 
@@ -290,13 +295,6 @@ def estimate_theta_v0(curve):
                  + g3(theta) * pv) / v0
         return float(np.sum((vs - model) ** 2))
 
-    best = None
-    for theta in np.linspace(0.02, math.pi / 4, 60):
-        for v0 in np.linspace(0.8, 1.0, 41):
-            r = sq_resid(theta, v0)
-            if best is None or r < best[0]:
-                best = (r, theta, v0)
-
     def objective(z):
         theta = min(max(z[0], 1e-3), math.pi / 4)
         v0 = min(max(z[1], 0.5), 1.5)
@@ -304,9 +302,19 @@ def estimate_theta_v0(curve):
 
     # imported here, not at module level: it costs every CLI start about 0.2 s
     from scipy.optimize import minimize
-    res = minimize(objective, [best[1], best[2]], method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 2000})
-    theta = float(min(max(res.x[0], 1e-3), math.pi / 4))
-    v0 = float(min(max(res.x[1], 0.5), 1.5))
-    rms = math.sqrt(sq_resid(theta, v0) / len(pts))
+    # a residual that overflows is inf, and the rms check below refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = None
+        for theta in np.linspace(0.02, math.pi / 4, 60):
+            for v0 in np.linspace(0.8, 1.0, 41):
+                r = sq_resid(theta, v0)
+                if best is None or r < best[0]:
+                    best = (r, theta, v0)
+        res = minimize(objective, [best[1], best[2]], method="Nelder-Mead",
+                       options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 2000})
+        theta = float(min(max(res.x[0], 1e-3), math.pi / 4))
+        v0 = float(min(max(res.x[1], 0.5), 1.5))
+        rms = math.sqrt(sq_resid(theta, v0) / len(pts))
+    if not math.isfinite(rms):
+        raise FitError("the fit overflows: its residual is not finite")
     return theta, v0, rms

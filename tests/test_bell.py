@@ -750,6 +750,21 @@ def test_pieces_drawn_in_one_workspace_match_fresh_draws(monkeypatch):
         assert uniforms(seed, tag, 6, 5, 18, ws).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_bloch_directions_draw_their_uniforms_through_uniforms(monkeypatch, n):
+    # one door to a substream's doubles: the half step is added in one place
+    calls = []
+    draw = _rng.uniforms
+    monkeypatch.setattr(_rng, "uniforms",
+                        lambda *args: calls.append(args) or draw(*args))
+    ws = Workspace()
+    bloch_directions(9, f"bloch{n}", 4096, 2048, n, ws)
+    assert len(calls) == 1
+    seed, tag, start, count, words, used = calls[0]
+    assert (seed, tag, start, count, words) == (9, f"bloch{n}", 4096, 2048, 6 * n)
+    assert used is ws
+
+
 def test_trial_generators_draw_the_substream_of_their_index():
     for index in (0, 1, 17):
         want = np.random.Generator(_reference_philox(5, f"poisson#{index}", 0, 4))

@@ -396,8 +396,9 @@ NON_FINITE_INPUTS = {
     "pv against a set without replay rows": _without_replay_rows("pv"),
     "exp pv against a set without replay rows": _without_replay_rows("exp pv"),
     "exp pv without a complete block": lambda d: _cc_head(d, 8),
+    # settings 0 and 8, one in each of the two blocks: no block is left to test
     "exp pv on a setting of zero counts": lambda d: _cc_with_fields(
-        d, 13, dict.fromkeys(range(1, 9), "0")),
+        d, 13, dict.fromkeys([*range(1, 9), *range(65, 73)], "0")),
     "state without entries or amplitudes": lambda d: _state(d, '{"n_qubits": 2}'),
     "state entries of the wrong length": lambda d: _state(
         d, '{"n_qubits": 2, "entries": [[1, 0]]}'),
@@ -808,6 +809,28 @@ def test_exp_pipeline(tmp_path):
     assert np.isclose(res["std"] ** 2,
                       res["std_poisson"] ** 2 + res["std_sampling"] ** 2,
                       rtol=1e-12, atol=0.0)
+
+
+def _sparse_counts(tmp_path, scale):
+    # one Poisson draw at a few counts a setting: some settings hold none
+    ds = add_poisson_noise(synth_cc_dataset(werner_like(np.pi / 4, 1, 3), 200, 3, scale), 3)
+    cc = tmp_path / f"sparse{scale}.csv"
+    save_cc(ds, cc)
+    return str(cc)
+
+
+def test_exp_commands_leave_out_a_block_with_an_empty_setting(tmp_path, capsys):
+    # at scale 3 the data hold empty settings; at scale 8 only some redraws do
+    pv = json.loads(main_capture(["exp", "pv", "--in", _sparse_counts(tmp_path, 3)]))
+    assert 0 < pv["m"] < 200 and pv["n_excluded_records"] == 8 * (200 - pv["m"])
+    res = json.loads(main_capture(["exp", "resample", "--in", _sparse_counts(tmp_path, 8),
+                                   "--trials", "20", "--seed", "1"]))
+    assert 0 < res["mean"] < 1 and res["std_sampling"] > 0
+    # no block left to test is one line and exit 2
+    capsys.readouterr()
+    assert main(["exp", "pv", "--in", _sparse_counts(tmp_path, 0.01)]) == 2
+    assert capsys.readouterr().err == \
+        "error: no setting block holds a count in each of its 8 settings\n"
 
 
 def test_exp_resample_without_statistic_writes_the_pv_cc_bytes(tmp_path, manifest_inputs):

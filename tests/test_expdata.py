@@ -483,6 +483,39 @@ def _poisson_only_reference(ds, fn, trials, seed):
     return float(values.mean()), float(values.std(ddof=1))
 
 
+def test_a_block_with_an_empty_setting_is_left_out():
+    iset = expand_relabelings([mermin()])
+    ds = add_poisson_noise(small_dataset(10, scale=500.0), seed=3)
+    recs = ds.records.copy()
+    recs["counts"][8 * 4 + 5] = 0.0  # setting 5 of block 4
+    res = pv_cc(CCDataset(recs), iset)
+    want = pv_cc(CCDataset(np.delete(recs, np.s_[32:40])), iset)
+    assert (res.estimate, res.n_blocks, res.n_excluded_records) == \
+        (want.estimate, 9, 8)
+    recs = recs.copy()
+    recs["counts"][5::8] = 0.0  # setting 5 of every block
+    with pytest.raises(ParameterError, match="no setting block holds a count"):
+        pv_cc(CCDataset(recs), iset)
+
+
+def test_each_poisson_trial_tests_the_blocks_it_can():
+    # at a few counts a setting, some redraws empty a setting of some block
+    ds = add_poisson_noise(synth_cc_dataset(werner_like(np.pi / 4, 1, 3), 200, 3, 8), 3)
+    res = poisson_resample(ds, ISET, 20, 1)
+    ns, std_errs = [], []
+    for t in range(20):
+        gen = _rng.generator(1, "poisson", t)
+        redrawn = CCDataset(cc_records(ds.records["setting_id"], ds.records["directions"],
+                                       gen.poisson(ds.records["counts"]).astype(float)))
+        est = pv_cc(redrawn, ISET).estimate
+        ns.append(est.m)
+        std_errs.append(est.std_err)
+    assert min(ns) < 200
+    assert (res.mean, res.std_poisson) == \
+        _poisson_only_reference(ds, lambda d: pv_cc(d, ISET).estimate.p_v, 20, 1)
+    assert res.std_sampling == math.sqrt(np.mean(np.square(std_errs)))
+
+
 def test_poisson_resample_refuses_one_trial_and_fractional_counts():
     ds = add_poisson_noise(small_dataset(4, scale=1000.0), seed=9)
     with pytest.raises(ParameterError, match="at least 2 trials"):

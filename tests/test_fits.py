@@ -147,6 +147,23 @@ def test_refit_rank_check():
         refit([(1.0, 0.5), (2.0, 0.6)], BASIS_2Q)  # too few points
 
 
+def test_refit_domain_is_the_tables_pv_range():
+    # a zero p_V is a point of the table like any other, also below 0.5 %
+    pts = [(0.0, 0.7), (0.1, 0.72), (0.2, 0.75), (0.3, 0.77)]
+    for rows in (pts, pts[1:] + [(0.4, 0.8)]):
+        curve, _ = refit(rows, BASIS_2Q)
+        assert curve.domain == (min(p for p, _ in rows), max(p for p, _ in rows))
+
+
+def test_refit_and_estimate_refuse_a_fit_that_overflows():
+    # finite tables whose least squares or residual leaves the doubles
+    rows = [(1.0, 1e308), (2.0, -1e308), (3.0, 1e308), (4.0, -1e308), (5.0, 1.0)]
+    with pytest.raises(FitError, match="overflows"):
+        refit(rows, BASIS_2Q)
+    with pytest.raises(FitError, match="overflows"):
+        estimate_theta_v0([(0.9, 1e308), (0.8, 2.0), (0.7, 3.0)])
+
+
 def test_refit_two_qubit_curve_quality():
     """Fractional-power basis reproduces the analytic v(p_V) to ~1e-4."""
     vs = np.linspace(0.72, 1.0, 60)

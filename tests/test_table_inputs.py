@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellent.cli import main
@@ -64,13 +64,20 @@ def table_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("tables")
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} in a JSON result")
+
+
 def _check_exit(argv) -> None:
-    """main(argv) exits 0 silently, or 2, 3 or 4 with one line on stderr."""
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    """main(argv) exits 0 silently, with standard JSON if any, or 2, 3 or 4
+    with one line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3, 4)
     assert err.getvalue().count("\n") <= 1 and (code == 0) == (err.getvalue() == "")
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -89,6 +96,8 @@ def test_rescale_samples_file_exits_with_a_documented_code(table_dir, text):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(text=_table("pv,value", 2), basis=st.sampled_from(["2q", "3q"]))
+# finite rows whose least squares overflows
+@example(text="pv,value\n1,1e308\n2,-1e308\n3,1e308\n4,-1e308\n5,1\n", basis="2q")
 def test_fit_refit_table_exits_with_a_documented_code(table_dir, text, basis):
     table = table_dir / "pairs.csv"
     table.write_text(text)
@@ -97,6 +106,8 @@ def test_fit_refit_table_exits_with_a_documented_code(table_dir, text, basis):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(text=_table("v,pv", 2))
+# finite rows whose residual overflows
+@example(text="v,pv\n0.9,1e308\n0.8,2\n0.7,3\n")
 def test_fit_estimate_table_exits_with_a_documented_code(table_dir, text):
     table = table_dir / "pairs.csv"
     table.write_text(text)
